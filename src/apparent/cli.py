@@ -4,7 +4,8 @@ Reports are deterministic: identical inputs give byte-identical JSON
 (no timestamps).  Exact rationals are serialized as strings ("3/16"),
 never as floats, so values survive pipe chains unchanged.  Exit codes:
 0 success, 1 domain error (with a stable machine-readable code), 2
-usage or input-format error.
+usage or input-format error (code "Usage").  Under --format json both
+errors print an error body on stdout.
 """
 
 from __future__ import annotations
@@ -286,19 +287,34 @@ def cmd_heun(args) -> dict:
     return report("heun", payload)
 
 
+def parse_positive(text, what: str) -> Fraction:
+    value = parse_frac(text, what)
+    if value <= 0:
+        raise UsageError(f"{what} must be positive, got {text!r}")
+    return value
+
+
 def cmd_polymer(args) -> dict:
-    tau = parse_frac(args.tau, "--tau")
+    tau = parse_positive(args.tau, "--tau")
     sweep_ws = (
-        [parse_frac(w, "--sweep") for w in args.sweep.split(",")] if args.sweep else None
+        [parse_positive(w, "--sweep") for w in args.sweep.split(",")] if args.sweep else None
     )
-    b = parse_frac(args.b, "--b")
+    b = parse_positive(args.b, "--b")
+    w_main = parse_positive(args.W, "--W")
+    nu_min = parse_frac(args.nu_min, "--nu-min")
     nu_max = parse_frac(args.nu_max, "--nu-max") if args.nu_max is not None else 10 * b
+    if not nu_min < nu_max:
+        raise UsageError(f"need --nu-min < --nu-max, got {nu_min} and {nu_max}")
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
+    if args.grid_points < 2:
+        raise UsageError(f"--grid-points must be at least 2, got {args.grid_points}")
 
     def solve_for(w_value: Fraction):
         p = polymer.PolymerParams(b=b, W=w_value, tau=tau)
         res = polymer.solve_spectrum(
             p,
-            parse_frac(args.nu_min, "--nu-min"),
+            nu_min,
             nu_max,
             args.count,
             precision_bits=args.precision_bits,
@@ -307,7 +323,7 @@ def cmd_polymer(args) -> dict:
         )
         return p, res
 
-    p_main, res_main = solve_for(parse_frac(args.W, "--W"))
+    p_main, res_main = solve_for(w_main)
     nu1 = res_main.eigenvalues[0]
     try:
         q = float(polymer.apparent_location(float(p_main.b), float(p_main.kappa), nu1))
@@ -326,6 +342,7 @@ def cmd_polymer(args) -> dict:
         "diagnostics": {
             "series_order": res_main.series_order,
             "precision_bits": res_main.precision_bits,
+            "evaluations": res_main.evaluations,
             "warnings": list(res_main.warnings),
             "wronskian_samples": [list(s) for s in res_main.wronskian_samples],
         },
@@ -469,6 +486,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def error_body(code: str, message: str, details: dict) -> dict:
+    return {
+        "schema": SCHEMA,
+        "tool": "apparent",
+        "version": __version__,
+        "error": {
+            "code": code,
+            "message": message,
+            "details": {k: str(v) for k, v in details.items()},
+        },
+    }
+
+
 def run(argv=None) -> int:
     """Parse arguments, execute, print a report; returns the exit code."""
     parser = build_parser()
@@ -480,20 +510,12 @@ def run(argv=None) -> int:
         rep = args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.format == "json":
+            print(json.dumps(error_body("Usage", str(exc), {}), indent=2))
         return 2
     except err.ApparentError as exc:
         if args.format == "json":
-            body = {
-                "schema": SCHEMA,
-                "tool": "apparent",
-                "version": __version__,
-                "error": {
-                    "code": exc.code,
-                    "message": exc.message,
-                    "details": {k: str(v) for k, v in exc.details.items()},
-                },
-            }
-            print(json.dumps(body, indent=2))
+            print(json.dumps(error_body(exc.code, exc.message, exc.details), indent=2))
         else:
             print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1

@@ -17,19 +17,20 @@ proportional; the first eigenvalue nu_1 sets the relaxation time
 T_rel = b tau / nu_1, which grows as W approaches the coil-stretch
 transition at W = 1/2.
 
-Numerics: two-sided Frobenius-series shooting in arbitrary-precision
-binary floating point (HighFloat below).  Coefficients at the z = 1 end
-reach size 2^b, which ordinary doubles cannot represent for large b;
-series truncation is monitored and the solver retries with doubled
-order and more bits on PrecisionExhausted, up to a cap.
+Numerics: two-sided Frobenius-series shooting in stdlib decimal
+arithmetic.  One series kernel (_branch) sums a branch until its tail
+is negligible against its own value and measures the digits lost to
+cancellation, which at the z = 1 end (coefficients of size 2^b) runs
+to tens of digits.  The scan stops at the last bracket needed; each
+bracket is refined by the Illinois method (Dowell & Jarratt, BIT 1971).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-
-import mpmath
 
 from . import transform
 from .errors import (
@@ -40,14 +41,16 @@ from .errors import (
 from .odemodel import LinearODE, make_ode
 from .polyrat import RatPoly, as_fraction
 
-# arbitrary-precision binary float; precision is set per computation
-# through mpmath.workprec and is never below 64 bits
-HighFloat = mpmath.mpf
-
 _ORDER_CAP = 6400
 _BITS_CAP = 4096
-_TAIL_TOL_EXP = -16  # relative truncation-tail tolerance 1e-16
-_MAX_RETRIES = 6
+_GUARD_DIGITS = 10
+# tail test: _QUIET_TERMS consecutive terms each below 1e-20 (|w| + |w'|);
+# the same 20 digits must survive cancellation
+_TAIL_DIGITS = 20
+_TAIL_TOL = Decimal(10) ** -_TAIL_DIGITS
+_QUIET_TERMS = 8
+_RTOL = Decimal(10) ** -10  # relative bracket width that ends refinement
+_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,13 @@ class SpectralResult:
     """Eigenvalues and diagnostics of one spectral solve.
 
     eigenvalues: strictly increasing; t_rel = b tau / eigenvalues[0].
-    wronskian_samples: (nu, scale-normalized mismatch) over the scan
-    grid; the mismatch changes sign across each reported eigenvalue.
-    series_order / precision_bits: the values actually used (they may
-    exceed the request after automatic retries).
+    wronskian_samples: (nu, scale-normalized mismatch) at the scan grid
+    points evaluated; the scan stops at the grid point that closes the
+    last bracket needed, and the mismatch changes sign across each
+    reported eigenvalue.
+    series_order / precision_bits: the largest number of series terms
+    and the largest precision any branch evaluation used.
+    evaluations: mismatch evaluations, grid and refinement together.
     endpoint_values: filled only under strict mode; one (w(0+), w(1-))
     pair of matched-eigenfunction limits per eigenvalue.  Both limits
     are finite and nonzero (the exponent-0 branches tend to constants),
@@ -95,6 +101,7 @@ class SpectralResult:
     wronskian_samples: tuple[tuple[float, float], ...]
     series_order: int
     precision_bits: int
+    evaluations: int
     warnings: tuple[str, ...] = ()
     endpoint_values: tuple[tuple[float, float], ...] = ()
 
@@ -149,85 +156,152 @@ def polymer_deformed(p: PolymerParams, nu) -> LinearODE:
     return direct
 
 
-def _local_rows(b, kappa, nu, at_one: bool):
-    """Coefficient polynomials (in the index) of the endpoint recurrence.
+def _digits(bits: int) -> int:
+    return math.ceil(bits * _LOG10_2) + _GUARD_DIGITS
+
+
+def _dec(v) -> Decimal:
+    """Decimal of a number: exact for Decimals and the text of floats
+    and strings, rounded to the context precision for rationals."""
+    if isinstance(v, Decimal):
+        return v
+    if isinstance(v, (str, float)):
+        return Decimal(str(v))
+    fr = as_fraction(v)
+    return Decimal(fr.numerator) / fr.denominator
+
+
+@dataclass(frozen=True)
+class _Branch:
+    """One exponent-0 branch at one point: values and the work they took."""
+
+    w: Decimal
+    dw: Decimal
+    d2w: Decimal
+    terms: int
+    bits: int
+
+
+def _branch(b, kappa, nu, at_one: bool, x, cap: int, bits: int, grow: bool) -> _Branch:
+    """Exponent-0 branch (w, w', w'') at offset x from its endpoint.
 
     At each endpoint the exponent-0 Taylor coefficients satisfy
         a_M c1(M) = -(a_{M-1} c2(M-1) + a_{M-2} c3(M-2)),
     with c1(M) nonzero for all M >= 1 (the other exponents, -1/2 and
     -b, are negative, so the recurrence never hits a resonance).
-    Returns (c1, c2, c3) as ascending mpf coefficient lists.
+
+    Terms are added until _QUIET_TERMS consecutive ones (of w and w')
+    fall below 1e-20 (|w| + |w'|): relative to the branch's own value,
+    because at b = 100 the z = 1 branch cancels by 20-40 digits and a
+    test against its peak term stops early with the wrong sign.  That
+    loss, log10(peak / (|w| + |w'|)), must leave 20 digits.  With grow
+    the terms may reach _ORDER_CAP and a lossy branch reruns at bits
+    sized from its loss; otherwise either shortfall raises
+    PrecisionExhausted naming the terms and bits tried.
     """
-    one = mpmath.mpf(1)
-    half = one / 2
-    if at_one:
-        c1 = [mpmath.mpf(0), b, one]                      # s(s+b)
-        c2 = [-2 * b * kappa, b + 1 + half - kappa, one]  # s(s-1)+(b+5/2-kappa)s-2bk
-        c3 = [nu - kappa - 2 * b * kappa, -kappa]
-    else:
-        c1 = [mpmath.mpf(0), -half, -one]                 # -s(s+1/2)
-        c2 = [kappa - nu, kappa + b + 1 + half, one]      # s(s-1)+(kappa+b+5/2)s-(nu-kappa)
-        c3 = [nu - kappa - 2 * b * kappa, -kappa]
-    return c1, c2, c3
+    endpoint = 1 if at_one else 0
+    if grow:
+        cap = _ORDER_CAP
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = _digits(bits)
+            bd, kd, nd, xd = _dec(b), _dec(kappa), _dec(nu), _dec(x)
+            # c1(s) = sign s (s + e1); c2(s) = s (s + e2) + f2; c3(s) = g3 - kappa s
+            if at_one:
+                sign, e1, e2, f2 = 1, bd, bd + Decimal("1.5") - kd, -2 * bd * kd
+            else:
+                sign, e1, e2, f2 = -1, Decimal("0.5"), kd + bd + Decimal("1.5"), kd - nd
+            g3 = nd - kd - 2 * bd * kd
+            a_prev2, a_prev1 = Decimal(0), Decimal(1)
+            w, dw, d2w = Decimal(1), Decimal(0), Decimal(0)
+            xpow_lo, xpow = Decimal(0), Decimal(1)  # x^(m-2), x^(m-1) at step m
+            peak, quiet, terms = Decimal(1), 0, 0
+            while quiet < _QUIET_TERMS:
+                if terms == cap:
+                    raise PrecisionExhaustedError(
+                        "series tail not negligible within the term cap",
+                        order=cap, bits=bits, endpoint=endpoint,
+                    )
+                m = terms = terms + 1
+                s = m - 1
+                a_m = -(a_prev1 * (s * (s + e2) + f2) + a_prev2 * (g3 - kd * (s - 1))) / (
+                    sign * m * (m + e1)
+                )
+                d2w += m * s * a_m * xpow_lo
+                t_dw = m * a_m * xpow
+                xpow_lo, xpow = xpow, xpow * xd
+                t_w = a_m * xpow
+                dw += t_dw
+                w += t_w
+                t = abs(t_w) + abs(t_dw)
+                if t > peak:
+                    peak = t
+                quiet = quiet + 1 if t <= _TAIL_TOL * (abs(w) + abs(dw)) else 0
+                a_prev2, a_prev1 = a_prev1, a_m
+            value = abs(w) + abs(dw)
+            loss = peak.adjusted() - value.adjusted() + 1 if value else _digits(_BITS_CAP)
+        if _digits(bits) - loss >= _TAIL_DIGITS:
+            return _Branch(w, dw, d2w, terms, bits)
+        need = -(-math.ceil((loss + _TAIL_DIGITS) / _LOG10_2) // 64) * 64
+        if not grow or need > _BITS_CAP:
+            raise PrecisionExhaustedError(
+                "cancellation leaves too few digits at this precision",
+                order=terms, bits=bits, endpoint=endpoint, lost_digits=loss,
+            )
+        bits = need
 
 
-def _horner(cs, x):
-    acc = mpmath.mpf(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+class _Shooting:
+    """Mismatch evaluations of one problem, and the work they took."""
 
+    def __init__(self, p: PolymerParams, matching_point, cap: int, bits: int, grow: bool):
+        self.b, self.kappa = p.b, p.kappa
+        self.z_match = as_fraction(matching_point)
+        self.cap, self.grow = cap, grow
+        self.bits = max(bits, 64)
+        self.terms = 0
+        self.evaluations = 0
 
-def _branch_values(b, kappa, nu, at_one: bool, x, order: int):
-    """Exponent-0 branch value and derivative at offset x from the endpoint.
-
-    Raises PrecisionExhausted when the truncation tail is not
-    negligible at the requested order.
-    """
-    c1, c2, c3 = _local_rows(b, kappa, nu, at_one)
-    zero = mpmath.mpf(0)
-    a_prev2, a_prev1 = zero, mpmath.mpf(1)
-    w = mpmath.mpf(1)
-    dw = zero
-    xpow = mpmath.mpf(1)  # x^(M-1) entering step M
-    peak = mpmath.mpf(1)
-    recent = []
-    for m_idx in range(1, order + 1):
-        rhs = -(a_prev1 * _horner(c2, mpmath.mpf(m_idx - 1)))
-        if m_idx >= 2:
-            rhs -= a_prev2 * _horner(c3, mpmath.mpf(m_idx - 2))
-        a_m = rhs / _horner(c1, mpmath.mpf(m_idx))
-        dw += m_idx * a_m * xpow
-        xpow *= x
-        w += a_m * xpow
-        t = abs(a_m * xpow) * m_idx
-        if t > peak:
-            peak = t
-        recent.append(t)
-        if len(recent) > 8:
-            recent.pop(0)
-        a_prev2, a_prev1 = a_prev1, a_m
-    tol = peak * mpmath.mpf(10) ** _TAIL_TOL_EXP
-    if max(recent) > tol:
-        raise PrecisionExhaustedError(
-            "series tail not negligible at this order",
-            order=order,
-            endpoint=1 if at_one else 0,
+    def branches(self, nu) -> tuple[_Branch, _Branch]:
+        """Bounded-at-0 and bounded-at-1 branches at the matching point."""
+        out = tuple(
+            _branch(self.b, self.kappa, nu, at_one, x, self.cap, self.bits, self.grow)
+            for at_one, x in ((False, self.z_match), (True, self.z_match - 1))
         )
-    return w, dw
+        # a precision that had to grow once is kept for later evaluations
+        self.bits = max(self.bits, *(br.bits for br in out))
+        self.terms = max(self.terms, *(br.terms for br in out))
+        return out
+
+    def mismatch(self, nu) -> Decimal:
+        """Scale-normalized Wronskian of the two bounded branches."""
+        self.evaluations += 1
+        left, right = self.branches(nu)
+        with localcontext() as ctx:
+            ctx.prec = _digits(self.bits)
+            raw = left.w * right.dw - left.dw * right.w
+            return raw / ((abs(left.w) + abs(left.dw)) * (abs(right.w) + abs(right.dw)))
 
 
-def _mismatch(b, kappa, nu, z_match, order: int):
-    """Scale-normalized Wronskian of the two bounded branches at z_match."""
-    x0 = z_match
-    x1 = z_match - 1
-    w0, dw0 = _branch_values(b, kappa, nu, False, x0, order)
-    w1, dw1 = _branch_values(b, kappa, nu, True, x1, order)
-    raw = w0 * dw1 - dw0 * w1
-    scale = (abs(w0) + abs(dw0)) * (abs(w1) + abs(dw1))
-    if scale == 0:
-        return mpmath.mpf(0)
-    return raw / scale
+def _illinois(f, a, fa, b, fb) -> Decimal:
+    """Root of f inside the sign-change bracket [a, b] (Illinois method).
+
+    Each step is a secant step between the bracket ends.  The new point
+    replaces the end of equal sign; when that is the same end as last
+    time, the value kept at the far end is halved, which stops regula
+    falsi from stalling on one side.  Stops at relative width 1e-10.
+    """
+    while abs(b - a) > _RTOL * max(abs(a + b) / 2, Decimal("1e-6")):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if fc == 0:
+            return c
+        if (fc < 0) != (fb < 0):
+            a, fa = b, fb
+        else:
+            fa /= 2
+        b, fb = c, fc
+    return (a + b) / 2
 
 
 def solve_spectrum(
@@ -246,11 +320,13 @@ def solve_spectrum(
     """Scan [nu_min, nu_max] for eigenvalues of the bounded problem.
 
     The mismatch D(nu) (Wronskian of the bounded-at-0 and bounded-at-1
-    branches at the matching point) is sampled on a uniform grid; sign
-    changes are bracketed and refined by bisection to relative width
-    1e-10.  Up to `count` eigenvalues are returned, ascending.  On
-    PrecisionExhausted the solve restarts with doubled series order and
-    1.5x precision bits (auto_retry=True) up to hard caps.
+    branches at the matching point) is sampled on a uniform grid from
+    nu_min upward until `count` sign changes are bracketed; each is
+    refined by the Illinois method to relative width 1e-10.  Up to
+    `count` eigenvalues are returned, ascending.  With auto_retry=True
+    a series may grow past series_order up to a hard cap, and past
+    precision_bits when cancellation calls for it; with
+    auto_retry=False both are hard limits.
 
     strict=True additionally reports the endpoint limits of each
     matched eigenfunction in endpoint_values; see SpectralResult.
@@ -261,112 +337,51 @@ def solve_spectrum(
         raise ValueError("need count >= 1")
     if grid_points < 2:
         raise ValueError("need at least two grid points")
-    order = series_order
-    bits = max(precision_bits, 64)
-    attempts = _MAX_RETRIES if auto_retry else 1
-    last_exc = None
-    for _attempt in range(attempts):
-        try:
-            return _solve_once(
-                p, nu_min, nu_max, count, bits, order, grid_points, matching_point, strict
-            )
-        except PrecisionExhaustedError as exc:
-            last_exc = exc
-            if order >= _ORDER_CAP and bits >= _BITS_CAP:
-                break
-            order = min(order * 2, _ORDER_CAP)
-            bits = min(bits + bits // 2, _BITS_CAP)
-    raise PrecisionExhaustedError(
-        "series did not converge within the order and precision caps",
-        order=order,
-        bits=bits,
-    ) from last_exc
-
-
-def _to_mpf(v):
-    """Exact-as-possible conversion of rationals/strings/floats to mpf."""
-    if isinstance(v, (str, float)):
-        return mpmath.mpf(str(v))
-    fr = as_fraction(v)
-    return mpmath.mpf(fr.numerator) / fr.denominator
-
-
-def _solve_once(p, nu_min, nu_max, count, bits, order, grid_points, matching_point, strict=False):
-    with mpmath.workprec(bits):
-        b = _to_mpf(p.b)
-        kappa = _to_mpf(p.kappa)
-        z_match = _to_mpf(as_fraction(matching_point))
-        lo = _to_mpf(nu_min)
-        hi = _to_mpf(nu_max)
-
-        def d_of(nu):
-            return _mismatch(b, kappa, nu, z_match, order)
-
-        step = (hi - lo) / grid_points
-        grid = [lo + i * step for i in range(grid_points + 1)]
-        values = [d_of(nu) for nu in grid]
-
-        samples = tuple((float(nu), float(val)) for nu, val in zip(grid, values))
-        eigenvalues: list[float] = []
-        rtol = mpmath.mpf(10) ** -10
-        warnings: list[str] = []
-        for i in range(grid_points):
+    lo, hi = as_fraction(nu_min), as_fraction(nu_max)
+    shoot = _Shooting(p, matching_point, series_order, precision_bits, auto_retry)
+    samples: list[tuple[float, float]] = []
+    eigenvalues: list[float] = []
+    with localcontext() as ctx:
+        ctx.prec = _digits(shoot.bits)
+        prev = None
+        for i in range(grid_points + 1):
+            nu = _dec(lo + (hi - lo) * i / grid_points)
+            d = shoot.mismatch(nu)
+            samples.append((float(nu), float(d)))
+            if prev is not None and prev[1] * d < 0:
+                eigenvalues.append(float(_illinois(shoot.mismatch, *prev, nu, d)))
+            elif d == 0:
+                eigenvalues.append(float(nu))
             if len(eigenvalues) >= count:
                 break
-            va, vb = values[i], values[i + 1]
-            if va == 0:
-                ev = float(grid[i])
-                if not eigenvalues or abs(ev - eigenvalues[-1]) > 1e-9 * max(abs(ev), 1):
-                    eigenvalues.append(ev)
-                continue
-            if va * vb >= 0:
-                continue
-            a, fb_a = grid[i], va
-            b_end = grid[i + 1]
-            for _ in range(300):
-                mid = (a + b_end) / 2
-                if (b_end - a) <= rtol * max(abs(mid), mpmath.mpf(1) / 10**6):
-                    break
-                fm = d_of(mid)
-                if fm == 0:
-                    a = b_end = mid
-                    break
-                if fm * fb_a < 0:
-                    b_end = mid
-                else:
-                    a, fb_a = mid, fm
-            eigenvalues.append(float((a + b_end) / 2))
-        if values[-1] == 0 and len(eigenvalues) < count:
-            eigenvalues.append(float(grid[-1]))
-        if not eigenvalues:
-            raise NoEigenvalueInWindowError(
-                "no sign change of the matching Wronskian in the window",
-                nu_min=float(lo),
-                nu_max=float(hi),
-            )
-        if len(eigenvalues) < count:
-            warnings.append(f"requested {count} eigenvalues, found {len(eigenvalues)}")
-        t_rel = float(_to_mpf(p.b) * _to_mpf(p.tau) / eigenvalues[0])
-        endpoints = []
-        if strict:
-            # matched function = bounded-at-0 branch (value 1 at z=0)
-            # glued at z_match to the bounded-at-1 branch (value 1 at
-            # z=1) scaled by w0_m/w1_m, hence the limits below
-            for ev in eigenvalues:
-                nu_v = mpmath.mpf(ev)
-                w0_m, _ = _branch_values(b, kappa, nu_v, False, z_match, order)
-                w1_m, _ = _branch_values(b, kappa, nu_v, True, z_match - 1, order)
-                at_one = w0_m / w1_m if w1_m != 0 else mpmath.inf
-                endpoints.append((1.0, float(at_one)))
-        return SpectralResult(
-            eigenvalues=tuple(eigenvalues),
-            t_rel=t_rel,
-            wronskian_samples=samples,
-            series_order=order,
-            precision_bits=bits,
-            warnings=tuple(warnings),
-            endpoint_values=tuple(endpoints),
+            prev = (nu, d)
+    if not eigenvalues:
+        raise NoEigenvalueInWindowError(
+            "no sign change of the matching Wronskian in the window",
+            nu_min=float(lo),
+            nu_max=float(hi),
         )
+    warnings = ()
+    if len(eigenvalues) < count:
+        warnings = (f"requested {count} eigenvalues, found {len(eigenvalues)}",)
+    endpoints = []
+    if strict:
+        # matched function = bounded-at-0 branch (value 1 at z=0)
+        # glued at z_match to the bounded-at-1 branch (value 1 at
+        # z=1) scaled by w0_m/w1_m, hence the limits below
+        for ev in eigenvalues:
+            left, right = shoot.branches(ev)
+            endpoints.append((1.0, float(left.w / right.w) if right.w else math.inf))
+    return SpectralResult(
+        eigenvalues=tuple(eigenvalues),
+        t_rel=float(p.b * p.tau / Fraction(eigenvalues[0])),
+        wronskian_samples=tuple(samples),
+        series_order=shoot.terms,
+        precision_bits=shoot.bits,
+        evaluations=shoot.evaluations,
+        warnings=warnings,
+        endpoint_values=tuple(endpoints),
+    )
 
 
 def wronskian_mismatch(
@@ -377,17 +392,12 @@ def wronskian_mismatch(
     series_order: int = 400,
     matching_point=Fraction(1, 2),
 ) -> float:
-    """Normalized eigencondition value at one nu (diagnostic)."""
-    with mpmath.workprec(max(precision_bits, 64)):
-        return float(
-            _mismatch(
-                _to_mpf(p.b),
-                _to_mpf(p.kappa),
-                _to_mpf(nu),
-                _to_mpf(as_fraction(matching_point)),
-                series_order,
-            )
-        )
+    """Normalized eigencondition value at one nu (diagnostic).
+
+    series_order caps the terms of each branch and precision_bits is
+    fixed; PrecisionExhausted is raised when either falls short.
+    """
+    return float(_Shooting(p, matching_point, series_order, precision_bits, False).mismatch(nu))
 
 
 def eigenfunction_samples(
@@ -405,47 +415,24 @@ def eigenfunction_samples(
     branch; points right of it use the bounded-at-1 branch scaled so
     the two values agree at the matching point.  At an eigenvalue the
     derivative then glues as well, up to the residual mismatch.
-    Returns a list of float tuples.
+    series_order caps the terms of each branch, as in
+    wronskian_mismatch.  Returns a list of float tuples.
     """
-    bits = max(precision_bits, 64)
-    with mpmath.workprec(bits):
-        b = _to_mpf(p.b)
-        kappa = _to_mpf(p.kappa)
-        z_match = _to_mpf(as_fraction(matching_point))
-        nu_v = _to_mpf(nu)
-        w0_m, _ = _branch_values(b, kappa, nu_v, False, z_match, series_order)
-        w1_m, _ = _branch_values(b, kappa, nu_v, True, z_match - 1, series_order)
-        if w1_m == 0:
-            raise ZeroDivisionError("bounded-at-1 branch vanishes at the matching point")
-        ratio = w0_m / w1_m
-
-        out = []
+    shoot = _Shooting(p, matching_point, series_order, precision_bits, False)
+    left, right = shoot.branches(nu)
+    if right.w == 0:
+        raise ZeroDivisionError("bounded-at-1 branch vanishes at the matching point")
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = _digits(shoot.bits)
+        ratio = left.w / right.w
         for z_raw in zs:
-            z = _to_mpf(z_raw)
+            z = _dec(z_raw)
             if not 0 < z < 1:
                 raise ValueError("sample points must lie strictly inside (0, 1)")
-            at_one = z > z_match
-            x = z - 1 if at_one else z
-            c1, c2, c3 = _local_rows(b, kappa, nu_v, at_one)
-            a_prev2, a_prev1 = mpmath.mpf(0), mpmath.mpf(1)
-            w = mpmath.mpf(1)
-            dw = mpmath.mpf(0)
-            d2w = mpmath.mpf(0)
-            xpow_lo = mpmath.mpf(0)  # x^(M-2) at step M
-            xpow = mpmath.mpf(1)     # x^(M-1) at step M
-            for m_idx in range(1, series_order + 1):
-                rhs = -(a_prev1 * _horner(c2, mpmath.mpf(m_idx - 1)))
-                if m_idx >= 2:
-                    rhs -= a_prev2 * _horner(c3, mpmath.mpf(m_idx - 2))
-                a_m = rhs / _horner(c1, mpmath.mpf(m_idx))
-                if m_idx >= 2:
-                    d2w += m_idx * (m_idx - 1) * a_m * xpow_lo
-                dw += m_idx * a_m * xpow
-                xpow_lo = xpow if m_idx == 1 else xpow_lo * x
-                xpow *= x
-                w += a_m * xpow
-                a_prev2, a_prev1 = a_prev1, a_m
-            if at_one:
-                w, dw, d2w = ratio * w, ratio * dw, ratio * d2w
-            out.append((float(z), float(w), float(dw), float(d2w)))
-        return out
+            at_one = z > shoot.z_match
+            br = _branch(p.b, p.kappa, nu, at_one, z - 1 if at_one else z,
+                         series_order, shoot.bits, False)
+            scale = ratio if at_one else 1
+            out.append((float(z), float(scale * br.w), float(scale * br.dw), float(scale * br.d2w)))
+    return out

@@ -123,6 +123,8 @@ def test_polymer_json_and_csv(tmp_path, capsys):
     assert rep["params"] == {"b": "2", "W": "1/4", "tau": "1", "kappa": "1/2"}
     assert rep["eigenvalues"][0] == pytest.approx(7.157674592, rel=1e-6)
     assert rep["T_rel"] == pytest.approx(2.0 / rep["eigenvalues"][0], rel=1e-12)
+    diag = rep["diagnostics"]
+    assert diag["evaluations"] > len(diag["wronskian_samples"]) >= 2
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "W,nu_1,T_rel"
     assert len(lines) == 2
@@ -140,3 +142,27 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for sub in ("analyze", "riemann", "deform", "undeform", "heun", "polymer"):
         assert sub in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--count", "0"),
+        ("--grid-points", "1"),
+        ("--b", "0"),
+        ("--W", "0"),
+        ("--tau", "0"),
+        ("--sweep", "1/4,0"),
+        ("--nu-min", "20"),
+    ],
+)
+def test_polymer_bad_value_is_usage_error(capsys, flag, value):
+    argv = ["polymer", "--b", "2", "--W", "1/4", "--nu-max", "20", "--format", "json"]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert flag in rep["error"]["message"]

@@ -167,3 +167,64 @@ def test_precision_guard_trips_near_far_matching_point():
         wronskian_mismatch(
             p, F(40), precision_bits=64, series_order=60, matching_point=F(19, 20)
         )
+
+
+def test_truncated_series_is_never_returned():
+    # 120 terms stop the z = 1 branch (offset -4/5) long before its tail
+    p = PolymerParams(b=F(100), W=F(7, 20))
+    kwargs = dict(precision_bits=384, matching_point=F(1, 5))
+    converged = wronskian_mismatch(p, 1, series_order=3000, **kwargs)
+    assert converged == pytest.approx(-0.007434053587777523, abs=1e-12)
+    with pytest.raises(PrecisionExhaustedError) as info:
+        wronskian_mismatch(p, 1, series_order=120, **kwargs)
+    assert info.value.details == {"order": 120, "bits": 384, "endpoint": 1}
+
+
+def test_exhausted_error_reports_what_was_tried():
+    p = PolymerParams(b=F(100), W=F(1, 4))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        solve_spectrum(p, F(1), F(60), series_order=240, precision_bits=384, auto_retry=False)
+    assert info.value.details == {"order": 240, "bits": 384, "endpoint": 0}
+    # enough terms, but the z = 1 branch cancels by about 30 digits
+    with pytest.raises(PrecisionExhaustedError) as info:
+        solve_spectrum(p, F(1), F(60), series_order=400, precision_bits=64, auto_retry=False)
+    details = info.value.details
+    assert details["bits"] == 64 and details["endpoint"] == 1
+    assert details["order"] < 400 and details["lost_digits"] > 20
+
+
+def test_precision_grows_from_measured_cancellation():
+    p = PolymerParams(b=F(100), W=F(7, 20))
+    res = solve_spectrum(p, F(1), F(60), count=1, precision_bits=64)
+    assert res.precision_bits > 64
+    assert res.eigenvalues[0] == pytest.approx(25.7798836989532, rel=1e-9)
+
+
+def test_lazy_scan_stops_at_the_last_bracket():
+    p = PolymerParams(b=F(100), W=F(9, 20))
+    res = solve_spectrum(p, F(1), F(60), count=1, grid_points=64)
+    assert res.evaluations < 64 + 1
+    assert len(res.wronskian_samples) < res.evaluations
+    assert res.wronskian_samples[-2][0] < res.eigenvalues[0] < res.wronskian_samples[-1][0]
+    # what was used, not what was asked for
+    assert res.precision_bits == 256
+    assert 0 < res.series_order < 400
+
+
+@pytest.mark.parametrize("nu", [F(7), F(41, 4)])
+def test_mismatch_matches_exact_series(nu):
+    # exact Fraction series at both endpoints, summed far past convergence
+    p = PolymerParams(b=F(2), W=F(1, 4))
+    ode = polymer_ode(p, nu)
+
+    def branch(point, x):
+        coeffs = frobenius_series(ode, point, F(0), 120).coeffs
+        assert abs(coeffs[-1] * x ** 120) < F(1, 10**30)
+        w = sum(c * x**k for k, c in enumerate(coeffs))
+        dw = sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
+        return w, dw
+
+    w0, dw0 = branch(F(0), F(1, 2))
+    w1, dw1 = branch(F(1), F(-1, 2))
+    exact = (w0 * dw1 - dw0 * w1) / ((abs(w0) + abs(dw0)) * (abs(w1) + abs(dw1)))
+    assert abs(wronskian_mismatch(p, nu) - exact) <= F(1, 10**15)
