@@ -51,6 +51,16 @@ def parse_frac(text, what: str) -> Fraction:
         raise UsageError(f"bad rational for {what}: {text!r}") from exc
 
 
+def parse_count(text, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise UsageError(f"bad integer for {what}: {text!r}") from exc
+    if value < 1:
+        raise UsageError(f"{what} must be at least 1, got {text!r}")
+    return value
+
+
 def poly_json(p: RatPoly) -> list[str]:
     return [frac_str(c) for c in p.coeffs]
 
@@ -184,6 +194,7 @@ def cmd_riemann(args) -> dict:
 
 
 def cmd_deform(args) -> dict:
+    parse_count(args.iterations, "--iterations")
     ode = parse_ode(read_json_input(args.input))
     chain = transform.deform_iter(ode, args.iterations)
     stages = []
@@ -209,13 +220,18 @@ def cmd_deform(args) -> dict:
 
 
 def cmd_undeform(args) -> dict:
-    ode = parse_ode(read_json_input(args.input))
     targets = None
     if args.targets:
-        targets = [Fraction(t) for t in args.targets.split(",")]
+        targets = [parse_frac(t, "--targets") for t in args.targets.split(",")]
     mults = None
     if args.multiplicities:
-        mults = [int(m) for m in args.multiplicities.split(",")]
+        mults = [parse_count(m, "--multiplicities") for m in args.multiplicities.split(",")]
+    if targets and mults and len(targets) != len(mults):
+        raise UsageError(
+            f"--multiplicities needs one value per target: {len(targets)} targets, "
+            f"{len(mults)} multiplicities"
+        )
+    ode = parse_ode(read_json_input(args.input))
     res = transform.undeform(ode, targets, multiplicities=mults, max_slack=args.max_slack)
     payload = {
         "input": ode_json(ode),
@@ -305,8 +321,9 @@ def cmd_polymer(args) -> dict:
     nu_max = parse_frac(args.nu_max, "--nu-max") if args.nu_max is not None else 10 * b
     if not nu_min < nu_max:
         raise UsageError(f"need --nu-min < --nu-max, got {nu_min} and {nu_max}")
-    if args.count < 1:
-        raise UsageError(f"--count must be at least 1, got {args.count}")
+    for flag, value in (("--count", args.count), ("--precision-bits", args.precision_bits),
+                        ("--series-order", args.series_order)):
+        parse_count(value, flag)
     if args.grid_points < 2:
         raise UsageError(f"--grid-points must be at least 2, got {args.grid_points}")
 

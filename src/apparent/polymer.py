@@ -257,6 +257,8 @@ class _Shooting:
     def __init__(self, p: PolymerParams, matching_point, cap: int, bits: int, grow: bool):
         self.b, self.kappa = p.b, p.kappa
         self.z_match = as_fraction(matching_point)
+        if not 0 < self.z_match < 1:
+            raise ValueError(f"matching_point must lie inside (0, 1), got {matching_point}")
         self.cap, self.grow = cap, grow
         self.bits = max(bits, 64)
         self.terms = 0

@@ -3,8 +3,11 @@
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``).
 Polynomials are stored dense in ascending degree order with trailing
 zeros trimmed; the zero polynomial is the empty coefficient list.
-Degrees in this package stay small (typically below ten), so no sparse
-or asymptotically fast machinery is attempted.
+Degrees in this package stay small (typically below ten), so arithmetic
+is schoolbook.  Coefficient sizes do not stay small: each ``deform``
+stage adds about ten bits.  The rational root search is therefore
+p-adic (Hensel) lifting on integers, whose cost is polynomial in those
+bits, and not an enumeration of divisors, whose cost is exponential.
 """
 
 from __future__ import annotations
@@ -278,9 +281,7 @@ class RatPoly:
         return f"RatPoly({self.pretty()})"
 
 
-ZERO = RatPoly()
 ONE = RatPoly([1])
-X = RatPoly([0, 1])
 
 
 def poly_derivative(p: RatPoly) -> RatPoly:
@@ -295,12 +296,6 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_lcm(a: RatPoly, b: RatPoly) -> RatPoly:
-    if a.is_zero or b.is_zero:
-        return ZERO
-    return exact_div(a * b, poly_gcd(a, b)).monic()
 
 
 def exact_div(a: RatPoly, b: RatPoly) -> RatPoly:
@@ -343,57 +338,127 @@ def _rational_sqrt(x: Fraction):
     return None
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _one_rational_root(p: RatPoly):
-    """Some rational root of p, or None.  p nonzero, positive degree."""
-    if p.coeffs[0] == 0:
-        return Fraction(0)
+def _small_degree_roots(p: RatPoly) -> list[Fraction]:
+    """Every rational root of p of degree one or two, by closed forms."""
     if p.degree == 1:
-        return -p.coeffs[0] / p.coeffs[1]
-    if p.degree == 2:
-        c, b, a = p.coeffs
-        disc = b * b - 4 * a * c
-        s = _rational_sqrt(disc)
-        if s is None:
-            return None
-        return (-b + s) / (2 * a)
-    ints, _ = p.integer_primitive()
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if p(cand) == 0:
-                    return cand
-    return None
+        return [-p.coeffs[0] / p.coeffs[1]]
+    c, b, a = p.coeffs
+    s = _rational_sqrt(b * b - 4 * a * c)
+    if s is None:
+        return []
+    if s == 0:
+        return [-b / (2 * a)]
+    return [(-b + s) / (2 * a), (-b - s) / (2 * a)]
+
+
+def _int_eval(coeffs: list[int], y: int, modulus: int = 0) -> int:
+    """Horner evaluation of an integer polynomial, reduced mod modulus if nonzero."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+        if modulus:
+            acc %= modulus
+    return acc
+
+
+# large, so that distinct roots of an input rarely meet modulo it
+_SQUAREFREE_PRIME = 2**31 - 1
+
+
+def _certified_squarefree(g: list[int]) -> bool:
+    """True when g mod P keeps its degree and is squarefree over F_P.
+
+    P is _SQUAREFREE_PRIME.  That certifies g squarefree over Q: a
+    square factor f^2 of g would reduce to a square factor of positive
+    degree, since lead(f) divides lead(g).  False proves nothing.
+    """
+    prime = _SQUAREFREE_PRIME
+    if g[-1] % prime == 0:
+        return False
+    a = [c % prime for c in g]
+    b = [i * c % prime for i, c in enumerate(a)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            c = a[-1] * inv % prime
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bc) % prime
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _hensel_roots(p: RatPoly) -> list[Fraction]:
+    """Every rational root of p (positive degree), by p-adic lifting.
+
+    Let g be the integer primitive of p when _certified_squarefree says
+    it is squarefree (the common case, and cheap), else of radical(p).
+    With a = lead(g) and n = deg g, the monic h(y) = a^(n-1) g(y/a)
+    has integer coefficients, and its integer roots are a times the
+    rational roots of g.  h is squarefree, so some prime P leaves every
+    root of h mod P simple; each integer root reduces to one of them
+    and is the unique Newton lift of it.  Lifting until the modulus
+    passes twice the Cauchy bound 1 + max|h_i| recovers every integer
+    root as a symmetric residue, and an exact check drops the residues
+    that are not roots.
+    """
+    g, _ = p.integer_primitive()
+    if not _certified_squarefree(g):
+        g, _ = radical(p).integer_primitive()
+    n = len(g) - 1
+    a = g[-1]
+    h = [c * a ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    bound = 2 * (1 + max(abs(c) for c in h))
+    prime = 1
+    while True:
+        prime += 1
+        if any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
+            continue
+        h_mod = [c % prime for c in h]
+        residues = [y for y in range(prime) if _int_eval(h_mod, y, prime) == 0]
+        if all(_int_eval(dh, y, prime) for y in residues):
+            break
+    roots = []
+    for y in residues:
+        m = prime
+        while m <= bound:
+            m *= m
+            y = (y - _int_eval(h, y, m) * pow(_int_eval(dh, y, m), -1, m)) % m
+        if y > m // 2:
+            y -= m
+        if _int_eval(h, y) == 0:
+            roots.append(Fraction(y, a))
+    return roots
 
 
 def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     """All rational roots with multiplicities, plus the root-free residual.
 
-    Roots are found by constant-term stripping, closed forms through
-    degree two, and the rational-root test with deflation above that.
-    Irrational (and complex) roots are never approximated: they stay in
-    the residual factor, returned monic.  Roots are sorted ascending.
+    Through degree two the roots come from closed forms.  Above that,
+    every rational root of the squarefree part is found in one pass by
+    p-adic (Hensel) lifting (Loos 1983; von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 15; see _hensel_roots).  The search is
+    complete: each rational root reduces to a simple root modulo the
+    chosen prime and is the unique lift of it.  Each candidate is
+    checked exactly, so nothing false gets in.  The cost is polynomial
+    in the coefficient bits: Newton steps double the p-adic precision,
+    so about log2 of the root bound's bit size of them suffice.
+    Multiplicities come from exact deflation.  Irrational (and complex)
+    roots are never approximated: they stay in the residual factor,
+    returned monic.  Roots are sorted ascending.
     """
     if p.is_zero:
         raise ZeroPolynomialError("root search on the zero polynomial")
+    if p.degree <= 0:
+        return [], ONE
+    candidates = _small_degree_roots(p) if p.degree <= 2 else _hensel_roots(p)
     roots: list[tuple[Fraction, int]] = []
-    while p.degree > 0:
-        r = _one_rational_root(p)
-        if r is None:
-            break
+    for r in candidates:
         m = 0
         lin = RatPoly([-r, 1])
         while p(r) == 0:

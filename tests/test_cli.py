@@ -166,3 +166,30 @@ def test_polymer_bad_value_is_usage_error(capsys, flag, value):
     assert code == 2
     assert rep["error"]["code"] == "Usage"
     assert flag in rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "sub, extra, flag",
+    [
+        ("deform", ["--iterations", "0"], "--iterations"),
+        ("undeform", ["--targets", "abc"], "--targets"),
+        ("undeform", ["--multiplicities", "x"], "--multiplicities"),
+        ("undeform", ["--multiplicities", "0"], "--multiplicities"),
+        ("undeform", ["--targets", "5", "--multiplicities", "1,1"], "--multiplicities"),
+    ],
+)
+def test_exact_bad_value_is_usage_error(heun_file, capsys, sub, extra, flag):
+    code, rep = run_json(capsys, [sub, str(heun_file), *extra, "--format", "json"])
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert flag in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--precision-bits", "-5"), ("--series-order", "0")])
+def test_polymer_bad_solver_limit_is_usage_error(capsys, flag, value):
+    argv = ["polymer", "--b", "2", "--W", "1/4", "--nu-min", "5", "--nu-max", "10",
+            flag, value, "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert flag in rep["error"]["message"]

@@ -169,6 +169,17 @@ def test_precision_guard_trips_near_far_matching_point():
         )
 
 
+@pytest.mark.parametrize("z_match", [F(0), F(1), F(3, 2), F(-1, 2)])
+def test_matching_point_outside_the_interval_is_rejected(z_match):
+    p = PolymerParams(b=F(2), W=F(1, 4))
+    with pytest.raises(ValueError, match="matching_point"):
+        solve_spectrum(p, F(5), F(10), matching_point=z_match)
+    with pytest.raises(ValueError, match="matching_point"):
+        wronskian_mismatch(p, F(7), matching_point=z_match)
+    with pytest.raises(ValueError, match="matching_point"):
+        eigenfunction_samples(p, F(7), [F(1, 4)], matching_point=z_match)
+
+
 def test_truncated_series_is_never_returned():
     # 120 terms stop the z = 1 branch (offset -4/5) long before its tail
     p = PolymerParams(b=F(100), W=F(7, 20))

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apparent import (
     RatFunc,
@@ -71,6 +74,115 @@ def test_rational_roots_leaves_irrational_residual():
 def test_rational_roots_rejects_zero():
     with pytest.raises(ZeroPolynomialError):
         rational_roots(RatPoly())
+
+
+def expected_factorization(lead, roots, quad):
+    """leading * prod (z - r)^m * quad, and what rational_roots should return."""
+    p = RatPoly([lead]) * quad
+    for r, m in roots:
+        p = p * RatPoly([-r, 1]) ** m
+    return p, sorted(roots), quad.monic()
+
+
+def is_rational_square(x: Fraction) -> bool:
+    return x >= 0 and all(math.isqrt(v) ** 2 == v for v in (x.numerator, x.denominator))
+
+
+def rand_irreducible_quadratic(rng, bits):
+    while True:
+        b = F(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+        c = F(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+        if not is_rational_square(b * b - 4 * c):
+            return RatPoly([c, b, 1])
+
+
+def test_rational_roots_without_any_root_above_degree_two():
+    assert rational_roots(RatPoly([-2, 0, 0, 1])) == ([], RatPoly([-2, 0, 0, 1]))
+    p = RatPoly([1, 0, 1]) * RatPoly([-3, 0, 1])
+    assert rational_roots(3 * p) == ([], p)
+
+
+def test_rational_roots_when_small_primes_cannot_separate_the_roots():
+    # every prime through 13 divides the leading coefficient or leaves
+    # two roots congruent modulo it, so the prime search runs on to 17
+    roots = [(F(k, 7), 1) for k in range(-5, 6)] + [(F(1, 30), 3)]
+    p, want, residual = expected_factorization(F(210), roots, RatPoly([1]))
+    assert rational_roots(p) == (want, residual)
+
+
+def test_rational_roots_of_large_height():
+    roots = [(F(2**200 + 1, 3**50), 2), (F(-(5**90), 2**150 - 3), 1), (F(0), 1)]
+    quad = RatPoly([F(7, 2**70), 0, 1])
+    p, want, residual = expected_factorization(F(-(3**40), 11), roots, quad)
+    assert rational_roots(p) == (want, residual)
+
+
+def test_rational_roots_when_the_squarefree_certificate_is_inconclusive():
+    # two simple roots congruent modulo the squarefree test's prime 2^31 - 1
+    roots = [(F(0), 1), (F(2**31 - 1), 1), (F(5, 2), 1)]
+    p, want, residual = expected_factorization(F(3), roots, RatPoly([1]))
+    assert rational_roots(p) == (want, residual)
+
+
+big = st.integers(-(2**64), 2**64)
+positive_big = st.integers(1, 2**64)
+
+
+@st.composite
+def root_factorizations(draw):
+    values = draw(
+        st.lists(st.builds(F, big, positive_big), min_size=1, max_size=4, unique=True)
+    )
+    roots = [(r, draw(st.integers(1, 3))) for r in values]
+    lead = draw(st.builds(F, big.filter(bool), positive_big))
+    quad = RatPoly([1])
+    if draw(st.booleans()):
+        b = draw(st.builds(F, big, positive_big))
+        c = draw(st.builds(F, big, positive_big))
+        assume(not is_rational_square(b * b - 4 * c))
+        quad = RatPoly([c, b, 1])
+    return expected_factorization(lead, roots, quad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_factorizations())
+def test_rational_roots_recovers_every_planted_root(case):
+    p, want, residual = case
+    found, rest = rational_roots(p)
+    assert found == want
+    assert rest == residual
+    rebuilt = RatPoly([p.leading]) * rest
+    for r, m in found:
+        rebuilt = rebuilt * RatPoly([-r, 1]) ** m
+    assert rebuilt == p
+
+
+def test_rational_roots_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random(314)
+    for _ in range(25):
+        roots = {}
+        for _ in range(rng.randint(0, 5)):
+            roots[F(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20))] = rng.randint(1, 3)
+        quads = [rand_irreducible_quadratic(rng, 20) for _ in range(rng.randint(0, 2))]
+        p = RatPoly([F(rng.randint(1, 2**20), rng.randint(1, 2**20))])
+        for q in quads:
+            p = p * q
+        for r, m in roots.items():
+            p = p * RatPoly([-r, 1]) ** m
+        if p.degree < 1:
+            continue
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(p.coeffs))
+        _, factors = sympy.factor_list(sympy.Poly(expr, z, domain="QQ"))
+        oracle, residual = [], RatPoly([1])
+        for f, m in factors:
+            cs = [F(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+            if len(cs) == 2:
+                oracle.append((-cs[0] / cs[1], m))
+            else:
+                residual = residual * RatPoly(cs) ** m
+        assert rational_roots(p) == (sorted(oracle), residual.monic())
 
 
 def test_exact_div_detects_remainder():

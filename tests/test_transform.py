@@ -176,3 +176,14 @@ def test_single_stage_bookkeeping_across_families():
         trail = ode.coeffs[-1]
         assert res.clearing_factor == trail.monic()
         assert res.ode.order == ode.order
+
+
+def test_eight_stage_chain_completes():
+    # coefficients grow about 10 bits a stage; a root search by divisor
+    # enumeration spent 10 s on stage 5 of this chain and did not finish
+    # stage 6 within a minute
+    base = general_heun(heun_params(random.Random(11)))
+    chain = deform_iter(base, 8)
+    assert len(chain) == 8
+    assert undeform(chain[0].ode).ode == base
+    assert [len(res.new_apparent) for res in chain] == [1, 0, 0, 0, 0, 0, 0, 0]
