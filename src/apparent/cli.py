@@ -16,22 +16,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import APPARENT_SCHEMA, __version__
 from . import errors as err
-from . import frobenius, heun, odemodel, polymer, transform
+from . import heun, odemodel, polymer, transform
 from .odemodel import INFINITY, LinearODE, make_ode
 from .polyrat import RatPoly
 
-SCHEMA = "apparent/v1"
-
-_ERROR_CODES = [
-    "BothZero", "ZeroPolynomial", "DegenerateLeading", "NotAnODE",
-    "SingularMoebius", "NotFuchsian", "UnresolvedFactor", "IrregularPoint",
-    "NotAnExponent", "NotSingular", "AlreadyIntegrated", "NothingToRemove",
-    "NotRemovable", "FuchsianIdentity", "DegenerateGeometry",
-    "NotConfluentClass", "DegenerateApparentPoint", "NoEigenvalueInWindow",
-    "PrecisionExhausted",
-]
+# in definition order, so the help text is the same on every run
+_ERROR_CODES = [cls.code for cls in err.ApparentError.__subclasses__()]
 
 
 class UsageError(Exception):
@@ -134,7 +126,7 @@ def analysis_payload(ode: LinearODE) -> dict:
 
 
 def report(command: str, payload: dict) -> dict:
-    return {"schema": SCHEMA, "tool": "apparent", "version": __version__,
+    return {"schema": APPARENT_SCHEMA, "tool": "apparent", "version": __version__,
             "command": command, **payload}
 
 
@@ -231,7 +223,24 @@ def cmd_undeform(args) -> dict:
             f"--multiplicities needs one value per target: {len(targets)} targets, "
             f"{len(mults)} multiplicities"
         )
+    if args.max_slack < 0:
+        raise UsageError(f"--max-slack must be at least 0, got {args.max_slack}")
     ode = parse_ode(read_json_input(args.input))
+    if ode.order < 2:
+        raise UsageError(f"undeform needs an equation of order at least 2, got {ode.order}")
+    if targets and mults is None and ode.order != 2:
+        raise UsageError(
+            f"--multiplicities is required with --targets at order {ode.order}; "
+            "inference from exponent gaps is an order-2 rule"
+        )
+    if mults and not targets:
+        # undeform repeats this inference from the equation's memo
+        inferred = transform._infer_targets(ode)
+        if inferred and len(inferred) != len(mults):
+            raise UsageError(
+                f"--multiplicities needs one value per inferred target: {len(inferred)} "
+                f"apparent points found, {len(mults)} multiplicities"
+            )
     res = transform.undeform(ode, targets, multiplicities=mults, max_slack=args.max_slack)
     payload = {
         "input": ode_json(ode),
@@ -505,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def error_body(code: str, message: str, details: dict) -> dict:
     return {
-        "schema": SCHEMA,
+        "schema": APPARENT_SCHEMA,
         "tool": "apparent",
         "version": __version__,
         "error": {

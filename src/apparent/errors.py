@@ -59,12 +59,6 @@ class NotFuchsianError(ApparentError):
     code = "NotFuchsian"
 
 
-class UnresolvedFactorError(ApparentError):
-    """A singularity location is a root of an irreducible non-rational factor."""
-
-    code = "UnresolvedFactor"
-
-
 class IrregularPointError(ApparentError):
     """Indicial data requested at an irregular singular point."""
 

@@ -17,12 +17,18 @@ recurrence a_M C_{j_0}(rho+M) = -sum_{m<M} a_m C_{j_0+M-m}(rho+m).
 
 The point at infinity is always handled by the pullback z = 1/zeta and
 analysis at zeta = 0; an exponent rho there describes w ~ z^(-rho).
+
+The local data of a point (shifted tables, indicial roots, apparency
+verdict) is memoized on the LinearODE instance, built on first use and
+kept as long as that equation lives; the public functions below run on
+every call and share it, so infinity is pulled back once per equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import odemodel
 from ._linalg import nullity
@@ -44,7 +50,7 @@ def _falling(m: int) -> RatPoly:
 
 
 class _LocalData:
-    """Shifted-coefficient tables for one finite point."""
+    """Shifted-coefficient tables for one finite point; shared, never mutated."""
 
     def __init__(self, ode: LinearODE, point: Fraction):
         self.point = point
@@ -63,14 +69,11 @@ class _LocalData:
         self.j0 = j0
         self.jmax = jmax
         falls = [_falling(self.n - k) for k in range(self.n + 1)]
-        self.cpolys: list[RatPoly] = []
-        for j in range(j0, jmax + 1):
-            acc = RatPoly()
-            for k, t in enumerate(shifted):
-                i = j - k
-                if 0 <= i <= t.degree:
-                    acc = acc + t.coeffs[i] * falls[k]
-            self.cpolys.append(acc)
+        self.cpolys: tuple[RatPoly, ...] = tuple(
+            sum((t.coeffs[j - k] * falls[k] for k, t in enumerate(shifted)
+                 if 0 <= j - k <= t.degree), RatPoly())
+            for j in range(j0, jmax + 1)
+        )
 
     @property
     def is_regular(self) -> bool:
@@ -90,16 +93,65 @@ class _LocalData:
     def indicial(self) -> RatPoly:
         return self.cpolys[0]
 
+    @cached_property
+    def exponents(self) -> tuple[tuple[Fraction, ...], RatPoly]:
+        """Rational indicial roots, ascending and repeated per
+        multiplicity, and the monic factor holding the others."""
+        roots, residual = rational_roots(self.indicial)
+        return tuple(r for r, m in roots for _ in range(m)), residual
+
+    @cached_property
+    def verdict(self) -> ApparentVerdict:
+        """Apparency decision at a regular singular point."""
+        n = self.n
+        exponents, residual = self.exponents
+        if residual.degree > 0:
+            return ApparentVerdict(False, exponents, "non-rational exponent", None)
+        if any(e.denominator != 1 for e in exponents):
+            return ApparentVerdict(False, exponents, "non-integer exponent", None)
+        if any(e < 0 for e in exponents):
+            return ApparentVerdict(False, exponents, "negative exponent", None)
+        if len(set(exponents)) != n:
+            return ApparentVerdict(False, exponents, "repeated exponents", None)
+
+        # Holomorphic solution count.  A power series solution is pinned by
+        # its jet a_0..a_E with E = max exponent: beyond E the indicial
+        # factor C_{j0}(M) is nonzero and the recurrence is forced.  Rows
+        # t = 0..E of the substitution constrain exactly that jet, so the
+        # nullity of the (E+1)x(E+1) system is the holomorphic dimension.
+        # Counting dimensions (rather than per-exponent obstruction values)
+        # is what "n independent holomorphic solutions" means: a free
+        # parameter introduced at an earlier resonance can cancel a later
+        # obstruction, which per-exponent bookkeeping would miss.
+        top = int(max(exponents))
+        matrix = []
+        for t in range(top + 1):
+            row = []
+            for m in range(top + 1):
+                cj = self.c(self.j0 + t - m) if m <= t else RatPoly()
+                row.append(cj(Fraction(m)) if not cj.is_zero else Fraction(0))
+            matrix.append(row)
+        dim = nullity(matrix, top + 1)
+        if dim == n:
+            return ApparentVerdict(True, exponents, None, dim)
+        return ApparentVerdict(False, exponents, "nonzero log obstruction", dim)
+
 
 def _local(ode: LinearODE, point) -> tuple[_LocalData, object]:
     """Local data at a finite point or, via pullback, at infinity.
 
-    Returns (data, reported_location).
+    Returns (data, reported_location).  The data is memoized on the
+    equation, keyed by the location.
     """
-    if isinstance(point, _InfinityType):
-        pulled = odemodel.moebius_transform(ode, (0, 1, 1, 0))
-        return _LocalData(pulled, Fraction(0)), INFINITY
-    return _LocalData(ode, as_fraction(point)), as_fraction(point)
+    loc = INFINITY if isinstance(point, _InfinityType) else as_fraction(point)
+    data = ode._memo.get(loc)
+    if data is None:
+        if loc is INFINITY:
+            data = _LocalData(odemodel.moebius_transform(ode, (0, 1, 1, 0)), Fraction(0))
+        else:
+            data = _LocalData(ode, loc)
+        ode._memo[loc] = data
+    return data, loc
 
 
 @dataclass(frozen=True)
@@ -169,13 +221,10 @@ def indicial_exponents(ode: LinearODE, point) -> IndicialExponents:
     data, loc = _local(ode, point)
     if not data.is_regular:
         raise IrregularPointError(f"irregular singular point at {loc}")
-    roots, residual = rational_roots(data.indicial)
-    flat: list[Fraction] = []
-    for r, m in roots:
-        flat.extend([r] * m)
+    exponents, residual = data.exponents
     return IndicialExponents(
         location=loc,
-        exponents=tuple(flat),
+        exponents=exponents,
         residual=residual,
         complete=residual.degree <= 0,
         indicial=data.indicial,
@@ -192,7 +241,7 @@ def frobenius_series(ode: LinearODE, point, exponent, n_terms: int) -> Frobenius
     exponent = as_fraction(exponent)
     if n_terms < 1:
         raise ValueError("series needs at least one computed term")
-    data = _LocalData(ode, point)
+    data, _loc = _local(ode, point)
     if not data.is_regular:
         raise IrregularPointError(f"irregular singular point at {point}")
     ind = data.indicial
@@ -233,7 +282,7 @@ def substitution_rows(ode: LinearODE, sol: FrobeniusSolution, upto: int | None =
     solution (rows above N involve missing coefficients and are not
     meaningful).
     """
-    data = _LocalData(ode, sol.point)
+    data, _loc = _local(ode, sol.point)
     width = data.jmax - data.j0
     top = sol.truncation if upto is None else upto
     rows = []
@@ -245,46 +294,6 @@ def substitution_rows(ode: LinearODE, sol: FrobeniusSolution, upto: int | None =
                 acc += sol.coeffs[m] * cj(sol.exponent + m)
         rows.append(acc)
     return rows
-
-
-def _verdict(data: _LocalData) -> ApparentVerdict:
-    """Apparency decision from local data at a singular point."""
-    n = data.n
-    roots, residual = rational_roots(data.indicial)
-    flat: list[Fraction] = []
-    for r, m in roots:
-        flat.extend([r] * m)
-    exponents = tuple(flat)
-    if residual.degree > 0:
-        return ApparentVerdict(False, exponents, "non-rational exponent", None)
-    if any(e.denominator != 1 for e in exponents):
-        return ApparentVerdict(False, exponents, "non-integer exponent", None)
-    if any(e < 0 for e in exponents):
-        return ApparentVerdict(False, exponents, "negative exponent", None)
-    if len(set(exponents)) != n:
-        return ApparentVerdict(False, exponents, "repeated exponents", None)
-
-    # Holomorphic solution count.  A power series solution is pinned by
-    # its jet a_0..a_E with E = max exponent: beyond E the indicial
-    # factor C_{j0}(M) is nonzero and the recurrence is forced.  Rows
-    # t = 0..E of the substitution constrain exactly that jet, so the
-    # nullity of the (E+1)x(E+1) system is the holomorphic dimension.
-    # Counting dimensions (rather than per-exponent obstruction values)
-    # is what "n independent holomorphic solutions" means: a free
-    # parameter introduced at an earlier resonance can cancel a later
-    # obstruction, which per-exponent bookkeeping would miss.
-    top = int(max(exponents))
-    matrix = []
-    for t in range(top + 1):
-        row = []
-        for m in range(top + 1):
-            cj = data.c(data.j0 + t - m) if m <= t else RatPoly()
-            row.append(cj(Fraction(m)) if not cj.is_zero else Fraction(0))
-        matrix.append(row)
-    dim = nullity(matrix, top + 1)
-    if dim == n:
-        return ApparentVerdict(True, exponents, None, dim)
-    return ApparentVerdict(False, exponents, "nonzero log obstruction", dim)
 
 
 def is_apparent(ode: LinearODE, point) -> ApparentVerdict:
@@ -301,7 +310,7 @@ def is_apparent(ode: LinearODE, point) -> ApparentVerdict:
         raise NotSingularError(f"{loc} is an ordinary point")
     if not data.is_regular:
         raise IrregularPointError(f"irregular singular point at {loc}")
-    return _verdict(data)
+    return data.verdict
 
 
 def classify_point(ode: LinearODE, point) -> SingularPoint:
@@ -311,15 +320,12 @@ def classify_point(ode: LinearODE, point) -> SingularPoint:
         return SingularPoint(location=loc, kind=PointKind.ORDINARY)
     if not data.is_regular:
         return SingularPoint(location=loc, kind=PointKind.IRREGULAR)
-    verdict = _verdict(data)
-    roots, residual = rational_roots(data.indicial)
-    flat: list[Fraction] = []
-    for r, m in roots:
-        flat.extend([r] * m)
+    verdict = data.verdict
+    residual = data.exponents[1]
     kind = PointKind.APPARENT if verdict.is_apparent else PointKind.REGULAR
     return SingularPoint(
         location=loc,
         kind=kind,
-        exponents=tuple(flat),
+        exponents=verdict.exponents,
         residual=residual if residual.degree > 0 else None,
     )

@@ -8,6 +8,11 @@ factor and the leading coefficient polynomial P_0 is monic.
 The point at infinity is always analyzed through the pullback z = 1/zeta
 rather than by separate degree-counting rules: one code path, one set of
 conventions.  An exponent rho at infinity describes behavior w ~ z^(-rho).
+
+Local analysis is memoized per equation instance: the local data of
+each point (INFINITY included) and the rational roots of P_0 are
+computed on first use and kept on the LinearODE for its lifetime, never
+shared between instances and ignored by equality, hashing and repr.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ class LinearODE:
 
     coeffs: tuple[RatPoly, ...]
     degree_convention: bool = field(compare=False, default=False)
+    # point (Fraction or INFINITY) -> frobenius._LocalData; _LEADING_ROOTS -> roots of P_0
+    _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     @property
     def order(self) -> int:
@@ -200,10 +207,21 @@ def make_ode(coeffs) -> LinearODE:
     return LinearODE(tuple(polys), convention)
 
 
+_LEADING_ROOTS = "leading roots"
+
+
+def _leading_roots(ode: LinearODE) -> tuple[tuple[tuple[Fraction, int], ...], RatPoly]:
+    """rational_roots(P_0) as a tuple, computed once per equation."""
+    found = ode._memo.get(_LEADING_ROOTS)
+    if found is None:
+        roots, residual = rational_roots(ode.leading)
+        found = ode._memo[_LEADING_ROOTS] = (tuple(roots), residual)
+    return found
+
+
 def leading_residual(ode: LinearODE) -> RatPoly:
     """Monic factor of P_0 carrying the non-rational roots (1 if none)."""
-    _roots, residual = rational_roots(ode.leading)
-    return residual
+    return _leading_roots(ode)[1]
 
 
 def moebius_transform(ode: LinearODE, m) -> LinearODE:
@@ -268,9 +286,8 @@ def singular_points(ode: LinearODE) -> list[SingularPoint]:
     """
     from . import frobenius
 
-    roots, _residual = rational_roots(ode.leading)
     out = []
-    for r, _m in roots:
+    for r, _m in _leading_roots(ode)[0]:
         sp = frobenius.classify_point(ode, r)
         if sp.kind is not PointKind.ORDINARY:
             out.append(sp)

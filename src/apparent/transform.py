@@ -42,7 +42,7 @@ from .errors import (
     NothingToRemoveError,
     NotRemovableError,
 )
-from .odemodel import LinearODE, PointKind, make_ode
+from .odemodel import LinearODE, PointKind, _leading_roots, make_ode
 from .polyrat import RatPoly, as_fraction, exact_div, radical, rational_roots
 
 
@@ -135,7 +135,7 @@ def _infer_targets(ode: LinearODE) -> list[tuple[Fraction, int]]:
     n = ode.order
     ladder = [Fraction(i) for i in range(n - 1)]
     found = []
-    for root, _m in rational_roots(ode.leading)[0]:
+    for root, _m in _leading_roots(ode)[0]:
         sp = frobenius.classify_point(ode, root)
         if sp.kind is not PointKind.APPARENT:
             continue
@@ -194,7 +194,7 @@ def undeform(
     from the exponent gap (m = gap - 1) at order 2 and required at
     higher order.
     max_slack: extra slack allowed on the ansatz degree bounds beyond
-    the tight deform-shape values (tight is tried first).
+    the tight deform-shape values (tight is tried first); at least 0.
 
     No parameter-specialization search is attempted: when the exact
     linear system only has the trivial solution the removal may still
@@ -204,6 +204,8 @@ def undeform(
     n = ode.order
     if n < 2:
         raise ValueError("inverse differentiation needs order >= 2")
+    if max_slack < 0:
+        raise ValueError(f"max_slack must be at least 0, got {max_slack}")
     if targets is None:
         inferred = _infer_targets(ode)
         if not inferred:

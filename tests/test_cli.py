@@ -1,11 +1,15 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from apparent import __version__
-from apparent.cli import run
+from apparent import __version__, deform, third_order_example
+from apparent.cli import ode_json, run
+
+from _gen import third_params
 
 HEUN_PARAMS = {
     "t": "3",
@@ -193,3 +197,66 @@ def test_polymer_bad_solver_limit_is_usage_error(capsys, flag, value):
     assert code == 2
     assert rep["error"]["code"] == "Usage"
     assert flag in rep["error"]["message"]
+
+
+@pytest.fixture()
+def deformed_heun_file(heun_file, tmp_path, capsys):
+    code, rep = run_json(capsys, ["deform", str(heun_file), "--format", "json"])
+    assert code == 0 and len(rep["new_apparent"]) == 1
+    path = tmp_path / "deformed.json"
+    path.write_text(json.dumps(rep))
+    return path
+
+
+def test_undeform_inferred_target_count_is_usage_error(deformed_heun_file, capsys):
+    # one apparent point is inferred, two multiplicities are given
+    argv = ["undeform", str(deformed_heun_file), "--multiplicities", "1,1", "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert "--multiplicities" in rep["error"]["message"]
+
+
+def test_undeform_third_order_targets_need_multiplicities(tmp_path, capsys):
+    res = deform(third_order_example(third_params(random.Random(3))))
+    assert [q for q, _gap in res.new_apparent] == [Fraction(-2, 5)]
+    path = tmp_path / "deformed3.json"
+    path.write_text(json.dumps({"ode": ode_json(res.ode)}))
+    code, rep = run_json(capsys, ["undeform", str(path), "--targets=-2/5", "--format", "json"])
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert "--multiplicities" in rep["error"]["message"]
+    argv = ["undeform", str(path), "--targets=-2/5", "--multiplicities", "1", "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["removed_points"] == ["-2/5"]
+
+
+def test_undeform_negative_slack_is_usage_error(deformed_heun_file, capsys):
+    argv = ["undeform", str(deformed_heun_file), "--max-slack", "-3", "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert "--max-slack" in rep["error"]["message"]
+
+
+def test_undeform_first_order_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "first.json"
+    path.write_text(json.dumps({"coeffs": [["1", "1"], ["2"]]}))
+    code, rep = run_json(capsys, ["undeform", str(path), "--format", "json"])
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+
+
+def test_help_lists_every_domain_error_code(capsys):
+    from apparent import errors
+
+    assert run(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    listed = text.split("domain error codes (exit 1): ")[1].split(". Exit 2")[0]
+    defined = [
+        cls.code
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.ApparentError)
+        and cls is not errors.ApparentError
+    ]
+    assert listed.split(", ") == defined

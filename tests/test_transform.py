@@ -187,3 +187,10 @@ def test_eight_stage_chain_completes():
     assert len(chain) == 8
     assert undeform(chain[0].ode).ode == base
     assert [len(res.new_apparent) for res in chain] == [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_undeform_rejects_negative_slack():
+    deformed = deform(general_heun(heun_params(random.Random(13)))).ode
+    with pytest.raises(ValueError, match="max_slack"):
+        undeform(deformed, max_slack=-1)
+    assert undeform(deformed, max_slack=0).removed_points
