@@ -178,7 +178,7 @@ def cmd_riemann(args) -> dict:
             for c in sym.columns
         ],
         "extra": [
-            {"location": frac_str(loc), "role": role} for loc, role in sym.apparent_params
+            {"location": location_str(loc), "role": role} for loc, role in sym.apparent_params
         ],
         "pretty": sym.pretty(),
     }

@@ -26,6 +26,7 @@ every call and share it, so infinity is pulled back once per equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,23 +39,37 @@ from .errors import (
     NotSingularError,
 )
 from .odemodel import INFINITY, LinearODE, PointKind, SingularPoint, _InfinityType
-from .polyrat import RatPoly, as_fraction, rational_roots
+from .polyrat import RatPoly, _list_addmul, as_fraction, rational_roots
 
 
-def _falling(m: int) -> RatPoly:
-    """s(s-1)...(s-m+1) as a polynomial in s; 1 for m = 0."""
-    p = RatPoly([1])
-    for i in range(m):
-        p = p * RatPoly([-i, 1])
-    return p
+def _stirling_rows(n: int) -> list[list[int]]:
+    """Rows m = 0..n of the signed Stirling numbers of the first kind.
+
+    Row m is the integer coefficient list, ascending in s, of the
+    falling factorial s(s-1)...(s-m+1); row 0 is [1].
+    """
+    rows = [[1]]
+    for m in range(n):
+        row = [0] * (m + 2)
+        for i, c in enumerate(rows[-1]):
+            row[i + 1] += c
+            row[i] -= m * c
+        rows.append(row)
+    return rows
 
 
 class _LocalData:
-    """Shifted-coefficient tables for one finite point; shared, never mutated."""
+    """Shifted-coefficient tables for one finite point; shared, never mutated.
+
+    cpolys[j - j0] is C_j(s) = sum_k t_{k,j-k} S_{n-k}(s), built on
+    coefficient lists: S_m is row m of the Stirling table, so each C_j
+    is a sum of integer rows scaled by the nonzero t_{k,j-k}, taken over
+    their common denominator.
+    """
 
     def __init__(self, ode: LinearODE, point: Fraction):
         self.point = point
-        self.n = ode.order
+        n = self.n = ode.order
         shifted = [p.shifted(point) for p in ode.coeffs]
         self.v0 = shifted[0].valuation()
         j0 = None
@@ -68,12 +83,18 @@ class _LocalData:
             jmax = max(jmax, hi)
         self.j0 = j0
         self.jmax = jmax
-        falls = [_falling(self.n - k) for k in range(self.n + 1)]
-        self.cpolys: tuple[RatPoly, ...] = tuple(
-            sum((t.coeffs[j - k] * falls[k] for k, t in enumerate(shifted)
-                 if 0 <= j - k <= t.degree), RatPoly())
-            for j in range(j0, jmax + 1)
-        )
+        stirling = _stirling_rows(n)
+        tables = [t.coeffs for t in shifted]
+        cpolys = []
+        for j in range(j0, jmax + 1):
+            terms = [(tk[j - k], stirling[n - k]) for k, tk in enumerate(tables)
+                     if 0 <= j - k < len(tk) and tk[j - k]]
+            den = math.lcm(*[t.denominator for t, _row in terms])
+            acc = [0] * (n + 1)
+            for t, row in terms:
+                _list_addmul(acc, t.numerator * (den // t.denominator), row)
+            cpolys.append(RatPoly([Fraction(x, den) for x in acc]))
+        self.cpolys: tuple[RatPoly, ...] = tuple(cpolys)
 
     @property
     def is_regular(self) -> bool:

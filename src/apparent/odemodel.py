@@ -17,6 +17,7 @@ shared between instances and ignored by equality, hashing and repr.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +28,15 @@ from .errors import (
     NotFuchsianError,
     SingularMoebiusError,
 )
-from .polyrat import ONE, RatPoly, as_fraction, exact_div, poly_gcd, rational_roots
+from .polyrat import (
+    RatPoly,
+    _list_addmul,
+    _list_mul,
+    as_fraction,
+    exact_div,
+    poly_gcd,
+    rational_roots,
+)
 
 
 class _InfinityType:
@@ -128,7 +137,7 @@ class RiemannSymbol:
     """
 
     columns: tuple[RiemannColumn, ...]
-    apparent_params: tuple[tuple[Fraction, str], ...]
+    apparent_params: tuple[tuple[Fraction | _InfinityType, str], ...]
 
     def pretty(self) -> str:
         """Matrix-style text layout: locations on top, exponents below."""
@@ -233,46 +242,64 @@ def moebius_transform(ode: LinearODE, m) -> LinearODE:
     c_{m,j} given by c_{m,j} = r (c_{m-1,j-1} + c_{m-1,j}').  Composed
     coefficients P_k(z(zeta)) are cleared of their (c zeta + d) powers,
     and the result is canonicalized.
+
+    The work is done on integer coefficient lists, skipping zero
+    entries.  The matrix is projective, so it is scaled to integers;
+    the rows use (c zeta + d)^2 in place of r, which multiplies c_{m,j}
+    by det^m, and the composed P_k carry det^k to balance it, so every
+    new coefficient gains the same factor det^n.  The equation is
+    scaled to integer coefficients too.  make_ode removes both
+    constants, so the canonical result is the same as over Q.
     """
-    a, b, c, d = (as_fraction(v) for v in m)
+    entries = [as_fraction(v) for v in m]
+    scale = math.lcm(*[v.denominator for v in entries])
+    a, b, c, d = (int(v * scale) for v in entries)
     det = a * d - b * c
     if det == 0:
         raise SingularMoebiusError("Moebius matrix has zero determinant")
     n = ode.order
-    num = RatPoly([b, a])
-    den = RatPoly([d, c])
-    r = den * den / det
+    num = [b, a] if a else [b]
+    den = [d, c] if c else [d]
+    r = _list_mul(den, den)
 
-    # rows[m][j] = c_{m,j}; row 0 is the identity operator
-    rows = [[ONE]]
+    # rows[m][j] = det^m c_{m,j}; row 0 is the identity operator
+    rows = [[[1]]]
     for _ in range(n):
         prev = rows[-1]
         cur = []
         for j in range(len(prev) + 1):
-            left = prev[j - 1] if j - 1 >= 0 else RatPoly()
-            right = prev[j].derivative() if j < len(prev) else RatPoly()
-            cur.append(r * (left + right))
+            acc = list(prev[j - 1]) if j >= 1 else []
+            if j < len(prev):
+                _list_addmul(acc, 1, [i * v for i, v in enumerate(prev[j])][1:])
+            cur.append(_list_mul(r, acc))
         rows.append(cur)
 
     # P_k(z(zeta)) * den^D is polynomial for D = max deg P_k
     big_d = max(p.degree for p in ode.coeffs if not p.is_zero)
+    num_pows = [[1]]
+    den_pows = [[1]]
+    for _ in range(big_d):
+        num_pows.append(_list_mul(num_pows[-1], num))
+        den_pows.append(_list_mul(den_pows[-1], den))
+    basis = [_list_mul(num_pows[i], den_pows[big_d - i]) for i in range(big_d + 1)]
+    common = math.lcm(*[x.denominator for p in ode.coeffs for x in p.coeffs])
 
-    def compose_cleared(p: RatPoly) -> RatPoly:
-        out = RatPoly()
-        for i, ci in enumerate(p.coeffs):
-            if ci == 0:
-                continue
-            out = out + ci * num**i * den ** (big_d - i)
-        return out
-
-    composed = [compose_cleared(p) for p in ode.coeffs]
+    composed = []
+    det_k = 1
+    for p in ode.coeffs:
+        acc = []
+        for i, x in enumerate(p.coeffs):
+            if x:
+                _list_addmul(acc, det_k * x.numerator * (common // x.denominator), basis[i])
+        composed.append(acc)
+        det_k *= det
     new_coeffs = []
     for j in range(n, -1, -1):
-        acc = RatPoly()
+        acc = []
         for k in range(n + 1):
             row = rows[n - k]
-            if j < len(row):
-                acc = acc + composed[k] * row[j]
+            if j < len(row) and composed[k]:
+                _list_addmul(acc, 1, _list_mul(composed[k], row[j]))
         new_coeffs.append(acc)
     return make_ode(new_coeffs)
 

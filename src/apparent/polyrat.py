@@ -3,11 +3,17 @@
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``).
 Polynomials are stored dense in ascending degree order with trailing
 zeros trimmed; the zero polynomial is the empty coefficient list.
-Degrees in this package stay small (typically below ten), so arithmetic
-is schoolbook.  Coefficient sizes do not stay small: each ``deform``
-stage adds about ten bits.  The rational root search is therefore
-p-adic (Hensel) lifting on integers, whose cost is polynomial in those
-bits, and not an enumeration of divisors, whose cost is exponential.
+Degrees in this package stay small (typically below ten), so products
+and divisions are schoolbook.  Coefficient sizes do not stay small: each
+``deform`` stage adds about ten bits.  The kernels that run most often
+therefore work on integers and build a ``Fraction`` only once per output
+coefficient: the Taylor shift is the integer shift by 1 of von zur
+Gathen & Gerhard (ISSAC 1997), and the rational root search is p-adic
+(Hensel) lifting, whose cost is polynomial in the bits, and not an
+enumeration of divisors, whose cost is exponential.  The private list
+kernels below (``_list_mul`` and friends) serve the same purpose for
+the other modules; ``RatPoly`` itself only ever holds ``Fraction``
+coefficients.
 """
 
 from __future__ import annotations
@@ -151,15 +157,7 @@ class RatPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        if self.is_zero or q.is_zero:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(q.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(q.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        return RatPoly(_list_mul(self.coeffs, q.coeffs))
 
     __rmul__ = __mul__
 
@@ -223,13 +221,16 @@ class RatPoly:
         return acc
 
     def shifted(self, a) -> "RatPoly":
-        """Taylor shift: returns p(z + a)."""
+        """Taylor shift: returns p(z + a).
+
+        Computed over the integers (von zur Gathen & Gerhard, *Fast
+        algorithms for Taylor shifts and certain difference equations*,
+        ISSAC 1997): see _taylor_shift.  a = 0 and constants return self.
+        """
         a = as_fraction(a)
-        za = RatPoly([a, 1])
-        acc = RatPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * za + RatPoly.constant(c)
-        return acc
+        if a == 0 or len(self.coeffs) <= 1:
+            return self
+        return RatPoly(_taylor_shift(self.coeffs, a))
 
     # -- normal forms ------------------------------------------------
 
@@ -282,6 +283,62 @@ class RatPoly:
 
 
 ONE = RatPoly([1])
+
+
+def _taylor_shift(coeffs: tuple[Fraction, ...], a: Fraction) -> list[Fraction]:
+    """Coefficients of p(z + a) for p = sum coeffs[i] z^i, a = u/v != 0.
+
+    With den the common denominator of p and d = deg p, the integers
+    f_i = den c_i u^i v^(d-i) are the coefficients of
+    den v^d p((u/v) y), so shifting them by 1 with integer additions
+    gives den v^d p((u/v)(y + 1)); substituting back y = (v/u) z, the
+    coefficient of z^k is g_k / (den v^(d-k) u^k).  One gcd per output
+    coefficient, no Fraction arithmetic in the d(d+1)/2 additions.
+    """
+    d = len(coeffs) - 1
+    u, v = a.numerator, a.denominator
+    # star-args from a list: a tuple grown from a generator skips CPython's
+    # tuple free list when built but joins it when freed, raising peak RSS
+    den = math.lcm(*[c.denominator for c in coeffs])
+    vpow = [1]
+    for _ in range(d):
+        vpow.append(vpow[-1] * v)
+    f = []
+    upow = 1
+    for i, c in enumerate(coeffs):
+        f.append(c.numerator * (den // c.denominator) * upow * vpow[d - i] if c else 0)
+        upow *= u
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            f[j] += f[j + 1]
+    out = []
+    upow = 1
+    for k, g in enumerate(f):
+        out.append(Fraction(g, den * vpow[d - k] * upow))
+        upow *= u
+    return out
+
+
+def _list_mul(a, b) -> list:
+    """Product of two ascending coefficient lists (or tuples), skipping zero entries."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _list_addmul(acc: list, c, b) -> None:
+    """acc += c * b in place, growing acc as needed; c is a scalar."""
+    if len(acc) < len(b):
+        acc.extend([0] * (len(b) - len(acc)))
+    for i, y in enumerate(b):
+        if y:
+            acc[i] += c * y
 
 
 def poly_derivative(p: RatPoly) -> RatPoly:

@@ -247,6 +247,15 @@ def test_undeform_first_order_is_usage_error(tmp_path, capsys):
     assert rep["error"]["code"] == "Usage"
 
 
+def test_riemann_lists_apparent_point_at_infinity(tmp_path, capsys):
+    # w' (z + 1) + 2 w = 0 has w = (z + 1)^-2: infinity is apparent
+    path = tmp_path / "first.json"
+    path.write_text(json.dumps({"coeffs": [["1", "1"], ["2"]]}))
+    code, rep = run_json(capsys, ["riemann", str(path), "--format", "json"])
+    assert code == 0
+    assert {"location": "inf", "role": "apparent"} in rep["extra"]
+
+
 def test_help_lists_every_domain_error_code(capsys):
     from apparent import errors
 

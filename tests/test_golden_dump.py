@@ -1,0 +1,118 @@
+"""Exact outputs of the local analysis, pinned byte for byte.
+
+``golden_local.json`` holds, for a fixed set of generated equations (two
+draws of each of the four families, plus one ``deform`` of each), the
+indicial polynomial and classification of every rational root of P_0
+and of infinity, the Riemann symbol of the Fuchsian ones, the pullback
+z = 1/zeta and ``undeform`` of the deformed ones.  Any change to the
+arithmetic kernels under these functions must leave the dump unchanged.
+
+Regenerate the file (only for a deliberate change of output) with
+``PYTHONPATH=src python tests/test_golden_dump.py --write``.
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+from apparent import (
+    INFINITY,
+    IrregularPointError,
+    classify_point,
+    confluent_heun,
+    deform,
+    general_heun,
+    indicial_polynomial,
+    moebius_transform,
+    multi_heun,
+    rational_roots,
+    riemann_symbol,
+    third_order_example,
+    undeform,
+)
+
+from _gen import confluent_params, heun_params, multi_params, third_params
+
+GOLDEN = Path(__file__).with_name("data") / "golden_local.json"
+DRAWS = 2
+
+
+def poly(p):
+    return [str(c) for c in p.coeffs]
+
+
+def ode_dump(ode):
+    return [poly(p) for p in ode.coeffs]
+
+
+def point_dump(ode, point):
+    try:
+        indicial = poly(indicial_polynomial(ode, point))
+    except IrregularPointError:
+        indicial = None
+    sp = classify_point(ode, point)
+    return {
+        "location": str(sp.location),
+        "indicial": indicial,
+        "kind": str(sp.kind),
+        "exponents": None if sp.exponents is None else [str(e) for e in sp.exponents],
+        "residual": None if sp.residual is None else poly(sp.residual),
+    }
+
+
+def symbol_dump(ode):
+    sym = riemann_symbol(ode)
+    return {
+        "columns": [
+            [str(c.location), [str(e) for e in c.exponents],
+             None if c.residual is None else poly(c.residual)]
+            for c in sym.columns
+        ],
+        "extra": [[str(loc), role] for loc, role in sym.apparent_params],
+    }
+
+
+def equation_dump(ode, fuchsian):
+    points = [r for r, _m in rational_roots(ode.leading)[0]] + [INFINITY]
+    return {
+        "ode": ode_dump(ode),
+        "points": [point_dump(ode, p) for p in points],
+        "riemann": symbol_dump(ode) if fuchsian else None,
+        "at_infinity": ode_dump(moebius_transform(ode, (0, 1, 1, 0))),
+    }
+
+
+def equations():
+    """(name, equation, Fuchsian?) for every pinned base equation."""
+    rng = random.Random("golden local analysis")
+    out = []
+    for i in range(DRAWS):
+        out.append((f"general{i}", general_heun(heun_params(rng)), True))
+        out.append((f"multi5_{i}", multi_heun(multi_params(rng, 5)), True))
+        out.append((f"third{i}", third_order_example(third_params(rng)), True))
+        out.append((f"confluent{i}", confluent_heun(confluent_params(rng)), False))
+    return out
+
+
+def dump() -> str:
+    entries = {}
+    for name, ode, fuchsian in equations():
+        d = deform(ode)
+        entries[name] = {
+            "base": equation_dump(ode, fuchsian),
+            "deformed": equation_dump(d.ode, fuchsian),
+            "undeformed": ode_dump(undeform(d.ode).ode),
+        }
+    return json.dumps(entries, indent=1, sort_keys=True) + "\n"
+
+
+def test_local_analysis_matches_golden_dump():
+    assert dump() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_dump.py --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(dump(), encoding="utf-8")
