@@ -17,12 +17,19 @@ proportional; the first eigenvalue nu_1 sets the relaxation time
 T_rel = b tau / nu_1, which grows as W approaches the coil-stretch
 transition at W = 1/2.
 
-Numerics: two-sided Frobenius-series shooting in stdlib decimal
-arithmetic.  One series kernel (_branch) sums a branch until its tail
-is negligible against its own value and measures the digits lost to
+Numerics: two-sided Frobenius-series shooting.  One series kernel
+(_Series.branch) sums a branch in fixed point, on Python integers
+scaled by 2^F with F the bit equivalent of the working digits, each
+term rounded to nearest (Brent & Zimmermann, Modern Computer
+Arithmetic, 2010, ch. 4).  It sums until the tail is negligible
+against the branch's own value and measures the digits lost to
 cancellation, which at the z = 1 end (coefficients of size 2^b) runs
-to tens of digits.  The scan stops at the last bracket needed; each
-bracket is refined by the Illinois method (Dowell & Jarratt, BIT 1971).
+to tens of digits; the 20 digits that loss must leave also bound the
+fixed-point rounding.  The scan stops at the last bracket needed; each
+bracket is refined by the Illinois method (Dowell & Jarratt, BIT 1971)
+on the raw Wronskian, which is nearly linear in nu where the reported,
+scale-normalized mismatch saturates.  decimal appears only at the
+edges: for nu on the scan and in the refinement, and for digit counts.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ _GUARD_DIGITS = 10
 # tail test: _QUIET_TERMS consecutive terms each below 1e-20 (|w| + |w'|);
 # the same 20 digits must survive cancellation
 _TAIL_DIGITS = 20
-_TAIL_TOL = Decimal(10) ** -_TAIL_DIGITS
 _QUIET_TERMS = 8
 _RTOL = Decimal(10) ** -10  # relative bracket width that ends refinement
 _LOG10_2 = math.log10(2)
@@ -160,105 +166,185 @@ def _digits(bits: int) -> int:
     return math.ceil(bits * _LOG10_2) + _GUARD_DIGITS
 
 
-def _dec(v) -> Decimal:
-    """Decimal of a number: exact for Decimals and the text of floats
-    and strings, rounded to the context precision for rationals."""
+def _exact(v) -> Fraction:
+    """Exact rational of a number: Decimals and the text of floats and
+    strings are taken as written."""
     if isinstance(v, Decimal):
-        return v
-    if isinstance(v, (str, float)):
-        return Decimal(str(v))
-    fr = as_fraction(v)
-    return Decimal(fr.numerator) / fr.denominator
+        return Fraction(v)
+    if isinstance(v, float):
+        return Fraction(repr(v))
+    return as_fraction(v)
+
+
+def _log10_floor(n: int, d: int) -> int:
+    """floor(log10(n / d)) for positive integers."""
+    if n >= d:
+        return Decimal(n // d).adjusted()
+    return -Decimal(-(-d // n) - 1).adjusted() - 1
+
+
+def _round_div(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer (halves up)."""
+    if d < 0:
+        n, d = -n, -d
+    return (n + (d >> 1)) // d
 
 
 @dataclass(frozen=True)
 class _Branch:
-    """One exponent-0 branch at one point: values and the work they took."""
+    """One exponent-0 branch at one point: values and the work they took.
 
-    w: Decimal
-    dw: Decimal
-    d2w: Decimal
+    w, dw, d2w are fixed-point integers: the branch values times
+    2^frac_bits.
+    """
+
+    w: int
+    dw: int
+    d2w: int
+    frac_bits: int
     terms: int
     bits: int
 
+    def values(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(w, w', w'') as exact rationals."""
+        return tuple(Fraction(v, 1 << self.frac_bits) for v in (self.w, self.dw, self.d2w))
 
-def _branch(b, kappa, nu, at_one: bool, x, cap: int, bits: int, grow: bool) -> _Branch:
-    """Exponent-0 branch (w, w', w'') at offset x from its endpoint.
+
+class _Series:
+    """The exponent-0 series of one endpoint, summed at offset x from it.
 
     At each endpoint the exponent-0 Taylor coefficients satisfy
         a_M c1(M) = -(a_{M-1} c2(M-1) + a_{M-2} c3(M-2)),
     with c1(M) nonzero for all M >= 1 (the other exponents, -1/2 and
-    -b, are negative, so the recurrence never hits a resonance).
-
-    Terms are added until _QUIET_TERMS consecutive ones (of w and w')
-    fall below 1e-20 (|w| + |w'|): relative to the branch's own value,
-    because at b = 100 the z = 1 branch cancels by 20-40 digits and a
-    test against its peak term stops early with the wrong sign.  That
-    loss, log10(peak / (|w| + |w'|)), must leave 20 digits.  With grow
-    the terms may reach _ORDER_CAP and a lossy branch reruns at bits
-    sized from its loss; otherwise either shortfall raises
-    PrecisionExhausted naming the terms and bits tried.
+    -b, are negative, so the recurrence never hits a resonance).  In
+    the terms b_M = a_M x^M it reads
+        M (M + e1) b_M = P(M) b_{M-1} + Q(M) b_{M-2},
+    P(M) = -sign x c2(M-1), Q(M) = -sign x^2 c3(M-2), where nu enters
+    only the constant terms of P and Q, linearly.  The coefficients
+    apart from nu are cleared to integers once here; branch() clears
+    nu's denominator, so every term costs a few integer products and
+    one division.
     """
-    endpoint = 1 if at_one else 0
-    if grow:
-        cap = _ORDER_CAP
-    while True:
-        with localcontext() as ctx:
-            ctx.prec = _digits(bits)
-            bd, kd, nd, xd = _dec(b), _dec(kappa), _dec(nu), _dec(x)
-            # c1(s) = sign s (s + e1); c2(s) = s (s + e2) + f2; c3(s) = g3 - kappa s
-            if at_one:
-                sign, e1, e2, f2 = 1, bd, bd + Decimal("1.5") - kd, -2 * bd * kd
-            else:
-                sign, e1, e2, f2 = -1, Decimal("0.5"), kd + bd + Decimal("1.5"), kd - nd
-            g3 = nd - kd - 2 * bd * kd
-            a_prev2, a_prev1 = Decimal(0), Decimal(1)
-            w, dw, d2w = Decimal(1), Decimal(0), Decimal(0)
-            xpow_lo, xpow = Decimal(0), Decimal(1)  # x^(m-2), x^(m-1) at step m
-            peak, quiet, terms = Decimal(1), 0, 0
+
+    def __init__(self, b, kappa, at_one: bool, x):
+        x = _exact(x)
+        self.endpoint = 1 if at_one else 0
+        # c1(s) = sign s (s + e1); c2(s) = s (s + e2) + f2; c3(s) = g3 - kappa s,
+        # f2 = f2_0 + f2_nu nu and g3 = g3_0 + nu
+        if at_one:
+            sign, e1, e2, f2_0, f2_nu = 1, b, b + Fraction(3, 2) - kappa, -2 * b * kappa, 0
+        else:
+            sign, e1, e2, f2_0, f2_nu = -1, Fraction(1, 2), kappa + b + Fraction(3, 2), kappa, -1
+        g3_0 = -kappa - 2 * b * kappa
+        px, qx = -sign * x, -sign * x * x
+        coeffs = [
+            px * (1 - e2 + f2_0), px * f2_nu, px * (e2 - 2), px,  # P: 1, nu, M, M^2
+            qx * (g3_0 + 2 * kappa), qx, -qx * kappa,  # Q: 1, nu, M
+            e1, Fraction(1),  # M (M + e1): M, M^2
+        ]
+        scale = math.lcm(*[c.denominator for c in coeffs])
+        self.ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        self.x = x
+
+    def branch(self, nu, cap: int, bits: int, grow: bool) -> _Branch:
+        """Exponent-0 branch (w, w', w'') at this offset.
+
+        The sum runs in fixed point: integers scaled by 2^F, F the bit
+        equivalent of _digits(bits), each division rounded to nearest
+        (a floor would leave terms below one unit at -1 for ever, and
+        the tail would never go quiet).  w, w' and w'' accumulate
+        sum b_M, sum M b_M / x and sum M(M-1) b_M / x^2.
+
+        Terms are added until _QUIET_TERMS consecutive ones (of w and
+        w') fall below 1e-20 (|w| + |w'|): relative to the branch's own
+        value, because at b = 100 the z = 1 branch cancels by 20-40
+        digits and a test against its peak term stops early with the
+        wrong sign.  That loss, log10(peak / (|w| + |w'|)), must leave
+        20 digits.  The same test bounds the fixed-point error: each
+        rounding is 2^-F of the first term, 1, so no larger than a
+        rounding at _digits(bits) significant digits of the peak, and
+        the sums keep _digits(bits) - loss >= 20 digits of |w| + |w'|
+        as a floating sum would; a term that rounds to zero is then
+        below the tail tolerance as well.  With grow the terms may
+        reach _ORDER_CAP and a lossy branch reruns at bits sized from
+        its loss; otherwise either shortfall raises PrecisionExhausted
+        naming the terms and bits tried.
+        """
+        if grow:
+            cap = _ORDER_CAP
+        nu = _exact(nu)
+        n, d = nu.numerator, nu.denominator
+        p0, p0_nu, p1, p2, q0, q0_nu, q1, d1, d2 = self.ints
+        p0, q0 = p0 * d + p0_nu * n, q0 * d + q0_nu * n
+        p1, p2, q1, d1, d2 = p1 * d, p2 * d, q1 * d, d1 * d, d2 * d
+        x = self.x
+        num, den = abs(x.numerator), x.denominator  # |x| = num / den
+        tail_scale = 10**_TAIL_DIGITS
+        while True:
+            frac_bits = math.ceil(_digits(bits) / _LOG10_2)
+            unit = 1 << frac_bits
+            # the term sizes |b_M| + |M b_M / x| and |w| + |w'| below are
+            # carried times |x| 2^F, hence the factors num and den
+            b1, b2 = unit, 0  # b_{M-1}, b_{M-2}
+            w, dw, d2w = unit, 0, 0  # sum b_M, sum M b_M, sum M (M-1) b_M
+            peak = bound = num * unit  # bound >= |w| + |w'|, exact when last tested
+            quiet, m = 0, 0
             while quiet < _QUIET_TERMS:
-                if terms == cap:
+                if m == cap:
                     raise PrecisionExhaustedError(
                         "series tail not negligible within the term cap",
-                        order=cap, bits=bits, endpoint=endpoint,
+                        order=cap, bits=bits, endpoint=self.endpoint,
                     )
-                m = terms = terms + 1
-                s = m - 1
-                a_m = -(a_prev1 * (s * (s + e2) + f2) + a_prev2 * (g3 - kd * (s - 1))) / (
-                    sign * m * (m + e1)
-                )
-                d2w += m * s * a_m * xpow_lo
-                t_dw = m * a_m * xpow
-                xpow_lo, xpow = xpow, xpow * xd
-                t_w = a_m * xpow
-                dw += t_dw
-                w += t_w
-                t = abs(t_w) + abs(t_dw)
+                m += 1
+                div = (d2 * m + d1) * m
+                bm = (((p2 * m + p1) * m + p0) * b1 + (q1 * m + q0) * b2 + (div >> 1)) // div
+                w += bm
+                dw += m * bm
+                d2w += m * (m - 1) * bm
+                t = abs(bm) * (num + m * den)
                 if t > peak:
                     peak = t
-                quiet = quiet + 1 if t <= _TAIL_TOL * (abs(w) + abs(dw)) else 0
-                a_prev2, a_prev1 = a_prev1, a_m
-            value = abs(w) + abs(dw)
-            loss = peak.adjusted() - value.adjusted() + 1 if value else _digits(_BITS_CAP)
-        if _digits(bits) - loss >= _TAIL_DIGITS:
-            return _Branch(w, dw, d2w, terms, bits)
-        need = -(-math.ceil((loss + _TAIL_DIGITS) / _LOG10_2) // 64) * 64
-        if not grow or need > _BITS_CAP:
-            raise PrecisionExhaustedError(
-                "cancellation leaves too few digits at this precision",
-                order=terms, bits=bits, endpoint=endpoint, lost_digits=loss,
-            )
-        bits = need
+                # |w| + |w'| grows by at most t a term, so the exact sum is
+                # needed only once the bound no longer decides the test
+                bound += t
+                small = t * tail_scale
+                if small > bound:
+                    quiet = 0
+                else:
+                    bound = abs(w) * num + abs(dw) * den
+                    quiet = quiet + 1 if small <= bound else 0
+                b2, b1 = b1, bm
+            value = abs(w) * num + abs(dw) * den
+            if value:
+                loss = _log10_floor(peak, num * unit) + 1 - _log10_floor(value, num * unit)
+            else:
+                loss = _digits(_BITS_CAP)
+            if _digits(bits) - loss >= _TAIL_DIGITS:
+                return _Branch(
+                    w, _round_div(dw * den, x.numerator), _round_div(d2w * den * den, num * num),
+                    frac_bits, m, bits,
+                )
+            need = -(-math.ceil((loss + _TAIL_DIGITS) / _LOG10_2) // 64) * 64
+            if not grow or need > _BITS_CAP:
+                raise PrecisionExhaustedError(
+                    "cancellation leaves too few digits at this precision",
+                    order=m, bits=bits, endpoint=self.endpoint, lost_digits=loss,
+                )
+            bits = need
 
 
 class _Shooting:
     """Mismatch evaluations of one problem, and the work they took."""
 
     def __init__(self, p: PolymerParams, matching_point, cap: int, bits: int, grow: bool):
-        self.b, self.kappa = p.b, p.kappa
         self.z_match = as_fraction(matching_point)
         if not 0 < self.z_match < 1:
             raise ValueError(f"matching_point must lie inside (0, 1), got {matching_point}")
+        # bounded at 0 and bounded at 1, both summed at the matching point
+        self.series = (
+            _Series(p.b, p.kappa, False, self.z_match),
+            _Series(p.b, p.kappa, True, self.z_match - 1),
+        )
         self.cap, self.grow = cap, grow
         self.bits = max(bits, 64)
         self.terms = 0
@@ -266,23 +352,24 @@ class _Shooting:
 
     def branches(self, nu) -> tuple[_Branch, _Branch]:
         """Bounded-at-0 and bounded-at-1 branches at the matching point."""
-        out = tuple(
-            _branch(self.b, self.kappa, nu, at_one, x, self.cap, self.bits, self.grow)
-            for at_one, x in ((False, self.z_match), (True, self.z_match - 1))
-        )
+        out = tuple(s.branch(nu, self.cap, self.bits, self.grow) for s in self.series)
         # a precision that had to grow once is kept for later evaluations
         self.bits = max(self.bits, *(br.bits for br in out))
         self.terms = max(self.terms, *(br.terms for br in out))
         return out
 
-    def mismatch(self, nu) -> Decimal:
-        """Scale-normalized Wronskian of the two bounded branches."""
+    def wronskian(self, nu) -> tuple[Decimal, float]:
+        """Raw Wronskian of the two bounded branches, and the same scaled
+        by (|w0| + |w0'|) (|w1| + |w1'|) into [-1, 1].
+
+        The raw value is nearly linear in nu and drives the refinement;
+        the scaled one is the reported mismatch.  Both have one sign.
+        """
         self.evaluations += 1
         left, right = self.branches(nu)
-        with localcontext() as ctx:
-            ctx.prec = _digits(self.bits)
-            raw = left.w * right.dw - left.dw * right.w
-            return raw / ((abs(left.w) + abs(left.dw)) * (abs(right.w) + abs(right.dw)))
+        raw = left.w * right.dw - left.dw * right.w
+        norm = (abs(left.w) + abs(left.dw)) * (abs(right.w) + abs(right.dw))
+        return Decimal(raw) / (1 << (left.frac_bits + right.frac_bits)), raw / norm
 
 
 def _illinois(f, a, fa, b, fb) -> Decimal:
@@ -324,7 +411,9 @@ def solve_spectrum(
     The mismatch D(nu) (Wronskian of the bounded-at-0 and bounded-at-1
     branches at the matching point) is sampled on a uniform grid from
     nu_min upward until `count` sign changes are bracketed; each is
-    refined by the Illinois method to relative width 1e-10.  Up to
+    refined by the Illinois method on the raw Wronskian (its
+    normalizer is positive, so the brackets are the same) to relative
+    width 1e-10.  wronskian_samples hold the normalized value.  Up to
     `count` eigenvalues are returned, ascending.  With auto_retry=True
     a series may grow past series_order up to a hard cap, and past
     precision_bits when cancellation calls for it; with
@@ -344,14 +433,18 @@ def solve_spectrum(
     samples: list[tuple[float, float]] = []
     eigenvalues: list[float] = []
     with localcontext() as ctx:
-        ctx.prec = _digits(shoot.bits)
+        # the branches hold 20 digits, so nu needs no more; each further
+        # digit would lengthen the integers of every series term
+        ctx.prec = _TAIL_DIGITS
         prev = None
         for i in range(grid_points + 1):
-            nu = _dec(lo + (hi - lo) * i / grid_points)
-            d = shoot.mismatch(nu)
-            samples.append((float(nu), float(d)))
+            nu_exact = lo + (hi - lo) * i / grid_points
+            nu = Decimal(nu_exact.numerator) / nu_exact.denominator
+            d, mismatch = shoot.wronskian(nu)
+            samples.append((float(nu), mismatch))
             if prev is not None and prev[1] * d < 0:
-                eigenvalues.append(float(_illinois(shoot.mismatch, *prev, nu, d)))
+                root = _illinois(lambda v: shoot.wronskian(v)[0], *prev, nu, d)
+                eigenvalues.append(float(root))
             elif d == 0:
                 eigenvalues.append(float(nu))
             if len(eigenvalues) >= count:
@@ -373,7 +466,9 @@ def solve_spectrum(
         # z=1) scaled by w0_m/w1_m, hence the limits below
         for ev in eigenvalues:
             left, right = shoot.branches(ev)
-            endpoints.append((1.0, float(left.w / right.w) if right.w else math.inf))
+            endpoints.append(
+                (1.0, float(left.values()[0] / right.values()[0]) if right.w else math.inf)
+            )
     return SpectralResult(
         eigenvalues=tuple(eigenvalues),
         t_rel=float(p.b * p.tau / Fraction(eigenvalues[0])),
@@ -399,7 +494,7 @@ def wronskian_mismatch(
     series_order caps the terms of each branch and precision_bits is
     fixed; PrecisionExhausted is raised when either falls short.
     """
-    return float(_Shooting(p, matching_point, series_order, precision_bits, False).mismatch(nu))
+    return _Shooting(p, matching_point, series_order, precision_bits, False).wronskian(nu)[1]
 
 
 def eigenfunction_samples(
@@ -424,17 +519,15 @@ def eigenfunction_samples(
     left, right = shoot.branches(nu)
     if right.w == 0:
         raise ZeroDivisionError("bounded-at-1 branch vanishes at the matching point")
+    ratio = left.values()[0] / right.values()[0]
     out = []
-    with localcontext() as ctx:
-        ctx.prec = _digits(shoot.bits)
-        ratio = left.w / right.w
-        for z_raw in zs:
-            z = _dec(z_raw)
-            if not 0 < z < 1:
-                raise ValueError("sample points must lie strictly inside (0, 1)")
-            at_one = z > shoot.z_match
-            br = _branch(p.b, p.kappa, nu, at_one, z - 1 if at_one else z,
-                         series_order, shoot.bits, False)
-            scale = ratio if at_one else 1
-            out.append((float(z), float(scale * br.w), float(scale * br.dw), float(scale * br.d2w)))
+    for z_raw in zs:
+        z = _exact(z_raw)
+        if not 0 < z < 1:
+            raise ValueError("sample points must lie strictly inside (0, 1)")
+        at_one = z > shoot.z_match
+        series = _Series(p.b, p.kappa, at_one, z - 1 if at_one else z)
+        br = series.branch(nu, series_order, shoot.bits, False)
+        scale = ratio if at_one else 1
+        out.append((float(z), *(float(scale * v) for v in br.values())))
     return out

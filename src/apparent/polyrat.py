@@ -249,9 +249,9 @@ class RatPoly:
         """
         if self.is_zero:
             return [], Fraction(0)
-        den = math.lcm(*(c.denominator for c in self.coeffs))
+        den = math.lcm(*[c.denominator for c in self.coeffs])
         ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*(abs(v) for v in ints))
+        g = math.gcd(*ints)
         return [v // g for v in ints], Fraction(g, den)
 
     # -- presentation ------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from apparent import (
     solve_spectrum,
     wronskian_mismatch,
 )
+from apparent import polymer
 
 F = Fraction
 
@@ -239,3 +241,60 @@ def test_mismatch_matches_exact_series(nu):
     w1, dw1 = branch(F(1), F(-1, 2))
     exact = (w0 * dw1 - dw0 * w1) / ((abs(w0) + abs(dw0)) * (abs(w1) + abs(dw1)))
     assert abs(wronskian_mismatch(p, nu) - exact) <= F(1, 10**15)
+
+
+@pytest.mark.parametrize(
+    "nu, terms",
+    [(F(27), (261, 116)),
+     (F(Decimal("27.301053662173086123456789012345678901234567")), (177, 116))],
+)
+def test_fixed_point_branch_matches_exact_series(nu, terms):
+    # b = 100 cancels by tens of digits at z = 1; the fixed-point sum of
+    # each branch must agree with the exact Frobenius series, summed to
+    # the same number of terms, to 20 digits of |w| + |w'|; the tail
+    # test stops where a floating sum at the same digits stopped
+    p = PolymerParams(b=F(100), W=F(1, 4))
+    ode = polymer_ode(p, nu)
+    for at_one, x, n_terms in ((False, F(1, 2), terms[0]), (True, F(-1, 2), terms[1])):
+        br = polymer._Series(p.b, p.kappa, at_one, x).branch(nu, 400, 256, False)
+        assert br.terms == n_terms
+        coeffs = frobenius_series(ode, F(int(at_one)), F(0), br.terms).coeffs
+        w = sum(c * x**k for k, c in enumerate(coeffs))
+        dw = sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
+        d2w = sum(k * (k - 1) * c * x ** (k - 2) for k, c in enumerate(coeffs) if k > 1)
+        for got, want in zip(br.values(), (w, dw, d2w)):
+            assert abs(got - want) <= F(1, 10**20) * (abs(w) + abs(dw))
+
+
+def test_refinement_on_the_raw_wronskian():
+    # the raw Wronskian is nearly linear in nu where the normalized one
+    # saturates, so Illinois needs few steps; eigenvalues as before
+    p = PolymerParams(b=F(100), W=F(1, 4))
+    res = solve_spectrum(p, F(1), F(60))
+    assert res.evaluations <= 36
+    assert res.eigenvalues[0] == pytest.approx(27.301053662173086, rel=1e-10)
+    for w, nu1 in ((F(7, 20), 25.779883698229884), (F(9, 20), 12.373848927966806)):
+        res = solve_spectrum(PolymerParams(b=F(100), W=w), F(1), F(60))
+        assert res.eigenvalues[0] == pytest.approx(nu1, rel=1e-10)
+    res = solve_spectrum(
+        PolymerParams(b=F(2), W=F(1, 4)), F(1, 10), F(30), count=2,
+        precision_bits=128, series_order=120, grid_points=48,
+    )
+    assert res.eigenvalues == pytest.approx((7.157674591943363, 20.090909620154598), rel=1e-10)
+
+
+def test_numbers_of_every_kind_are_accepted():
+    # floats and strings are taken as written, Decimals exactly
+    p = PolymerParams(b=F(2), W=F(1, 4))
+    values = {
+        wronskian_mismatch(p, nu, precision_bits=128, series_order=160)
+        for nu in (7.1, "7.1", Decimal("7.1"), F(71, 10))
+    }
+    assert len(values) == 1
+    zs = [F(1, 4), F(3, 5)]
+    exact = eigenfunction_samples(p, F(71, 10), zs, precision_bits=128, series_order=160)
+    as_decimal = eigenfunction_samples(
+        p, Decimal("7.1"), [Decimal("0.25"), Decimal("0.6")],
+        precision_bits=128, series_order=160,
+    )
+    assert as_decimal == exact
