@@ -257,11 +257,21 @@ def _build_family(family: str, params: dict) -> LinearODE:
         if missing:
             raise UsageError(f"missing parameter(s): {', '.join(missing)}")
 
-    def fr(name):
+    def frac(name, value):
         try:
-            return Fraction(str(params[name]))
+            return Fraction(str(value))
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad rational for {name!r}: {params[name]!r}") from exc
+            raise UsageError(f"bad rational for {name!r}: {value!r}") from exc
+
+    def fr(name):
+        return frac(name, params[name])
+
+    def frs(name):
+        # a string is iterable too, but "012" is not the list [0, 1, 2]
+        values = params[name]
+        if not isinstance(values, list):
+            raise UsageError(f"{name!r} must be a JSON list of rationals, got {values!r}")
+        return tuple(frac(name, v) for v in values)
 
     if family == "general":
         need("t", "theta1", "theta2", "theta3", "theta_inf", "alpha", "q")
@@ -273,13 +283,18 @@ def _build_family(family: str, params: dict) -> LinearODE:
         )
     if family == "multi":
         need("zs", "thetas", "theta_inf", "alpha", "qs")
+        zs, thetas, qs = frs("zs"), frs("thetas"), frs("qs")
+        if len(thetas) != len(zs):
+            raise UsageError(
+                f"'thetas' needs one entry per point of 'zs': {len(zs)} points, {len(thetas)} thetas"
+            )
+        if len(zs) >= 3 and len(qs) != len(zs) - 2:
+            raise UsageError(
+                f"'qs' needs len(zs) - 2 = {len(zs) - 2} accessory locations, got {len(qs)}"
+            )
         return heun.multi_heun(
             heun.MultiHeunParams(
-                zs=tuple(Fraction(str(v)) for v in params["zs"]),
-                thetas=tuple(Fraction(str(v)) for v in params["thetas"]),
-                theta_inf=fr("theta_inf"),
-                alpha=fr("alpha"),
-                qs=tuple(Fraction(str(v)) for v in params["qs"]),
+                zs=zs, thetas=thetas, theta_inf=fr("theta_inf"), alpha=fr("alpha"), qs=qs
             )
         )
     if family == "third":
@@ -294,10 +309,7 @@ def _build_family(family: str, params: dict) -> LinearODE:
         need("p0", "p1", "alpha", "q")
         return heun.confluent_heun(
             heun.ConfluentHeunParams(
-                p0=RatPoly([Fraction(str(c)) for c in params["p0"]]),
-                p1=RatPoly([Fraction(str(c)) for c in params["p1"]]),
-                alpha=fr("alpha"),
-                q=fr("q"),
+                p0=RatPoly(frs("p0")), p1=RatPoly(frs("p1")), alpha=fr("alpha"), q=fr("q")
             )
         )
     raise UsageError(f"unknown family {family!r}")

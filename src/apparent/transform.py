@@ -17,15 +17,27 @@ point of the result, and it is apparent: for order 2 and root
 multiplicity m the exponents there are {0, m+1} (gap m + 1; simple
 roots give {0, 2}, double roots {0, 3}).
 
-Inverse direction (undeform).  Reconstruct an antecedent whose deform
-equals the input up to a constant.  The antecedent's trailing
-coefficient is forced to a scalar multiple of M = prod (z - q_j)^{m_j}
-over the removal targets; the remaining coefficients are unknown
-polynomials with degree bounds read off the deform shape.  Equating
-deform-of-ansatz to c * input coefficient-by-coefficient is a linear
-system over Q in the unknown coefficients, the scalar on M, and c; any
-nonzero nullspace vector has c != 0 (the deform map is injective on
-coefficient tuples), so each one yields a valid antecedent.
+Inverse direction (undeform).  Reconstruct an antecedent P whose deform
+equals the input D up to content.  Its trailing coefficient is forced
+to P_n = a M, M = prod (z - q_j)^{m_j} over the removal targets, so R =
+radical(M) and S = M' R / M are known and the identities above are
+triangular in P:
+
+    R P_0 = c D_0,    R P_j = c D_j + S P_{j-1} - R P_{j-1}'  (j = 1..n).
+
+Given c, back-substitution yields P_0, ..., P_n one at a time, each by a
+division by R.  The multiplier c is a polynomial, not a scalar: the
+canonical form of deform's output has its common content divided out
+(a gap-2 point of an earlier stage dies that way), and c puts it back.
+Its degree is the slack, tried from 0 up.  Everything is linear in c,
+so the substitution runs once per basis multiplier z^i, and the only
+unknowns left are the coefficients of c and the scale a: every division
+by R must be exact and the last quotient must equal a M.  Each
+nullspace vector of that small exact system (slack + 2 columns) combines
+the substituted coefficients into a candidate.  Canonicalizing a
+candidate may divide out content of its own, which deform does not
+commute with, so a candidate is kept only if its deform gives back the
+input.
 """
 
 from __future__ import annotations
@@ -187,19 +199,27 @@ def undeform(
 ) -> UndeformResult:
     """Remove apparent singularities by inverse differentiation.
 
+    The antecedent is back-substituted through deform's identities (see
+    the module docstring), so the only unknowns are the scale a of its
+    trailing coefficient a M and the content multiplier c.  c is a
+    polynomial because the input's canonical form may have lost content
+    that deform produced.  Each candidate is still deformed and compared
+    with the input, because canonicalizing it may strip content of its
+    own.
+
     targets: locations to remove; default is every finite apparent
     point whose exponents fit the derivative ladder {0..n-2, n-1+m}.
     multiplicities: root multiplicities of the antecedent's trailing
     coefficient at the targets; for explicit targets they are inferred
     from the exponent gap (m = gap - 1) at order 2 and required at
     higher order.
-    max_slack: extra slack allowed on the ansatz degree bounds beyond
-    the tight deform-shape values (tight is tried first); at least 0.
+    max_slack: highest degree tried for the content multiplier c (see
+    the module docstring), lowest first; at least 0.
 
     No parameter-specialization search is attempted: when the exact
-    linear system only has the trivial solution the removal may still
-    become possible after specializing free parameters of the equation,
-    and that is reported as NotRemovable rather than explored.
+    system for a and c only has the trivial solution the removal may
+    still become possible after specializing free parameters of the
+    equation, and that is reported as NotRemovable rather than explored.
     """
     n = ode.order
     if n < 2:
@@ -222,59 +242,33 @@ def undeform(
         m_star = m_star * RatPoly([-q, 1]) ** m
     clearing = radical(m_star)
     s_poly = exact_div(m_star.derivative() * clearing, m_star)
-    deg_r = clearing.degree
     d_in = ode.coeffs
 
+    # back-substitute once per basis multiplier c = z^slack, kept for the
+    # larger slacks: chains[i][j] is P_j for c = z^i, and column 1 + i
+    # lists the conditions on it (P_n, then every remainder).  Column 0
+    # is the scalar a on M; the column order fixes the nullspace basis,
+    # so the order of the solutions.
+    chains, columns = [], [[-m_star] + [RatPoly()] * (n + 1)]
     for slack in range(max_slack + 1):
-        bounds = [d_in[j].degree - deg_r + slack for j in range(n)]
-        if bounds[0] < 0:
-            continue
-        # variable layout: coeffs of P_0..P_{n-1}, then a (scalar on M),
-        # then the proportionality polynomial c of degree <= slack.  A
-        # polynomial c absorbs content factors that canonicalization of
-        # the input stripped (a dying gap-2 point, say).
-        offsets = []
-        pos = 0
-        for dj in bounds:
-            offsets.append(pos)
-            pos += max(dj + 1, 0)
-        a_idx = pos
-        c_idx = pos + 1
-        nvars = pos + 2 + slack
+        chain, rems, prev = [], [], RatPoly()
+        for j in range(n + 1):
+            quot, rem = divmod(RatPoly.monomial(slack) * d_in[j] + s_poly * prev, clearing)
+            prev = quot - prev.derivative()
+            chain.append(prev)
+            rems.append(rem)
+        chains.append(chain)
+        columns.append([prev] + rems)
+        rows = [
+            [col[k].coeff(r) for col in columns]
+            for k in range(n + 2)
+            for r in range(max(col[k].degree for col in columns) + 1)
+        ]
 
-        # contributions[t][v] = polynomial multiplying variable v in identity t
-        contributions: list[dict[int, RatPoly]] = [dict() for _ in range(n + 1)]
-        for j in range(n):
-            for i in range(max(bounds[j] + 1, 0)):
-                v = offsets[j] + i
-                zi = RatPoly.monomial(i)
-                contributions[j][v] = contributions[j].get(v, RatPoly()) + clearing * zi
-                nxt = clearing * zi.derivative() - s_poly * zi
-                contributions[j + 1][v] = contributions[j + 1].get(v, RatPoly()) + nxt
-        contributions[n][a_idx] = clearing * m_star
-        for t in range(n + 1):
-            for i in range(slack + 1):
-                contributions[t][c_idx + i] = -d_in[t] * RatPoly.monomial(i)
-
-        rows: list[list[Fraction]] = []
-        for t in range(n + 1):
-            deg_t = max((p.degree for p in contributions[t].values()), default=-1)
-            for r in range(deg_t + 1):
-                row = [Fraction(0)] * nvars
-                for v, p in contributions[t].items():
-                    row[v] = p.coeff(r)
-                rows.append(row)
-
-        basis = nullspace_basis(rows, nvars)
         solutions = []
-        for vec in basis:
-            if all(v == 0 for v in vec[c_idx : c_idx + slack + 1]):
-                continue
-            polys = []
-            for j in range(n):
-                lo = offsets[j]
-                polys.append(RatPoly(vec[lo : lo + max(bounds[j] + 1, 0)]))
-            polys.append(vec[a_idx] * m_star)
+        for vec in nullspace_basis(rows, slack + 2):
+            polys = [sum((c * ch[j] for c, ch in zip(vec[1:], chains)), RatPoly()) for j in range(n)]
+            polys.append(vec[0] * m_star)
             try:
                 candidate = make_ode(polys)
             except ApparentError:

@@ -126,3 +126,19 @@ def backward_third_params(rng):
         t=t, alpha=alpha, beta=beta, theta2=theta2, theta3=theta3, kappa=a * b * c, q=q
     )
     return params, (a, b, c)
+
+
+# theta1 = 2 makes the origin an integer-gap point, but a logarithm
+# blocks apparency, so undeform there has no antecedent
+_REST = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
+LOG_GAP_PARAMS = HeunParams(
+    t=Fraction(3), theta1=Fraction(2), theta2=_REST[0], theta3=_REST[1],
+    theta_inf=_REST[2], alpha=2 - Fraction(2) - sum(_REST), q=Fraction(5),
+)
+
+# hand-picked so the second-stage trailing polynomial splits rationally;
+# the first stage's gap-2 point dies in the second stage as content
+TWO_STAGE_PARAMS = HeunParams(
+    t=Fraction(4, 3), theta1=Fraction(1), theta2=Fraction(1), theta3=Fraction(-1),
+    theta_inf=Fraction(-2, 3), alpha=Fraction(5, 3), q=Fraction(-1, 3),
+)

@@ -17,7 +17,6 @@ from apparent import (
     INFINITY,
     PointKind,
     PolymerParams,
-    RatFunc,
     RatPoly,
     apparent_location,
     confluent_heun,
@@ -50,6 +49,7 @@ from _gen import (
     third_params,
 )
 from _oracle import oracle_nu1
+from _ratfunc import RatFunc
 
 F = Fraction
 

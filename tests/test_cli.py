@@ -269,3 +269,47 @@ def test_help_lists_every_domain_error_code(capsys):
         and cls is not errors.ApparentError
     ]
     assert listed.split(", ") == defined
+
+
+MULTI_PARAMS = {
+    "zs": ["0", "1", "3"],
+    "thetas": ["1/2", "1/3", "1/5"],
+    "theta_inf": "1/7",
+    "alpha": "173/210",
+    "qs": ["5"],
+}
+CONFLUENT_PARAMS = {"p0": ["0", "1"], "p1": ["1", "0", "1"], "alpha": "1", "q": "2"}
+
+
+def heun_json(capsys, tmp_path, family, params):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    return run_json(capsys, ["heun", "--family", family, "--params", str(path), "--format", "json"])
+
+
+def test_heun_list_parameters_build(tmp_path, capsys):
+    code, rep = heun_json(capsys, tmp_path, "multi", MULTI_PARAMS)
+    assert code == 0
+    assert [sp["location"] for sp in rep["singular_points"]] == ["0", "1", "3", "inf"]
+    code, rep = heun_json(capsys, tmp_path, "confluent", CONFLUENT_PARAMS)
+    assert code == 0
+    assert rep["ode"]["coeffs"][0] == ["0", "1"]
+
+
+@pytest.mark.parametrize(
+    "family, name, value",
+    [
+        ("multi", "zs", "012"),  # once read character by character
+        ("multi", "zs", 5),
+        ("multi", "zs", ["a", "1", "3"]),
+        ("multi", "thetas", ["1/2", "1/3"]),
+        ("multi", "qs", []),
+        ("confluent", "p0", "11"),  # once read as 1 + z
+    ],
+)
+def test_heun_bad_list_parameter_is_usage_error(tmp_path, capsys, family, name, value):
+    base = MULTI_PARAMS if family == "multi" else CONFLUENT_PARAMS
+    code, rep = heun_json(capsys, tmp_path, family, {**base, name: value})
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert repr(name) in rep["error"]["message"]

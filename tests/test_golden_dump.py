@@ -4,8 +4,14 @@
 draws of each of the four families, plus one ``deform`` of each), the
 indicial polynomial and classification of every rational root of P_0
 and of infinity, the Riemann symbol of the Fuchsian ones, the pullback
-z = 1/zeta and ``undeform`` of the deformed ones.  Any change to the
-arithmetic kernels under these functions must leave the dump unchanged.
+z = 1/zeta and ``undeform`` of the deformed ones: every antecedent, the
+count of free parameters and the removed points, or the error it raises
+(also with the first stage's points as explicit targets on the second
+stage).  A few hand-picked ``undeform`` cases are pinned beside them: a
+logarithmic integer gap that is not removable, a second stage that only
+inverts with a nonconstant content multiplier, and a constant-coefficient
+equation.  Any change to the arithmetic kernels under these functions
+must leave the dump unchanged.
 
 Regenerate the file (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden_dump.py --write``.
@@ -14,16 +20,19 @@ Regenerate the file (only for a deliberate change of output) with
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from apparent import (
     INFINITY,
+    ApparentError,
     IrregularPointError,
     classify_point,
     confluent_heun,
-    deform,
+    deform_iter,
     general_heun,
     indicial_polynomial,
+    make_ode,
     moebius_transform,
     multi_heun,
     rational_roots,
@@ -32,7 +41,14 @@ from apparent import (
     undeform,
 )
 
-from _gen import confluent_params, heun_params, multi_params, third_params
+from _gen import (
+    LOG_GAP_PARAMS,
+    TWO_STAGE_PARAMS,
+    confluent_params,
+    heun_params,
+    multi_params,
+    third_params,
+)
 
 GOLDEN = Path(__file__).with_name("data") / "golden_local.json"
 DRAWS = 2
@@ -83,6 +99,32 @@ def equation_dump(ode, fuchsian):
     }
 
 
+def undeform_dump(ode, targets=None, multiplicities=None, max_slack=1):
+    try:
+        res = undeform(ode, targets, multiplicities=multiplicities, max_slack=max_slack)
+    except ApparentError as exc:
+        return {"error": exc.code, "message": exc.message,
+                "details": {k: str(v) for k, v in sorted(exc.details.items())}}
+    return {
+        "removed_points": [str(q) for q in res.removed_points],
+        "free_parameters": res.free_parameters,
+        "solutions": [ode_dump(s) for s in res.solutions],
+    }
+
+
+def special_undeform_cases():
+    log_gap = general_heun(LOG_GAP_PARAMS)
+    two_stage = deform_iter(general_heun(TWO_STAGE_PARAMS), 2)[-1].ode
+    constant = make_ode([[1], [0], [1]])
+    return {
+        "log_gap": undeform_dump(log_gap, [Fraction(0)]),
+        "two_stage_slack0": undeform_dump(two_stage, max_slack=0),
+        "two_stage_slack1": undeform_dump(two_stage),
+        "constant_slack1": undeform_dump(constant, [0], [1]),
+        "constant_slack2": undeform_dump(constant, [0], [1], max_slack=2),
+    }
+
+
 def equations():
     """(name, equation, Fuchsian?) for every pinned base equation."""
     rng = random.Random("golden local analysis")
@@ -98,12 +140,16 @@ def equations():
 def dump() -> str:
     entries = {}
     for name, ode, fuchsian in equations():
-        d = deform(ode)
+        d, d2 = deform_iter(ode, 2)
+        created = [q for q, _gap in d.new_apparent]
         entries[name] = {
             "base": equation_dump(ode, fuchsian),
             "deformed": equation_dump(d.ode, fuchsian),
             "undeformed": ode_dump(undeform(d.ode).ode),
+            "undeform": undeform_dump(d.ode),
+            "undeform_stage2": undeform_dump(d2.ode, created, [1] * len(created)),
         }
+    entries["undeform_cases"] = special_undeform_cases()
     return json.dumps(entries, indent=1, sort_keys=True) + "\n"
 
 

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apparent import (
-    RatFunc,
     RatPoly,
     ZeroPolynomialError,
     exact_div,
@@ -228,22 +227,13 @@ def test_root_factorization_reconstructs():
         assert rebuilt * residual == p
 
 
-def test_ratfunc_reduces_common_factors():
-    z1 = RatPoly([-1, 1])
-    f = RatFunc(z1 * RatPoly([2, 1]), z1 * RatPoly([3, 1]))
-    assert f == RatFunc(RatPoly([2, 1]), RatPoly([3, 1]))
-    assert not f.is_polynomial
-    assert RatFunc(z1 * z1, z1).is_polynomial
-
-
-def test_ratfunc_arithmetic():
-    z = RatPoly([0, 1])
-    one = RatPoly([1])
-    f = RatFunc(one, z) + RatFunc(one, RatPoly([-1, 1]))
-    assert f == RatFunc(RatPoly([-1, 2]), z * RatPoly([-1, 1]))
-    g = RatFunc(z, one)
-    assert (f * g).derivative() == (f * g).derivative()
-    assert RatFunc(z, z) == RatFunc(one, one)
+def test_true_division_is_by_scalars_only():
+    p = RatPoly([1, 2, 1])
+    assert p / 2 == RatPoly([F(1, 2), 1, F(1, 2)])
+    with pytest.raises(TypeError):
+        p / RatPoly([1, 1])
+    with pytest.raises(ZeroDivisionError):
+        p / 0
 
 
 def test_pretty_round_trips_signs():

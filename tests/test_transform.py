@@ -7,7 +7,6 @@ from apparent import (
     INFINITY,
     UNVERIFIED_GAP,
     AlreadyIntegratedError,
-    HeunParams,
     NothingToRemoveError,
     NotRemovableError,
     PointKind,
@@ -21,7 +20,7 @@ from apparent import (
     undeform,
 )
 
-from _gen import heun_params, multi_params, third_params
+from _gen import LOG_GAP_PARAMS, TWO_STAGE_PARAMS, heun_params, multi_params, third_params
 
 F = Fraction
 
@@ -71,12 +70,7 @@ def test_deform_keeps_base_singularities():
 
 
 def test_two_stage_chain_and_inverse():
-    # hand-picked so the second-stage trailing polynomial splits rationally
-    p = HeunParams(
-        t=F(4, 3), theta1=F(1), theta2=F(1), theta3=F(-1),
-        theta_inf=F(-2, 3), alpha=F(5, 3), q=F(-1, 3),
-    )
-    ode = general_heun(p)
+    ode = general_heun(TWO_STAGE_PARAMS)
     s1, s2 = deform_iter(ode, 2)
     assert {loc for loc, _ in s2.new_apparent} == {F(-4, 3), F(2, 3)}
     assert all(gap == 2 for _, gap in s2.new_apparent)
@@ -113,15 +107,7 @@ def test_undeform_explicit_target_matches_inferred():
 
 
 def test_undeform_integer_gap_without_apparency_fails():
-    # theta1 = 2 makes the origin an integer-gap point, but a logarithm
-    # blocks apparency, so no antecedent exists
-    rest = F(1, 3), F(1, 5), F(1, 7)
-    ode = general_heun(
-        HeunParams(
-            t=F(3), theta1=F(2), theta2=rest[0], theta3=rest[1],
-            theta_inf=rest[2], alpha=2 - F(2) - sum(rest), q=F(5),
-        )
-    )
+    ode = general_heun(LOG_GAP_PARAMS)
     with pytest.raises(NotRemovableError) as err:
         undeform(ode, targets=[F(0)])
     assert "specifying some parameters" in str(err.value)
