@@ -105,11 +105,6 @@ class _LocalData:
     def is_ordinary(self) -> bool:
         return self.v0 == 0
 
-    def c(self, j: int) -> RatPoly:
-        if self.j0 <= j <= self.jmax:
-            return self.cpolys[j - self.j0]
-        return RatPoly()
-
     @property
     def indicial(self) -> RatPoly:
         return self.cpolys[0]
@@ -120,6 +115,31 @@ class _LocalData:
         multiplicity, and the monic factor holding the others."""
         roots, residual = rational_roots(self.indicial)
         return tuple(r for r, m in roots for _ in range(m)), residual
+
+    def series(self, rho: Fraction, top: int) -> tuple[list, list]:
+        """a_0..a_top of zeta^rho sum a_M zeta^M by the module's recurrence,
+        each a_M a vector over the free parameters opened up to offset M.
+
+        A parameter opens wherever C_{j0}(rho+M) = 0, and the right-hand
+        side there is recorded as the obstruction row (M, row) that must
+        vanish for a log-free continuation (empty at M = 0).
+        """
+        width = self.jmax - self.j0
+        coeffs, obstructions = [], []
+        for m_idx in range(top + 1):
+            rhs = [Fraction(0)] * len(obstructions)
+            for m in range(max(0, m_idx - width), m_idx):
+                value = self.cpolys[m_idx - m](rho + m)
+                if value:
+                    for i, a in enumerate(coeffs[m]):
+                        rhs[i] -= a * value
+            denom = self.indicial(rho + m_idx)
+            if denom:
+                coeffs.append([r / denom for r in rhs])
+            else:
+                obstructions.append((m_idx, rhs))
+                coeffs.append([Fraction(0)] * len(rhs) + [Fraction(1)])
+        return coeffs, obstructions
 
     @cached_property
     def verdict(self) -> ApparentVerdict:
@@ -135,24 +155,13 @@ class _LocalData:
         if len(set(exponents)) != n:
             return ApparentVerdict(False, exponents, "repeated exponents", None)
 
-        # Holomorphic solution count.  A power series solution is pinned by
-        # its jet a_0..a_E with E = max exponent: beyond E the indicial
-        # factor C_{j0}(M) is nonzero and the recurrence is forced.  Rows
-        # t = 0..E of the substitution constrain exactly that jet, so the
-        # nullity of the (E+1)x(E+1) system is the holomorphic dimension.
-        # Counting dimensions (rather than per-exponent obstruction values)
-        # is what "n independent holomorphic solutions" means: a free
-        # parameter introduced at an earlier resonance can cancel a later
-        # obstruction, which per-exponent bookkeeping would miss.
-        top = int(max(exponents))
-        matrix = []
-        for t in range(top + 1):
-            row = []
-            for m in range(top + 1):
-                cj = self.c(self.j0 + t - m) if m <= t else RatPoly()
-                row.append(cj(Fraction(m)) if not cj.is_zero else Fraction(0))
-            matrix.append(row)
-        dim = nullity(matrix, top + 1)
+        # Holomorphic dimension: a power series solution is pinned by its
+        # jet a_0..a_E (E = max exponent), and the recurrence run from 0
+        # opens one parameter and one obstruction row per exponent.  A
+        # parameter opened early can cancel a later obstruction, so the
+        # rows are reduced together rather than checked one by one.
+        _coeffs, rows = self.series(Fraction(0), int(max(exponents)))
+        dim = nullity([row + [Fraction(0)] * (n - len(row)) for _m, row in rows], n)
         if dim == n:
             return ApparentVerdict(True, exponents, None, dim)
         return ApparentVerdict(False, exponents, "nonzero log obstruction", dim)
@@ -220,7 +229,9 @@ class ApparentVerdict:
     """Outcome of the apparency test at a singular point.
 
     holomorphic_dim is the dimension of the space of holomorphic local
-    solutions; the point is apparent exactly when it equals the order.
+    solutions, the nullity of the obstruction rows of the series
+    recurrence run from 0; the point is apparent exactly when it equals
+    the order.
     """
 
     is_apparent: bool
@@ -271,27 +282,14 @@ def frobenius_series(ode: LinearODE, point, exponent, n_terms: int) -> Frobenius
             f"{exponent} is not an indicial root at {point}",
             indicial=ind.pretty("s"),
         )
-    width = data.jmax - data.j0
-    coeffs = [Fraction(1)]
-    obstructions: list[tuple[int, Fraction]] = []
-    for m_idx in range(1, n_terms + 1):
-        rhs = Fraction(0)
-        for m in range(max(0, m_idx - width), m_idx):
-            cj = data.c(data.j0 + m_idx - m)
-            if not cj.is_zero:
-                rhs -= coeffs[m] * cj(exponent + m)
-        denom = ind(exponent + m_idx)
-        if denom == 0:
-            obstructions.append((m_idx, rhs))
-            coeffs.append(Fraction(0))
-        else:
-            coeffs.append(rhs / denom)
+    # project onto the a_0 = 1 parameter: later free coefficients are zero
+    vectors, rows = data.series(exponent, n_terms)
     return FrobeniusSolution(
         point=point,
         exponent=exponent,
-        coeffs=tuple(coeffs),
+        coeffs=tuple(v[0] for v in vectors),
         truncation=n_terms,
-        obstructions=tuple(obstructions),
+        obstructions=tuple((m, row[0]) for m, row in rows if m),
     )
 
 
@@ -310,7 +308,7 @@ def substitution_rows(ode: LinearODE, sol: FrobeniusSolution, upto: int | None =
     for t in range(top + 1):
         acc = Fraction(0)
         for m in range(max(0, t - width), min(t, sol.truncation) + 1):
-            cj = data.c(data.j0 + t - m)
+            cj = data.cpolys[t - m]
             if not cj.is_zero:
                 acc += sol.coeffs[m] * cj(sol.exponent + m)
         rows.append(acc)

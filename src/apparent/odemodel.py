@@ -114,10 +114,6 @@ class SingularPoint:
     exponents: tuple[Fraction, ...] | None = None
     residual: RatPoly | None = None
 
-    @property
-    def is_complete(self) -> bool:
-        return self.residual is None or self.residual.degree <= 0
-
 
 @dataclass(frozen=True)
 class RiemannColumn:

@@ -179,6 +179,9 @@ def _validate_targets(ode: LinearODE, targets, multiplicities) -> list[tuple[Fra
             raise AlreadyIntegratedError(f"no singularity at {q} to remove")
         if sp.kind is PointKind.IRREGULAR:
             raise IrregularPointError(f"{q} is an irregular singular point")
+        if sp.residual is not None:
+            raise NotRemovableError(f"exponent gap at {q} is not rational",
+                                    residual=sp.residual.pretty("s"))
         gap = max(sp.exponents) - min(sp.exponents)
         if gap.denominator != 1 or gap < 2:
             raise NotRemovableError(
@@ -267,6 +270,8 @@ def undeform(
 
         solutions = []
         for vec in nullspace_basis(rows, slack + 2):
+            if vec[0] == 0:  # a = 0 zeroes the trailing coefficient: no antecedent
+                continue
             polys = [sum((c * ch[j] for c, ch in zip(vec[1:], chains)), RatPoly()) for j in range(n)]
             polys.append(vec[0] * m_star)
             try:

@@ -247,6 +247,21 @@ def test_undeform_first_order_is_usage_error(tmp_path, capsys):
     assert rep["error"]["code"] == "Usage"
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [["0", "0", "1"], ["0", "1"], ["-4"]],  # exponents {-2, 2}: the a = 0 candidate
+        [["0", "0", "1"], ["0", "1"], ["-2"]],  # exponents +-sqrt(2): no rational gap
+    ],
+)
+def test_undeform_unremovable_target_is_domain_error(tmp_path, capsys, coeffs):
+    path = tmp_path / "euler.json"
+    path.write_text(json.dumps({"coeffs": coeffs}))
+    code, rep = run_json(capsys, ["undeform", str(path), "--targets", "0", "--format", "json"])
+    assert code == 1
+    assert rep["error"]["code"] == "NotRemovable"
+
+
 def test_riemann_lists_apparent_point_at_infinity(tmp_path, capsys):
     # w' (z + 1) + 2 w = 0 has w = (z + 1)^-2: infinity is apparent
     path = tmp_path / "first.json"

@@ -20,9 +20,10 @@ from apparent import (
     is_apparent,
     make_ode,
     substitution_rows,
+    undeform,
 )
 
-from _gen import heun_params
+from _gen import confluent_params, heun_params
 
 F = Fraction
 
@@ -143,3 +144,18 @@ def test_truncation_and_coefficient_count():
     sol = frobenius_series(ode, F(0), F(0), 20)
     assert len(sol.coeffs) == 21
     assert sol.truncation == 20
+
+
+def test_wide_gap_points_are_decided_by_the_recurrence():
+    # exponent gaps of 423 and 61: the verdict's cost must follow the
+    # recurrence (at most n parameters per term), not the cube of the gap
+    base = confluent_heun(confluent_params(random.Random(153)))
+    deformed = deform(base).ode
+    sp = classify_point(deformed, F(-15))
+    assert sp.kind is PointKind.REGULAR and sp.exponents == (F(0), F(423))
+    assert is_apparent(deformed, F(-15)).holomorphic_dim == 1
+    assert undeform(deformed).ode == base
+
+    ode = make_ode([RatPoly([1, 0, 1]), RatPoly([3, 1]), RatPoly([-2, 1]) ** 60])
+    v = is_apparent(deform(ode).ode, F(2))
+    assert v.is_apparent and v.exponents == (F(0), F(61)) and v.holomorphic_dim == 2

@@ -2,10 +2,10 @@
 
 Hypothesis draws the seed handed to the generators of ``_gen``, so a
 failing example shrinks to a seed that rebuilds the equation.  The draws
-are derandomized: a few seeds give a deformed equation with an integer
+are derandomized so that every run of the suite checks the same examples
+and takes the same time.  Some seeds give a deformed equation with an
 exponent gap in the hundreds at a root of P_0 (confluent seed 153 has
-{0, 423} at z = -15), and inferring the targets there runs the apparency
-test on an exact (gap + 1)-square matrix for minutes.
+{0, 423} at z = -15); ``test_frobenius`` pins that one.
 """
 
 import random

@@ -180,3 +180,21 @@ def test_undeform_rejects_negative_slack():
     with pytest.raises(ValueError, match="max_slack"):
         undeform(deformed, max_slack=-1)
     assert undeform(deformed, max_slack=0).removed_points
+
+
+def test_undeform_skips_candidates_with_zero_trailing_coefficient():
+    # z^2 w'' + z w' - 4w = 0 has exponents {-2, 2} at 0; a nullspace
+    # vector with a = 0 gives a candidate whose trailing coefficient is
+    # zero, and deforming it raised AlreadyIntegrated out of the search
+    ode = make_ode([[0, 0, 1], [0, 1], [-4]])
+    for slack in range(4):
+        with pytest.raises(NotRemovableError):
+            undeform(ode, [0], max_slack=slack)
+
+
+def test_undeform_target_with_irrational_exponents_is_not_removable():
+    # z^2 w'' + z w' - 2w = 0 has exponents +-sqrt(2) at 0: no rational gap
+    ode = make_ode([[0, 0, 1], [0, 1], [-2]])
+    with pytest.raises(NotRemovableError, match="not rational") as err:
+        undeform(ode, [0])
+    assert err.value.details == {"residual": "s^2 - 2"}
