@@ -4,9 +4,10 @@ The order-3 example has exponents {0, alpha, beta} at the origin,
 {0, 1, 2 + theta} at the other two finite points, and infinity
 exponents tied to the parameters through their elementary symmetric
 functions.  Differentiation plants an apparent point at the accessory
-location with exponents {0, 1, 3}; the inverse transform needs the
-trailing-root multiplicity spelled out (or inferred from the exponent
-ladder) and recovers the equation exactly.
+location on the order-3 derivative ladder {0, 1, 2 + m}: {0, 1, 3} for
+the simple root here.  The inverse transform reads the trailing-root
+multiplicity m = 3 - 2 off that ladder (or takes it spelled out) and
+recovers the equation exactly.
 """
 
 from fractions import Fraction as F

@@ -215,6 +215,8 @@ def cmd_undeform(args) -> dict:
     targets = None
     if args.targets:
         targets = [parse_frac(t, "--targets") for t in args.targets.split(",")]
+        if len(set(targets)) != len(targets):
+            raise UsageError(f"--targets must be distinct locations, got {args.targets!r}")
     mults = None
     if args.multiplicities:
         mults = [parse_count(m, "--multiplicities") for m in args.multiplicities.split(",")]
@@ -228,11 +230,6 @@ def cmd_undeform(args) -> dict:
     ode = parse_ode(read_json_input(args.input))
     if ode.order < 2:
         raise UsageError(f"undeform needs an equation of order at least 2, got {ode.order}")
-    if targets and mults is None and ode.order != 2:
-        raise UsageError(
-            f"--multiplicities is required with --targets at order {ode.order}; "
-            "inference from exponent gaps is an order-2 rule"
-        )
     if mults and not targets:
         # undeform repeats this inference from the equation's memo
         inferred = transform._infer_targets(ode)
@@ -515,7 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu-max", default=None, help="window upper end (default 10*b)")
     sp.add_argument("--count", type=int, default=1, help="eigenvalues to return (default 1)")
     sp.add_argument("--precision-bits", type=int, default=256)
-    sp.add_argument("--series-order", type=int, default=200)
+    sp.add_argument("--series-order", type=int, default=200,
+                    help="has no effect here (default 200): each series runs until "
+                    "its tail is negligible, however many terms that takes")
     sp.add_argument("--grid-points", type=int, default=64)
     sp.add_argument("--sweep", help="comma-separated extra W values to sweep")
     sp.add_argument("--csv", help="write (W, nu_1, T_rel) rows to this CSV file")

@@ -116,21 +116,20 @@ def _sum_check(observed: Fraction, expected: Fraction):
 def general_heun(p: HeunParams) -> LinearODE:
     """Order-2 equation with regular points 0, 1, t and infinity.
 
-    P_0 = z(z-1)(z-t), P_1 = sum_k (1-theta_k) P_0/(z-z_k),
-    P_2 = alpha theta_inf (z-q).
+    multi_heun at zs = (0, 1, t): P_0 = z(z-1)(z-t),
+    P_1 = sum_k (1-theta_k) P_0/(z-z_k), P_2 = alpha theta_inf (z-q).
     """
     if p.t == 0 or p.t == 1:
         raise DegenerateGeometryError("t must differ from 0 and 1", t=str(p.t))
-    total = p.theta1 + p.theta2 + p.theta3 + p.theta_inf + p.alpha
-    _sum_check(total, Fraction(2))
-    zs = (Fraction(0), Fraction(1), p.t)
-    thetas = (p.theta1, p.theta2, p.theta3)
-    p0 = RatPoly.from_roots(zs)
-    p1 = RatPoly()
-    for z_k, th in zip(zs, thetas):
-        p1 = p1 + (1 - th) * exact_div(p0, RatPoly([-z_k, 1]))
-    p2 = p.alpha * p.theta_inf * RatPoly([-p.q, 1])
-    return make_ode([p0, p1, p2])
+    return multi_heun(
+        MultiHeunParams(
+            zs=(0, 1, p.t),
+            thetas=(p.theta1, p.theta2, p.theta3),
+            theta_inf=p.theta_inf,
+            alpha=p.alpha,
+            qs=(p.q,),
+        )
+    )
 
 
 def multi_heun(p: MultiHeunParams) -> LinearODE:

@@ -224,6 +224,19 @@ def _leading_roots(ode: LinearODE) -> tuple[tuple[tuple[Fraction, int], ...], Ra
     return found
 
 
+def _accessory_roots(ode: LinearODE) -> list[tuple[Fraction, int]]:
+    """Rational roots (with multiplicities) of P_n at which P_0 does not vanish.
+
+    These ordinary points become apparent under differentiation (see
+    transform.deform).
+    """
+    trailing = ode.coeffs[-1]
+    if trailing.is_zero:
+        return []
+    p0 = ode.leading
+    return [(r, m) for r, m in rational_roots(trailing)[0] if p0(r) != 0]
+
+
 def leading_residual(ode: LinearODE) -> RatPoly:
     """Monic factor of P_0 carrying the non-rational roots (1 if none)."""
     return _leading_roots(ode)[1]
@@ -404,13 +417,7 @@ def riemann_symbol(ode: LinearODE) -> RiemannSymbol:
                 residual=None if ind.complete else ind.residual,
             )
         )
-    extra = []
-    trailing = ode.coeffs[-1]
-    if not trailing.is_zero:
-        p0 = ode.leading
-        for r, _m in rational_roots(trailing)[0]:
-            if p0(r) != 0:
-                extra.append((r, "accessory"))
+    extra = [(r, "accessory") for r, _m in _accessory_roots(ode)]
     for p in points:
         if p.kind is PointKind.APPARENT:
             extra.append((p.location, "apparent"))

@@ -192,9 +192,6 @@ class RatPoly:
                 rem[i - dq + j] -= c * b
         return RatPoly(quot), RatPoly(rem[:dq] if dq > 0 else [])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

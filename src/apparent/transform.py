@@ -13,9 +13,13 @@ carries each distinct root of P_n exactly once),
     O_0 = R P_0,    O_j = R (P_j + P_{j-1}') - S P_{j-1}.
 
 Each root q of P_n that is not a root of P_0 becomes a new singular
-point of the result, and it is apparent: for order 2 and root
-multiplicity m the exponents there are {0, m+1} (gap m + 1; simple
-roots give {0, 2}, double roots {0, 3}).
+point of the result, and it is apparent.  Solutions w with w(q) = 0
+give u = w' vanishing at q to the orders 0, 1, ..., n-2; the solution
+with w(q) = 1 and w', ..., w^{(n-1)} zero at q has w - 1 vanishing to
+the order n + m when q is a root of multiplicity m, so its u vanishes
+to the order n - 1 + m.  The exponents at q are the derivative ladder
+{0, 1, ..., n-2, n-1+m}, gap n - 1 + m (order 2: simple roots give
+{0, 2}, double roots {0, 3}).
 
 Inverse direction (undeform).  Reconstruct an antecedent P whose deform
 equals the input D up to content.  Its trailing coefficient is forced
@@ -54,28 +58,24 @@ from .errors import (
     NothingToRemoveError,
     NotRemovableError,
 )
-from .odemodel import LinearODE, PointKind, _leading_roots, make_ode
-from .polyrat import RatPoly, as_fraction, exact_div, radical, rational_roots
+from .odemodel import LinearODE, PointKind, _accessory_roots, _leading_roots, make_ode
+from .polyrat import RatPoly, as_fraction, exact_div, radical
 
 
 @dataclass(frozen=True)
 class DeformResult:
     """Deformed equation plus bookkeeping.
 
-    new_apparent: (location, expected exponent gap) for each rational
-    root of the input's P_n that is not a root of P_0.  The gap value
-    multiplicity+1 is filled in for order 2; for higher order the
-    entry is the sentinel string UNVERIFIED_GAP (measure it with
-    frobenius.is_apparent).
+    new_apparent: (location, exponent gap) for each rational root of
+    the input's P_n that is not a root of P_0; a root of multiplicity m
+    of an order-n input has gap n - 1 + m (the derivative ladder, see
+    the module docstring).
     clearing_factor: radical of the input's P_n.
     """
 
     ode: LinearODE
-    new_apparent: tuple[tuple[Fraction, int | str], ...]
+    new_apparent: tuple[tuple[Fraction, int], ...]
     clearing_factor: RatPoly
-
-
-UNVERIFIED_GAP = "unverified - compute via frobenius"
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,8 @@ def deform(ode: LinearODE) -> DeformResult:
     out = [clearing * coeffs[0]]
     for j in range(1, n + 1):
         out.append(clearing * (coeffs[j] + coeffs[j - 1].derivative()) - s_poly * coeffs[j - 1])
-    new_ode = make_ode(out)
-    p0 = coeffs[0]
-    created = []
-    for root, mult in rational_roots(trailing)[0]:
-        if p0(root) != 0:
-            created.append((root, mult + 1 if n == 2 else UNVERIFIED_GAP))
-    return DeformResult(ode=new_ode, new_apparent=tuple(created), clearing_factor=clearing)
+    created = tuple((q, n - 1 + m) for q, m in _accessory_roots(ode))
+    return DeformResult(ode=make_ode(out), new_apparent=created, clearing_factor=clearing)
 
 
 def deform_iter(ode: LinearODE, k: int) -> list[DeformResult]:
@@ -158,20 +153,20 @@ def _infer_targets(ode: LinearODE) -> list[tuple[Fraction, int]]:
 
 
 def _validate_targets(ode: LinearODE, targets, multiplicities) -> list[tuple[Fraction, int]]:
+    """Pair each target with its multiplicity m, read as gap - (n-1) when not given."""
     n = ode.order
     locs = [as_fraction(q) for q in targets]
+    if len(set(locs)) != len(locs):
+        raise ValueError("targets must be distinct")
     if multiplicities is not None:
-        mults = [int(m) for m in multiplicities]
+        mults = [Fraction(m) for m in multiplicities]
         if len(mults) != len(locs):
             raise ValueError("one multiplicity per target is required")
+        if any(m.denominator != 1 for m in mults):
+            raise ValueError("multiplicities must be integers")
         if any(m < 1 for m in mults):
             raise ValueError("multiplicities must be positive")
-        return list(zip(locs, mults))
-    if n != 2:
-        raise ValueError(
-            "multiplicity inference from exponent gaps is an order-2 rule; "
-            "supply multiplicities explicitly for higher order"
-        )
+        return [(q, int(m)) for q, m in zip(locs, mults)]
     resolved = []
     for q in locs:
         sp = frobenius.classify_point(ode, q)
@@ -183,13 +178,13 @@ def _validate_targets(ode: LinearODE, targets, multiplicities) -> list[tuple[Fra
             raise NotRemovableError(f"exponent gap at {q} is not rational",
                                     residual=sp.residual.pretty("s"))
         gap = max(sp.exponents) - min(sp.exponents)
-        if gap.denominator != 1 or gap < 2:
+        if gap.denominator != 1 or gap < n:
             raise NotRemovableError(
-                f"exponent gap at {q} is not an integer >= 2; "
+                f"exponent gap at {q} is not an integer >= {n}; "
                 "supply multiplicities explicitly",
                 gap=str(gap),
             )
-        resolved.append((q, int(gap) - 1))
+        resolved.append((q, int(gap) - (n - 1)))
     return resolved
 
 
@@ -210,12 +205,12 @@ def undeform(
     with the input, because canonicalizing it may strip content of its
     own.
 
-    targets: locations to remove; default is every finite apparent
+    targets: distinct locations to remove; default is every finite apparent
     point whose exponents fit the derivative ladder {0..n-2, n-1+m}.
-    multiplicities: root multiplicities of the antecedent's trailing
-    coefficient at the targets; for explicit targets they are inferred
-    from the exponent gap (m = gap - 1) at order 2 and required at
-    higher order.
+    multiplicities: positive integer root multiplicities of the
+    antecedent's trailing coefficient at the targets; for explicit
+    targets each defaults to the ladder's reading of the exponent gap,
+    m = gap - (n - 1).
     max_slack: highest degree tried for the content multiplier c (see
     the module docstring), lowest first; at least 0.
 

@@ -2,11 +2,10 @@ import json
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
-from apparent import __version__, deform, third_order_example
+from apparent import __version__, third_order_example
 from apparent.cli import ode_json, run
 
 from _gen import third_params
@@ -217,18 +216,29 @@ def test_undeform_inferred_target_count_is_usage_error(deformed_heun_file, capsy
     assert "--multiplicities" in rep["error"]["message"]
 
 
-def test_undeform_third_order_targets_need_multiplicities(tmp_path, capsys):
-    res = deform(third_order_example(third_params(random.Random(3))))
-    assert [q for q, _gap in res.new_apparent] == [Fraction(-2, 5)]
+def test_undeform_third_order_targets_read_the_ladder(tmp_path, capsys):
+    ode = third_order_example(third_params(random.Random(3)))
+    src = tmp_path / "third.json"
+    src.write_text(json.dumps(ode_json(ode)))
+    code, rep = run_json(capsys, ["deform", str(src), "--format", "json"])
+    assert code == 0
+    assert rep["new_apparent"] == [{"location": "-2/5", "expected_gap": 3}]
     path = tmp_path / "deformed3.json"
-    path.write_text(json.dumps({"ode": ode_json(res.ode)}))
+    path.write_text(json.dumps(rep))
     code, rep = run_json(capsys, ["undeform", str(path), "--targets=-2/5", "--format", "json"])
-    assert code == 2
-    assert rep["error"]["code"] == "Usage"
-    assert "--multiplicities" in rep["error"]["message"]
-    argv = ["undeform", str(path), "--targets=-2/5", "--multiplicities", "1", "--format", "json"]
-    code, rep = run_json(capsys, argv)
     assert code == 0 and rep["removed_points"] == ["-2/5"]
+    assert rep["ode"] == ode_json(ode)
+    argv = ["undeform", str(path), "--targets=-2/5", "--multiplicities", "1", "--format", "json"]
+    assert run_json(capsys, argv) == (0, rep)
+
+
+def test_undeform_repeated_target_is_usage_error(deformed_heun_file, capsys):
+    for targets in ("5,5", "5,10/2"):
+        argv = ["undeform", str(deformed_heun_file), "--targets", targets, "--format", "json"]
+        code, rep = run_json(capsys, argv)
+        assert code == 2
+        assert rep["error"]["code"] == "Usage"
+        assert "--targets" in rep["error"]["message"]
 
 
 def test_undeform_negative_slack_is_usage_error(deformed_heun_file, capsys):

@@ -1,4 +1,4 @@
-"""Round-trip and canonical-form properties over generated equations.
+"""Round-trip, canonical-form and derivative-ladder properties over generated equations.
 
 Hypothesis draws the seed handed to the generators of ``_gen``, so a
 failing example shrinks to a seed that rebuilds the equation.  The draws
@@ -16,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apparent import (
+    PointKind,
     RatPoly,
+    classify_point,
     confluent_heun,
     deform,
+    deform_iter,
     general_heun,
     make_ode,
     multi_heun,
@@ -26,7 +29,14 @@ from apparent import (
     undeform,
 )
 
-from _gen import confluent_params, heun_params, multi_params, third_params
+from _gen import (
+    TWO_STAGE_PARAMS,
+    confluent_params,
+    heun_params,
+    multi_params,
+    rand_frac,
+    third_params,
+)
 
 
 def multi(rng):
@@ -40,6 +50,17 @@ FAMILIES = {
     "third": lambda rng: third_order_example(third_params(rng)),
     "confluent": lambda rng: confluent_heun(confluent_params(rng)),
 }
+
+
+def order_four(rng):
+    """Random order-4 equation; P_4 has one repeated root."""
+    poles = [rand_frac(rng) for _ in range(3)]
+    lows = [RatPoly([rand_frac(rng) for _ in range(3)]) for _ in range(3)]
+    roots = [rand_frac(rng, exclude=poles) for _ in range(2)]
+    trailing = RatPoly.from_roots(roots + roots[:1])
+    return make_ode([RatPoly.from_roots(poles), *lows, trailing])
+
+
 seeds = st.integers(0, 2**32)
 small = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 nonzero = small.filter(lambda c: c != 0)
@@ -70,3 +91,30 @@ def test_canonical_form_ignores_scale_and_common_factor(family, seed, deformed, 
     assert make_ode([scale * p for p in ode.coeffs]) == ode
     assert make_ode([factor * p for p in ode.coeffs]) == ode
     assert make_ode([scale * factor * p for p in ode.coeffs]) == ode
+
+
+def assert_created_points_on_ladder(ode, stages=2):
+    """Each (q, gap) deform reports is apparent with exponents {0..n-2, gap}."""
+    n = ode.order
+    created = 0
+    for res in deform_iter(ode, stages):
+        for q, gap in res.new_apparent:
+            sp = classify_point(res.ode, q)
+            assert sp.kind is PointKind.APPARENT
+            assert sorted(sp.exponents) == [*range(n - 1), gap]
+            created += 1
+    return created
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES) + ["order_four"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=seeds)
+def test_created_points_sit_on_the_derivative_ladder(family, seed):
+    ode = (FAMILIES.get(family) or order_four)(random.Random(seed))
+    assert_created_points_on_ladder(ode) >= 1
+
+
+def test_second_stage_points_sit_on_the_derivative_ladder():
+    # the random draws create points at stage 1 only; this one creates
+    # one at stage 1 and two more at stage 2
+    assert assert_created_points_on_ladder(general_heun(TWO_STAGE_PARAMS)) == 3

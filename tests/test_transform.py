@@ -5,11 +5,11 @@ import pytest
 
 from apparent import (
     INFINITY,
-    UNVERIFIED_GAP,
     AlreadyIntegratedError,
     NothingToRemoveError,
     NotRemovableError,
     PointKind,
+    classify_point,
     deform,
     deform_iter,
     general_heun,
@@ -47,11 +47,14 @@ def test_deform_marks_simple_root_with_gap_two():
     assert res.clearing_factor(loc) == 0
 
 
-def test_deform_third_order_reports_unverified_gap():
+def test_deform_third_order_reports_ladder_gap():
+    # a simple root at order 3 sits on the ladder {0, 1, 2 + 1}
     rng = random.Random(6)
     res = deform(third_order_example(third_params(rng)))
     assert len(res.new_apparent) == 1
-    assert res.new_apparent[0][1] == UNVERIFIED_GAP
+    loc, gap = res.new_apparent[0]
+    assert gap == 3
+    assert sorted(classify_point(res.ode, loc).exponents) == [0, 1, 3]
 
 
 def test_deform_rejects_zero_trailing():
@@ -113,15 +116,20 @@ def test_undeform_integer_gap_without_apparency_fails():
     assert "specifying some parameters" in str(err.value)
 
 
-def test_undeform_requires_multiplicities_above_order_two():
+def test_undeform_third_order_target_reads_multiplicity_from_ladder():
+    # m = gap - (n - 1) = 3 - 2 at an explicit order-3 target
     rng = random.Random(11)
     ode = third_order_example(third_params(rng))
     deformed = deform(ode).ode
     q = deform(ode).new_apparent[0][0]
-    with pytest.raises(ValueError):
-        undeform(deformed, targets=[q])
-    res = undeform(deformed, targets=[q], multiplicities=[1])
+    res = undeform(deformed, targets=[q])
+    assert res == undeform(deformed, targets=[q], multiplicities=[1])
     assert res.ode == ode
+    # an overstated m is absorbed by the content multiplier; without
+    # slack only the right one finds the antecedent
+    assert undeform(deformed, targets=[q], max_slack=0).ode == ode
+    with pytest.raises(NotRemovableError):
+        undeform(deformed, targets=[q], multiplicities=[2], max_slack=0)
 
 
 def test_undeform_infers_third_order_ladder():
@@ -139,6 +147,12 @@ def test_undeform_multiplicity_validation():
         undeform(deformed, targets=[q], multiplicities=[1, 2])
     with pytest.raises(ValueError):
         undeform(deformed, targets=[q], multiplicities=[0])
+    with pytest.raises(ValueError, match="integers"):
+        undeform(deformed, targets=[q], multiplicities=[F(3, 2)])
+    with pytest.raises(ValueError, match="distinct"):
+        undeform(deformed, targets=[q, q])
+    with pytest.raises(ValueError, match="distinct"):
+        undeform(deformed, targets=[q, str(q)], multiplicities=[1, 1])
 
 
 def test_undeform_double_root_target():
