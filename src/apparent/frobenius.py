@@ -116,9 +116,10 @@ class _LocalData:
         roots, residual = rational_roots(self.indicial)
         return tuple(r for r, m in roots for _ in range(m)), residual
 
-    def series(self, rho: Fraction, top: int) -> tuple[list, list]:
+    def series(self, rho: Fraction, top: int, cap: int) -> tuple[list, list]:
         """a_0..a_top of zeta^rho sum a_M zeta^M by the module's recurrence,
-        each a_M a vector over the free parameters opened up to offset M.
+        each a_M a vector over the first `cap` free parameters opened up
+        to offset M; later parameters are set to zero.
 
         A parameter opens wherever C_{j0}(rho+M) = 0, and the right-hand
         side there is recorded as the obstruction row (M, row) that must
@@ -127,7 +128,7 @@ class _LocalData:
         width = self.jmax - self.j0
         coeffs, obstructions = [], []
         for m_idx in range(top + 1):
-            rhs = [Fraction(0)] * len(obstructions)
+            rhs = [Fraction(0)] * min(len(obstructions), cap)
             for m in range(max(0, m_idx - width), m_idx):
                 value = self.cpolys[m_idx - m](rho + m)
                 if value:
@@ -138,7 +139,8 @@ class _LocalData:
                 coeffs.append([r / denom for r in rhs])
             else:
                 obstructions.append((m_idx, rhs))
-                coeffs.append([Fraction(0)] * len(rhs) + [Fraction(1)])
+                opened = [Fraction(1)] if len(rhs) < cap else []
+                coeffs.append([Fraction(0)] * len(rhs) + opened)
         return coeffs, obstructions
 
     @cached_property
@@ -160,7 +162,7 @@ class _LocalData:
         # opens one parameter and one obstruction row per exponent.  A
         # parameter opened early can cancel a later obstruction, so the
         # rows are reduced together rather than checked one by one.
-        _coeffs, rows = self.series(Fraction(0), int(max(exponents)))
+        _coeffs, rows = self.series(Fraction(0), int(max(exponents)), n)
         dim = nullity([row + [Fraction(0)] * (n - len(row)) for _m, row in rows], n)
         if dim == n:
             return ApparentVerdict(True, exponents, None, dim)
@@ -282,8 +284,8 @@ def frobenius_series(ode: LinearODE, point, exponent, n_terms: int) -> Frobenius
             f"{exponent} is not an indicial root at {point}",
             indicial=ind.pretty("s"),
         )
-    # project onto the a_0 = 1 parameter: later free coefficients are zero
-    vectors, rows = data.series(exponent, n_terms)
+    # carry only the a_0 = 1 parameter: later free coefficients are zero
+    vectors, rows = data.series(exponent, n_terms, 1)
     return FrobeniusSolution(
         point=point,
         exponent=exponent,

@@ -30,11 +30,12 @@ from .errors import (
 )
 from .polyrat import (
     RatPoly,
+    _int_divexact,
+    _int_gcd,
     _list_addmul,
     _list_mul,
+    _scaled,
     as_fraction,
-    exact_div,
-    poly_gcd,
     rational_roots,
 )
 
@@ -197,15 +198,20 @@ def make_ode(coeffs) -> LinearODE:
         raise NotAnODEError("an ODE needs at least two coefficient polynomials")
     if polys[0].is_zero:
         raise DegenerateLeadingError("leading coefficient polynomial is zero")
-    nonzero = [p for p in polys if not p.is_zero]
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = poly_gcd(g, p)
-    if g.degree > 0:
-        polys = [p if p.is_zero else exact_div(p, g) for p in polys]
-    lead = polys[0].leading
-    if lead != 1:
-        polys = [p / lead for p in polys]
+    # P_k = s_k I_k with I_k integer and primitive; the gcd G of the
+    # I_k is the common factor, and P_k / G over the leading coefficient
+    # of P_0 / G is s_k (I_k / G) / (s_0 lead(I_0 / G))
+    prims = [p.integer_primitive() for p in polys]
+    g = prims[0][0]
+    for ints, _scale in prims[1:]:
+        if len(g) == 1:
+            break
+        if ints:
+            g = _int_gcd(g, ints)
+    if len(g) > 1:
+        prims = [(_int_divexact(ints, g), scale) for ints, scale in prims]
+    lead = prims[0][1] * prims[0][0][-1]
+    polys = [_scaled(ints, scale / lead) for ints, scale in prims]
     n = len(polys) - 1
     d0 = polys[0].degree
     convention = d0 > n and all(p.degree <= d0 for p in polys)

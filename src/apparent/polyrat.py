@@ -4,13 +4,15 @@ Coefficients are arbitrary-precision rationals (``fractions.Fraction``).
 Polynomials are stored dense in ascending degree order with trailing
 zeros trimmed; the zero polynomial is the empty coefficient list.
 Degrees in this package stay small (typically below ten), so products
-and divisions are schoolbook.  Coefficient sizes do not stay small: each
-``deform`` stage adds about ten bits.  The kernels that run most often
-therefore work on integers and build a ``Fraction`` only once per output
+are schoolbook.  Coefficient sizes do not stay small: each ``deform``
+stage adds about ten bits.  The kernels that run most often therefore
+work on integers and build a ``Fraction`` only once per output
 coefficient: the Taylor shift is the integer shift by 1 of von zur
-Gathen & Gerhard (ISSAC 1997), and the rational root search is p-adic
-(Hensel) lifting, whose cost is polynomial in the bits, and not an
-enumeration of divisors, whose cost is exponential.  The private list
+Gathen & Gerhard (ISSAC 1997), the gcd is the heuristic GCDHEU of Char,
+Geddes & Gonnet (J. Symb. Comp. 1989), exact division divides integer
+primitive parts, and the rational root search is p-adic (Hensel)
+lifting, whose cost is polynomial in the bits, and not an enumeration
+of divisors, whose cost is exponential.  The private list
 kernels below (``_list_mul`` and friends) serve the same purpose for
 the other modules; ``RatPoly`` itself only ever holds ``Fraction``
 coefficients.
@@ -245,7 +247,7 @@ class RatPoly:
         if self.is_zero:
             return [], Fraction(0)
         den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = math.gcd(*ints)
         return [v // g for v in ints], Fraction(g, den)
 
@@ -341,21 +343,99 @@ def poly_derivative(p: RatPoly) -> RatPoly:
     return p.derivative()
 
 
+def _scaled(ints: list[int], scale: Fraction) -> RatPoly:
+    """scale * RatPoly(ints), one Fraction per coefficient."""
+    num, den = scale.numerator, scale.denominator
+    return RatPoly([Fraction(v * num, den) for v in ints])
+
+
+def _int_divexact(a: list[int], b: list[int]) -> list[int] | None:
+    """Quotient a / b over Z when b divides a exactly there, else None.
+
+    Schoolbook division that gives up at the first leading quotient
+    that is not an integer.
+    """
+    db = len(b) - 1
+    rem = list(a)
+    lead = b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c, r = divmod(rem[i], lead)
+        if r:
+            return None
+        if c:
+            quot[i - db] = c
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+    return None if any(rem[:db]) else quot
+
+
+# GCDHEU evaluation points tried before the Euclidean fallback
+_HEU_TRIES = 6
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of two nonzero integer polynomials of content 1, as a
+    primitive integer list with a positive leading coefficient.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 1989): evaluate both
+    at an integer xi above twice the smaller max-norm, take the integer
+    gcd and read a candidate off its symmetric xi-adic digits.  A
+    primitive candidate that divides both inputs over Z is their gcd;
+    that exact check makes the answer correct, and a failed one only
+    grows xi.  After _HEU_TRIES points the Euclidean algorithm over Q
+    decides (Brown's dense modular gcd, J. ACM 1971, is the other sure
+    method).
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_TRIES):
+        gamma = math.gcd(_int_eval(a, xi), _int_eval(b, xi))
+        g = []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            g.append(d)
+            gamma = (gamma - d) // xi
+        # gamma > 0, so the top digit is positive
+        c = math.gcd(*g)
+        g = [v // c for v in g]
+        if _int_divexact(a, g) is not None and _int_divexact(b, g) is not None:
+            return g
+        xi = xi * 73794 // 27011
+    x, y = RatPoly(a), RatPoly(b)
+    while not y.is_zero:
+        x, y = y, x % y
+    return x.monic().integer_primitive()[0]
+
+
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """Monic greatest common divisor, by GCDHEU (see _int_gcd)."""
     if a.is_zero and b.is_zero:
         raise BothZeroError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if a.is_zero or b.is_zero:
+        return (a or b).monic()
+    g = _int_gcd(a.integer_primitive()[0], b.integer_primitive()[0])
+    return _scaled(g, Fraction(1, g[-1]))
 
 
 def exact_div(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Division known to be exact; a nonzero remainder is a logic error."""
-    q, r = divmod(a, b)
-    if not r.is_zero:
-        raise ValueError(f"inexact polynomial division: remainder {r!r}")
-    return q
+    """Division known to be exact; a nonzero remainder is a logic error.
+
+    The integer primitive parts are divided over Z, which is exact
+    exactly when the division over Q is (Gauss's lemma), and the two
+    contents are folded back in once per coefficient.
+    """
+    if b.is_zero:
+        raise ZeroPolynomialError("polynomial division by zero")
+    a_ints, a_scale = a.integer_primitive()
+    b_ints, b_scale = b.integer_primitive()
+    q = _int_divexact(a_ints, b_ints)
+    if q is None:
+        raise ValueError(f"inexact polynomial division: remainder {divmod(a, b)[1]!r}")
+    return _scaled(q, a_scale / b_scale)
 
 
 def radical(p: RatPoly) -> RatPoly:
@@ -364,7 +444,11 @@ def radical(p: RatPoly) -> RatPoly:
         raise ZeroPolynomialError("radical of the zero polynomial")
     if p.degree == 0:
         return ONE
-    return exact_div(p, poly_gcd(p, p.derivative())).monic()
+    a = p.integer_primitive()[0]
+    da = [i * c for i, c in enumerate(a)][1:]
+    c = math.gcd(*da)
+    q = _int_divexact(a, _int_gcd(a, [v // c for v in da]))
+    return _scaled(q, Fraction(1, q[-1]))
 
 
 def root_multiplicity(p: RatPoly, r) -> int:
