@@ -95,11 +95,6 @@ class SpectralResult:
     series_order / precision_bits: the largest number of series terms
     and the largest precision any branch evaluation used.
     evaluations: mismatch evaluations, grid and refinement together.
-    endpoint_values: filled only under strict mode; one (w(0+), w(1-))
-    pair of matched-eigenfunction limits per eigenvalue.  Both limits
-    are finite and nonzero (the exponent-0 branches tend to constants),
-    so a literal vanishing condition at the endpoints has no nontrivial
-    solution; strict mode makes that visible instead of hiding it.
     """
 
     eigenvalues: tuple[float, ...]
@@ -109,7 +104,6 @@ class SpectralResult:
     precision_bits: int
     evaluations: int
     warnings: tuple[str, ...] = ()
-    endpoint_values: tuple[tuple[float, float], ...] = ()
 
 
 def polymer_ode(p: PolymerParams, nu) -> LinearODE:
@@ -404,7 +398,6 @@ def solve_spectrum(
     grid_points: int = 64,
     matching_point=Fraction(1, 2),
     auto_retry: bool = True,
-    strict: bool = False,
 ) -> SpectralResult:
     """Scan [nu_min, nu_max] for eigenvalues of the bounded problem.
 
@@ -418,9 +411,6 @@ def solve_spectrum(
     a series may grow past series_order up to a hard cap, and past
     precision_bits when cancellation calls for it; with
     auto_retry=False both are hard limits.
-
-    strict=True additionally reports the endpoint limits of each
-    matched eigenfunction in endpoint_values; see SpectralResult.
     """
     if not nu_min < nu_max:
         raise ValueError("need nu_min < nu_max")
@@ -459,16 +449,6 @@ def solve_spectrum(
     warnings = ()
     if len(eigenvalues) < count:
         warnings = (f"requested {count} eigenvalues, found {len(eigenvalues)}",)
-    endpoints = []
-    if strict:
-        # matched function = bounded-at-0 branch (value 1 at z=0)
-        # glued at z_match to the bounded-at-1 branch (value 1 at
-        # z=1) scaled by w0_m/w1_m, hence the limits below
-        for ev in eigenvalues:
-            left, right = shoot.branches(ev)
-            endpoints.append(
-                (1.0, float(left.values()[0] / right.values()[0]) if right.w else math.inf)
-            )
     return SpectralResult(
         eigenvalues=tuple(eigenvalues),
         t_rel=float(p.b * p.tau / Fraction(eigenvalues[0])),
@@ -477,7 +457,6 @@ def solve_spectrum(
         precision_bits=shoot.bits,
         evaluations=shoot.evaluations,
         warnings=warnings,
-        endpoint_values=tuple(endpoints),
     )
 
 

@@ -12,7 +12,8 @@ Gathen & Gerhard (ISSAC 1997), the gcd is the heuristic GCDHEU of Char,
 Geddes & Gonnet (J. Symb. Comp. 1989), exact division divides integer
 primitive parts, and the rational root search is p-adic (Hensel)
 lifting, whose cost is polynomial in the bits, and not an enumeration
-of divisors, whose cost is exponential.  The private list
+of divisors, whose cost is exponential, with each root confirmed and
+deflated by exact integer division.  The private list
 kernels below (``_list_mul`` and friends) serve the same purpose for
 the other modules; ``RatPoly`` itself only ever holds ``Fraction``
 coefficients.
@@ -438,53 +439,45 @@ def exact_div(a: RatPoly, b: RatPoly) -> RatPoly:
     return _scaled(q, a_scale / b_scale)
 
 
+def _int_squarefree(a: list[int]) -> list[int]:
+    """a / gcd(a, a') for a nonconstant integer list a of content 1.
+
+    The quotient has the distinct roots of a, all simple, and content 1.
+    """
+    da = [i * c for i, c in enumerate(a)][1:]
+    c = math.gcd(*da)
+    return _int_divexact(a, _int_gcd(a, [v // c for v in da]))
+
+
 def radical(p: RatPoly) -> RatPoly:
     """Monic squarefree part: same distinct roots as p, all simple."""
     if p.is_zero:
         raise ZeroPolynomialError("radical of the zero polynomial")
     if p.degree == 0:
         return ONE
-    a = p.integer_primitive()[0]
-    da = [i * c for i, c in enumerate(a)][1:]
-    c = math.gcd(*da)
-    q = _int_divexact(a, _int_gcd(a, [v // c for v in da]))
+    q = _int_squarefree(p.integer_primitive()[0])
     return _scaled(q, Fraction(1, q[-1]))
+
+
+def _deflate(f: list[int], r: Fraction) -> tuple[list[int], int]:
+    """f divided by (den z - num)^m over Z for the largest such m, and m.
+
+    r = num/den is in lowest terms, so den z - num is primitive and, by
+    Gauss's lemma, divides f over Z exactly when r is a root of f: the
+    exact division is the root test, and m = 0 says r is no root.
+    """
+    lin = [-r.numerator, r.denominator]
+    m = 0
+    while (q := _int_divexact(f, lin)) is not None:
+        f, m = q, m + 1
+    return f, m
 
 
 def root_multiplicity(p: RatPoly, r) -> int:
     """Multiplicity of r as a root of p (0 when p(r) != 0)."""
     if p.is_zero:
         raise ZeroPolynomialError("every value is a root of the zero polynomial")
-    r = as_fraction(r)
-    m = 0
-    while p(r) == 0:
-        p = exact_div(p, RatPoly([-r, 1]))
-        m += 1
-    return m
-
-
-def _rational_sqrt(x: Fraction):
-    """Exact square root when x is a perfect rational square, else None."""
-    if x < 0:
-        return None
-    ns = math.isqrt(x.numerator)
-    ds = math.isqrt(x.denominator)
-    if ns * ns == x.numerator and ds * ds == x.denominator:
-        return Fraction(ns, ds)
-    return None
-
-
-def _small_degree_roots(p: RatPoly) -> list[Fraction]:
-    """Every rational root of p of degree one or two, by closed forms."""
-    if p.degree == 1:
-        return [-p.coeffs[0] / p.coeffs[1]]
-    c, b, a = p.coeffs
-    s = _rational_sqrt(b * b - 4 * a * c)
-    if s is None:
-        return []
-    if s == 0:
-        return [-b / (2 * a)]
-    return [(-b + s) / (2 * a), (-b - s) / (2 * a)]
+    return _deflate(p.integer_primitive()[0], as_fraction(r))[1]
 
 
 def _int_eval(coeffs: list[int], y: int, modulus: int = 0) -> int:
@@ -497,54 +490,19 @@ def _int_eval(coeffs: list[int], y: int, modulus: int = 0) -> int:
     return acc
 
 
-# large, so that distinct roots of an input rarely meet modulo it
-_SQUAREFREE_PRIME = 2**31 - 1
+def _hensel_roots(g: list[int]) -> list[Fraction]:
+    """Candidates that include every rational root of g, by p-adic lifting.
 
-
-def _certified_squarefree(g: list[int]) -> bool:
-    """True when g mod P keeps its degree and is squarefree over F_P.
-
-    P is _SQUAREFREE_PRIME.  That certifies g squarefree over Q: a
-    square factor f^2 of g would reduce to a square factor of positive
-    degree, since lead(f) divides lead(g).  False proves nothing.
-    """
-    prime = _SQUAREFREE_PRIME
-    if g[-1] % prime == 0:
-        return False
-    a = [c % prime for c in g]
-    b = [i * c % prime for i, c in enumerate(a)][1:]
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, prime)
-        while len(a) >= len(b):
-            c = a[-1] * inv % prime
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bc) % prime
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
-def _hensel_roots(p: RatPoly) -> list[Fraction]:
-    """Every rational root of p (positive degree), by p-adic lifting.
-
-    Let g be the integer primitive of p when _certified_squarefree says
-    it is squarefree (the common case, and cheap), else of radical(p).
-    With a = lead(g) and n = deg g, the monic h(y) = a^(n-1) g(y/a)
-    has integer coefficients, and its integer roots are a times the
+    g is a squarefree integer polynomial of positive degree.  With
+    a = lead(g) and n = deg g, the monic h(y) = a^(n-1) g(y/a) has
+    integer coefficients, and its integer roots are a times the
     rational roots of g.  h is squarefree, so some prime P leaves every
     root of h mod P simple; each integer root reduces to one of them
     and is the unique Newton lift of it.  Lifting until the modulus
     passes twice the Cauchy bound 1 + max|h_i| recovers every integer
-    root as a symmetric residue, and an exact check drops the residues
-    that are not roots.
+    root as a symmetric residue.  Residues that are not roots come back
+    too; the caller's exact test drops them.
     """
-    g, _ = p.integer_primitive()
-    if not _certified_squarefree(g):
-        g, _ = radical(p).integer_primitive()
     n = len(g) - 1
     a = g[-1]
     h = [c * a ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
@@ -567,41 +525,37 @@ def _hensel_roots(p: RatPoly) -> list[Fraction]:
             y = (y - _int_eval(h, y, m) * pow(_int_eval(dh, y, m), -1, m)) % m
         if y > m // 2:
             y -= m
-        if _int_eval(h, y) == 0:
-            roots.append(Fraction(y, a))
+        roots.append(Fraction(y, a))
     return roots
 
 
 def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     """All rational roots with multiplicities, plus the root-free residual.
 
-    Through degree two the roots come from closed forms.  Above that,
-    every rational root of the squarefree part is found in one pass by
-    p-adic (Hensel) lifting (Loos 1983; von zur Gathen & Gerhard, Modern
+    One integer path at every degree.  The candidates come in one pass
+    from p-adic (Hensel) lifting on the squarefree part of the integer
+    primitive f of p (Loos 1983; von zur Gathen & Gerhard, Modern
     Computer Algebra, ch. 15; see _hensel_roots).  The search is
     complete: each rational root reduces to a simple root modulo the
-    chosen prime and is the unique lift of it.  Each candidate is
-    checked exactly, so nothing false gets in.  The cost is polynomial
+    chosen prime and is the unique lift of it.  Its cost is polynomial
     in the coefficient bits: Newton steps double the p-adic precision,
-    so about log2 of the root bound's bit size of them suffice.
-    Multiplicities come from exact deflation.  Irrational (and complex)
-    roots are never approximated: they stay in the residual factor,
-    returned monic.  Roots are sorted ascending.
+    so about log2 of the root bound's bit size of them suffice.  Each
+    candidate r = num/den is then divided out of f as (den z - num) for
+    as long as the division is exact over Z (see _deflate); that is the
+    exact root test, so nothing false gets in, and the number of
+    divisions is the multiplicity.  Irrational (and complex) roots are
+    never approximated: they stay in the residual factor, returned
+    monic.  Roots are sorted ascending.
     """
     if p.is_zero:
         raise ZeroPolynomialError("root search on the zero polynomial")
     if p.degree <= 0:
         return [], ONE
-    candidates = _small_degree_roots(p) if p.degree <= 2 else _hensel_roots(p)
+    f = p.integer_primitive()[0]
     roots: list[tuple[Fraction, int]] = []
-    for r in candidates:
-        m = 0
-        lin = RatPoly([-r, 1])
-        while p(r) == 0:
-            p = exact_div(p, lin)
-            m += 1
-        roots.append((r, m))
-    roots.sort(key=lambda rm: rm[0])
-    residual = p.monic() if p.degree > 0 else ONE
+    for r in sorted(_hensel_roots(_int_squarefree(f))):
+        f, m = _deflate(f, r)
+        if m:
+            roots.append((r, m))
+    residual = _scaled(f, Fraction(1, f[-1])) if len(f) > 1 else ONE
     return roots, residual
-

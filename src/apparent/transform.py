@@ -231,7 +231,8 @@ def undeform(
         if multiplicities is not None:
             inferred = _validate_targets(ode, [q for q, _ in inferred], multiplicities)
     else:
-        if not list(targets):
+        targets = list(targets)
+        if not targets:
             raise NothingToRemoveError("empty target list")
         inferred = _validate_targets(ode, targets, multiplicities)
 

@@ -93,22 +93,6 @@ def test_small_parameter_spectrum(small_spectrum):
         assert math.isfinite(nu) and math.isfinite(mism)
 
 
-def test_strict_mode_reports_nonzero_endpoint_limits(small_spectrum):
-    # the exponent-0 branches tend to constants at the endpoints, so no
-    # eigenfunction literally vanishes there; strict mode surfaces this
-    p, res = small_spectrum
-    assert res.endpoint_values == ()
-    strict = solve_spectrum(
-        p, F(1, 10), F(10), count=1, precision_bits=128, series_order=120,
-        grid_points=48, strict=True,
-    )
-    assert strict.eigenvalues[0] == pytest.approx(res.eigenvalues[0], rel=1e-9)
-    assert len(strict.endpoint_values) == 1
-    w0, w1 = strict.endpoint_values[0]
-    assert w0 == 1.0
-    assert math.isfinite(w1) and w1 != 0.0
-
-
 def test_mismatch_vanishes_only_at_eigenvalues(small_spectrum):
     p, res = small_spectrum
     nu1 = res.eigenvalues[0]

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apparent import (
@@ -14,6 +14,9 @@ from apparent import (
     radical,
     rational_roots,
 )
+from apparent.polyrat import root_multiplicity
+
+from _closed_form_roots import closed_form_rational_roots
 
 F = Fraction
 
@@ -117,7 +120,9 @@ def test_rational_roots_of_large_height():
 
 
 def test_rational_roots_when_the_squarefree_certificate_is_inconclusive():
-    # two simple roots congruent modulo the squarefree test's prime 2^31 - 1
+    # two simple roots congruent modulo 2^31 - 1: such roots share a
+    # root mod that prime, so a squarefree test run modulo it alone
+    # cannot show the input squarefree
     roots = [(F(0), 1), (F(2**31 - 1), 1), (F(5, 2), 1)]
     p, want, residual = expected_factorization(F(3), roots, RatPoly([1]))
     assert rational_roots(p) == (want, residual)
@@ -150,10 +155,57 @@ def test_rational_roots_recovers_every_planted_root(case):
     found, rest = rational_roots(p)
     assert found == want
     assert rest == residual
+    assert [root_multiplicity(p, r) for r, _ in found] == [m for _, m in found]
     rebuilt = RatPoly([p.leading]) * rest
     for r, m in found:
         rebuilt = rebuilt * RatPoly([-r, 1]) ** m
     assert rebuilt == p
+
+
+small = st.builds(F, st.integers(-50, 50), st.integers(1, 50))
+wide = st.builds(F, st.integers(-(2**220), 2**220), st.integers(2**200, 2**220))
+rationals = st.one_of(small, wide)
+
+
+@st.composite
+def small_degree_polys(draw):
+    lead = draw(rationals.filter(bool))
+    kind = draw(st.sampled_from(["linear", "double", "two", "coefficients"]))
+    if kind == "linear":
+        return RatPoly([draw(rationals), lead])
+    r = draw(rationals)
+    if kind == "double":
+        return lead * RatPoly([-r, 1]) ** 2
+    if kind == "two":
+        s = draw(rationals)
+        assume(r != s)
+        return lead * RatPoly([-r, 1]) * RatPoly([-s, 1])
+    # random coefficients: irrational or complex roots but for rare draws
+    return RatPoly([r, draw(rationals), lead])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_degree_polys())
+@example(RatPoly([F(-(3**130), 2**211 + 1), F(5**90, 7**75)]))  # linear, 200+ bits
+@example(6 * RatPoly([F(-5, 3), 1]) ** 2)  # rational double root
+@example(4 * RatPoly([F(-1, 2), 1]) * RatPoly([3, 1]))  # two rational roots
+@example(F(3, 4) * RatPoly([-7, 0, 1]))  # irrational; roots exist mod 3
+@example(RatPoly([2, 0, -5]))  # complex; roots exist mod 3
+def test_rational_roots_through_degree_two_match_the_closed_forms(p):
+    assert rational_roots(p) == closed_form_rational_roots(p)
+
+
+def test_root_multiplicity():
+    r = F(-(3**70), 2**100 - 3)  # 100-bit denominator
+    p = F(5, 7) * RatPoly([-r, 1]) ** 3 * RatPoly([F(-1, 2), 1]) * RatPoly([1, 0, 1])
+    assert root_multiplicity(p, r) == 3
+    assert root_multiplicity(p, "1/2") == 1
+    assert root_multiplicity(p, 0) == root_multiplicity(p, -r) == 0
+    assert root_multiplicity(p, 1 / r) == 0
+    roots, _ = rational_roots(p)
+    assert roots == [(r, 3), (F(1, 2), 1)]
+    with pytest.raises(ZeroPolynomialError):
+        root_multiplicity(RatPoly(), 1)
 
 
 def test_rational_roots_agrees_with_sympy():

@@ -109,6 +109,17 @@ def test_undeform_explicit_target_matches_inferred():
     assert a.ode == b.ode == c.ode == ode
 
 
+def test_undeform_reads_an_iterator_of_targets_once():
+    rng = random.Random(10)
+    ode = general_heun(heun_params(rng))
+    res = deform(ode)
+    q = res.new_apparent[0][0]
+    assert undeform(res.ode, iter([q])).ode == ode
+    assert undeform(res.ode, (t for t in [q]), multiplicities=iter([1])).ode == ode
+    with pytest.raises(NothingToRemoveError):
+        undeform(res.ode, iter([]))
+
+
 def test_undeform_integer_gap_without_apparency_fails():
     ode = general_heun(LOG_GAP_PARAMS)
     with pytest.raises(NotRemovableError) as err:
