@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import typing
 from fractions import Fraction
 
 from . import APPARENT_SCHEMA, __version__
@@ -125,16 +126,16 @@ def analysis_payload(ode: LinearODE) -> dict:
     }
 
 
+_ENVELOPE = {"schema": APPARENT_SCHEMA, "tool": "apparent", "version": __version__}
+
+
 def report(command: str, payload: dict) -> dict:
-    return {"schema": APPARENT_SCHEMA, "tool": "apparent", "version": __version__,
-            "command": command, **payload}
+    return {**_ENVELOPE, "command": command, **payload}
 
 
-def emit(args, rep: dict, text_fn):
-    if args.format == "json":
-        print(json.dumps(rep, indent=2))
-    else:
-        text_fn(rep)
+def error_body(code: str, message: str, details: dict) -> dict:
+    error = {"code": code, "message": message, "details": {k: str(v) for k, v in details.items()}}
+    return {**_ENVELOPE, "error": error}
 
 
 # --------------------------------------------------------------- subcommands
@@ -248,76 +249,40 @@ def cmd_undeform(args) -> dict:
     return report("undeform", payload)
 
 
-def _build_family(family: str, params: dict) -> LinearODE:
-    def need(*names):
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise UsageError(f"missing parameter(s): {', '.join(missing)}")
-
-    def frac(name, value):
-        try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad rational for {name!r}: {value!r}") from exc
-
-    def fr(name):
-        return frac(name, params[name])
-
-    def frs(name):
-        # a string is iterable too, but "012" is not the list [0, 1, 2]
-        values = params[name]
-        if not isinstance(values, list):
-            raise UsageError(f"{name!r} must be a JSON list of rationals, got {values!r}")
-        return tuple(frac(name, v) for v in values)
-
-    if family == "general":
-        need("t", "theta1", "theta2", "theta3", "theta_inf", "alpha", "q")
-        return heun.general_heun(
-            heun.HeunParams(
-                t=fr("t"), theta1=fr("theta1"), theta2=fr("theta2"), theta3=fr("theta3"),
-                theta_inf=fr("theta_inf"), alpha=fr("alpha"), q=fr("q"),
-            )
-        )
-    if family == "multi":
-        need("zs", "thetas", "theta_inf", "alpha", "qs")
-        zs, thetas, qs = frs("zs"), frs("thetas"), frs("qs")
-        if len(thetas) != len(zs):
-            raise UsageError(
-                f"'thetas' needs one entry per point of 'zs': {len(zs)} points, {len(thetas)} thetas"
-            )
-        if len(zs) >= 3 and len(qs) != len(zs) - 2:
-            raise UsageError(
-                f"'qs' needs len(zs) - 2 = {len(zs) - 2} accessory locations, got {len(qs)}"
-            )
-        return heun.multi_heun(
-            heun.MultiHeunParams(
-                zs=zs, thetas=thetas, theta_inf=fr("theta_inf"), alpha=fr("alpha"), qs=qs
-            )
-        )
-    if family == "third":
-        need("t", "alpha", "beta", "theta2", "theta3", "kappa", "q")
-        return heun.third_order_example(
-            heun.ThirdOrderParams(
-                t=fr("t"), alpha=fr("alpha"), beta=fr("beta"), theta2=fr("theta2"),
-                theta3=fr("theta3"), kappa=fr("kappa"), q=fr("q"),
-            )
-        )
-    if family == "confluent":
-        need("p0", "p1", "alpha", "q")
-        return heun.confluent_heun(
-            heun.ConfluentHeunParams(
-                p0=RatPoly(frs("p0")), p1=RatPoly(frs("p1")), alpha=fr("alpha"), q=fr("q")
-            )
-        )
-    raise UsageError(f"unknown family {family!r}")
+# family -> (parameter record, constructor); the record's fields are the
+# keys of the parameter file
+_FAMILIES = {
+    "general": (heun.HeunParams, heun.general_heun),
+    "multi": (heun.MultiHeunParams, heun.multi_heun),
+    "third": (heun.ThirdOrderParams, heun.third_order_example),
+    "confluent": (heun.ConfluentHeunParams, heun.confluent_heun),
+}
 
 
 def cmd_heun(args) -> dict:
     params = read_json_input(args.params)
     if not isinstance(params, dict):
         raise UsageError("parameter file must hold a JSON object")
-    ode = _build_family(args.family, params)
-    payload = {"family": args.family, **analysis_payload(ode)}
+    record, construct = _FAMILIES[args.family]
+    fields = typing.get_type_hints(record)
+    missing = [n for n in fields if n not in params]
+    if missing:
+        raise UsageError(f"missing parameter(s): {', '.join(missing)}")
+    values = {}
+    for name, kind in fields.items():
+        value = params[name]
+        if kind is Fraction:
+            values[name] = parse_frac(value, repr(name))
+        elif isinstance(value, list):
+            values[name] = tuple(parse_frac(v, repr(name)) for v in value)
+        else:
+            # a string is iterable too, but "012" is not the list [0, 1, 2]
+            raise UsageError(f"{name!r} must be a JSON list of rationals, got {value!r}")
+    try:
+        p = record(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    payload = {"family": args.family, **analysis_payload(construct(p))}
     return report("heun", payload)
 
 
@@ -446,16 +411,6 @@ def _text_polymer(rep):
         print(f"warning: {w}")
 
 
-_TEXT = {
-    "analyze": _text_analysis,
-    "heun": _text_analysis,
-    "riemann": _text_riemann,
-    "deform": _text_deform,
-    "undeform": _text_undeform,
-    "polymer": _text_polymer,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     epilog = (
         "domain error codes (exit 1): " + ", ".join(_ERROR_CODES) + ". "
@@ -477,18 +432,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="classify singular points and run the Fuchs checks")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
     add_format(sp)
-    sp.set_defaults(fn=cmd_analyze)
+    sp.set_defaults(fn=cmd_analyze, text=_text_analysis)
 
     sp = sub.add_parser("riemann", help="print the generalized Riemann symbol")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
     add_format(sp)
-    sp.set_defaults(fn=cmd_riemann)
+    sp.set_defaults(fn=cmd_riemann, text=_text_riemann)
 
     sp = sub.add_parser("deform", help="generate apparent singularities by differentiation")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
     sp.add_argument("--iterations", type=int, default=1, help="number of stages (default 1)")
     add_format(sp)
-    sp.set_defaults(fn=cmd_deform)
+    sp.set_defaults(fn=cmd_deform, text=_text_deform)
 
     sp = sub.add_parser("undeform", help="remove apparent singularities by inverse differentiation")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
@@ -496,13 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--multiplicities", help="comma-separated multiplicities for the targets")
     sp.add_argument("--max-slack", type=int, default=1, help="extra ansatz degree slack (default 1)")
     add_format(sp)
-    sp.set_defaults(fn=cmd_undeform)
+    sp.set_defaults(fn=cmd_undeform, text=_text_undeform)
 
     sp = sub.add_parser("heun", help="build an equation family instance and analyze it")
-    sp.add_argument("--family", required=True, choices=("general", "multi", "third", "confluent"))
+    sp.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     sp.add_argument("--params", required=True, help="parameter JSON path, or - for stdin")
     add_format(sp)
-    sp.set_defaults(fn=cmd_heun)
+    sp.set_defaults(fn=cmd_heun, text=_text_analysis)
 
     sp = sub.add_parser("polymer", help="solve the coil-stretch spectral problem")
     sp.add_argument("--b", required=True, help="flexibility parameter (rational)")
@@ -519,21 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sweep", help="comma-separated extra W values to sweep")
     sp.add_argument("--csv", help="write (W, nu_1, T_rel) rows to this CSV file")
     add_format(sp)
-    sp.set_defaults(fn=cmd_polymer)
+    sp.set_defaults(fn=cmd_polymer, text=_text_polymer)
     return parser
-
-
-def error_body(code: str, message: str, details: dict) -> dict:
-    return {
-        "schema": APPARENT_SCHEMA,
-        "tool": "apparent",
-        "version": __version__,
-        "error": {
-            "code": code,
-            "message": message,
-            "details": {k: str(v) for k, v in details.items()},
-        },
-    }
 
 
 def run(argv=None) -> int:
@@ -556,7 +498,10 @@ def run(argv=None) -> int:
         else:
             print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    emit(args, rep, _TEXT[args.command])
+    if args.format == "json":
+        print(json.dumps(rep, indent=2))
+    else:
+        args.text(rep)
     return 0
 
 

@@ -46,7 +46,11 @@ class HeunParams:
 
 @dataclass(frozen=True)
 class MultiHeunParams:
-    """m distinct finite regular points and m - 2 accessory locations."""
+    """m distinct finite regular points and m - 2 accessory locations.
+
+    The list lengths are checked here (ValueError); multi_heun checks
+    that there are at least three distinct points.
+    """
 
     zs: tuple[Fraction, ...]
     thetas: tuple[Fraction, ...]
@@ -60,6 +64,15 @@ class MultiHeunParams:
         object.__setattr__(self, "theta_inf", as_fraction(self.theta_inf))
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
         object.__setattr__(self, "qs", tuple(as_fraction(v) for v in self.qs))
+        m = len(self.zs)
+        if len(self.thetas) != m:
+            raise ValueError(
+                f"'thetas' needs one entry per point of 'zs': {m} points, {len(self.thetas)} thetas"
+            )
+        if m >= 3 and len(self.qs) != m - 2:
+            raise ValueError(
+                f"'qs' needs len(zs) - 2 = {m - 2} accessory locations, got {len(self.qs)}"
+            )
 
     @property
     def m(self) -> int:
@@ -144,10 +157,6 @@ def multi_heun(p: MultiHeunParams) -> LinearODE:
         raise DegenerateGeometryError("need at least three finite points", m=m)
     if len(set(p.zs)) != m:
         raise DegenerateGeometryError("finite singular locations must be distinct")
-    if len(p.thetas) != m:
-        raise ValueError("one theta per finite point is required")
-    if len(p.qs) != m - 2:
-        raise ValueError("exactly m - 2 accessory locations are required")
     total = sum(p.thetas, Fraction(0)) + p.theta_inf + p.alpha
     _sum_check(total, Fraction(m - 1))
     p0 = RatPoly.from_roots(p.zs)

@@ -132,28 +132,13 @@ def apparent_location(b, kappa, nu) -> Fraction:
 
 
 def polymer_deformed(p: PolymerParams, nu) -> LinearODE:
-    """Equation for u = w', cleared by (z - q).
+    """Equation for u = w', cleared by (z - q): deform of polymer_ode.
 
-    Built twice: once from the one-step formulas with the logarithmic
-    derivative P_2'/P_2 = 1/(z-q) substituted and cleared, once through
-    the general transform; the two must agree identically.
+    Raises DegenerateApparentPoint where the trailing coefficient is
+    constant, so that there is no q.
     """
-    nu = as_fraction(nu)
-    q = apparent_location(p.b, p.kappa, nu)  # raises when degenerate
-    base = polymer_ode(p, nu)
-    p0, p1, p2 = base.coeffs
-    zq = RatPoly([-q, 1])
-    direct = make_ode(
-        [
-            zq * p0,
-            zq * (p1 + p0.derivative()) - p0,
-            zq * (p2 + p1.derivative()) - p1,
-        ]
-    )
-    general = transform.deform(base).ode
-    if direct != general:
-        raise AssertionError("one-step and general deform paths disagree")
-    return direct
+    apparent_location(p.b, p.kappa, nu)
+    return transform.deform(polymer_ode(p, nu)).ode
 
 
 def _digits(bits: int) -> int:
@@ -410,7 +395,8 @@ def solve_spectrum(
     `count` eigenvalues are returned, ascending.  With auto_retry=True
     a series may grow past series_order up to a hard cap, and past
     precision_bits when cancellation calls for it; with
-    auto_retry=False both are hard limits.
+    auto_retry=False both are hard limits.  A first eigenvalue that is
+    zero as a float raises PrecisionExhausted: T_rel has no value.
     """
     if not nu_min < nu_max:
         raise ValueError("need nu_min < nu_max")
@@ -445,6 +431,12 @@ def solve_spectrum(
             "no sign change of the matching Wronskian in the window",
             nu_min=float(lo),
             nu_max=float(hi),
+        )
+    if eigenvalues[0] == 0:
+        # the branches agree to working precision at nu = 0 (or the root
+        # underflows a float), and T_rel = b tau / nu_1 has no value
+        raise PrecisionExhaustedError(
+            "first eigenvalue indistinguishable from zero", nu=eigenvalues[0], bits=shoot.bits
         )
     warnings = ()
     if len(eigenvalues) < count:

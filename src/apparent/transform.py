@@ -222,6 +222,10 @@ def undeform(
     n = ode.order
     if n < 2:
         raise ValueError("inverse differentiation needs order >= 2")
+    for name, value in (("targets", targets), ("multiplicities", multiplicities)):
+        # a string is iterable too, but "15" is not the list [1, 5]
+        if isinstance(value, str):
+            raise TypeError(f"{name} must be a collection, not the string {value!r}")
     if max_slack < 0:
         raise ValueError(f"max_slack must be at least 0, got {max_slack}")
     if targets is None:

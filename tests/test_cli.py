@@ -133,6 +133,16 @@ def test_polymer_json_and_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_polymer_zero_eigenvalue_is_a_domain_error(capsys):
+    argv = ["polymer", "--b", "1e-400", "--W", "1/4", "--nu-max", "1"]
+    code, rep = run_json(capsys, [*argv, "--format", "json"])
+    assert code == 1
+    assert rep["error"]["code"] == "PrecisionExhausted"
+    assert rep["error"]["details"]["nu"] == "0.0"
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error[PrecisionExhausted]: ")
+
+
 def test_polymer_bad_sweep_literal(capsys):
     assert run(["polymer", "--b", "2", "--W", "1/4", "--sweep", "1/4:1/3"]) == 2
     assert "bad rational" in capsys.readouterr().err

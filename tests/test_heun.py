@@ -81,18 +81,11 @@ def test_multi_heun_validation():
                 zs=(F(0), F(1), F(1)), thetas=(F(1, 3),) * 3, qs=(F(5),), **base
             )
         )
-    with pytest.raises(ValueError):
-        multi_heun(
-            MultiHeunParams(
-                zs=(F(0), F(1), F(2)), thetas=(F(1, 3),) * 2, qs=(F(5),), **base
-            )
-        )
-    with pytest.raises(ValueError):
-        multi_heun(
-            MultiHeunParams(
-                zs=(F(0), F(1), F(2)), thetas=(F(1, 3),) * 3, qs=(F(5), F(6)), **base
-            )
-        )
+    # the count rules belong to the record, so they hold before multi_heun runs
+    with pytest.raises(ValueError, match="'thetas' needs one entry per point of 'zs'"):
+        MultiHeunParams(zs=(F(0), F(1), F(2)), thetas=(F(1, 3),) * 2, qs=(F(5),), **base)
+    with pytest.raises(ValueError, match=r"'qs' needs len\(zs\) - 2 = 1 accessory"):
+        MultiHeunParams(zs=(F(0), F(1), F(2)), thetas=(F(1, 3),) * 3, qs=(F(5), F(6)), **base)
 
 
 def test_multi_heun_reduces_to_general_heun():

@@ -22,7 +22,10 @@ from apparent import (
     solve_spectrum,
     wronskian_mismatch,
 )
-from apparent import polymer
+from apparent import frobenius, polymer
+from apparent.errors import DegenerateApparentPointError
+
+from _polymer_one_step import one_step_deformed
 
 F = Fraction
 
@@ -75,12 +78,57 @@ def test_apparent_location_formula():
 def test_deformed_equation_dual_construction():
     p = PolymerParams(b=F(7), W=F(1, 3))
     nu = F(9, 2)
-    direct = polymer_deformed(p, nu)
-    assert direct == deform(polymer_ode(p, nu)).ode
+    direct = one_step_deformed(p, nu)
+    assert polymer_deformed(p, nu) == direct
     q = apparent_location(p.b, p.kappa, nu)
     verdict = is_apparent(direct, q)
     assert verdict.is_apparent and sorted(verdict.exponents) == [F(0), F(2)]
     assert classify_point(polymer_ode(p, nu), q).kind is PointKind.ORDINARY
+
+
+def test_deformed_equation_needs_an_apparent_point():
+    p = PolymerParams(b=F(7), W=F(1, 3))
+    nu = p.kappa + 2 * p.b * p.kappa  # P_2 is the constant -(nu - kappa)
+    assert polymer_ode(p, nu).coeffs[-1].degree == 0
+    with pytest.raises(DegenerateApparentPointError):
+        polymer_deformed(p, nu)
+
+
+def _series_table(p, nu, at_one, x):
+    """c1, c2, c3 of _Series at this nu, read back from its integer table.
+
+    The table clears P(M) = -sign x c2(M-1), Q(M) = -sign x^2 c3(M-2)
+    and M (M + e1) = sign c1(M) to integers; its last entry is the
+    cleared 1 of M^2, so dividing by it undoes the clearing.
+    """
+    ints = polymer._Series(p.b, p.kappa, at_one, x).ints
+    p0, p0_nu, p1, p2, q0, q0_nu, q1, e1, _one = (F(i, ints[-1]) for i in ints)
+    sign = -p2 / x
+    c1 = sign * RatPoly([0, e1, 1])
+    c2 = RatPoly([p0 + p0_nu * nu, p1, p2]).shifted(1) / p2
+    c3 = RatPoly([q0 + q0_nu * nu, q1]).shifted(2) / q0_nu
+    return c1, c2, c3
+
+
+@pytest.mark.parametrize("b, W", [(F(100), F(1, 4)), (F(7), F(1, 3)), (F(1, 2), F(3, 7))])
+@pytest.mark.parametrize("nu", [F(9, 2), F(-13, 3)])
+@pytest.mark.parametrize("at_one", [False, True])
+def test_series_recurrence_is_the_frobenius_recurrence(b, W, nu, at_one):
+    # the solver's hand-derived three-term recurrence at z = e is the
+    # module recurrence of frobenius: C_j0, C_j0+1, C_j0+2 and no more
+    p = PolymerParams(b=b, W=W)
+    x = F(-1, 3) if at_one else F(1, 3)
+    local = frobenius._LocalData(polymer_ode(p, nu), F(int(at_one)))
+    assert local.cpolys == _series_table(p, nu, at_one, x)
+
+
+def test_eigenvalue_at_zero_is_a_precision_error():
+    # at b = 1e-400 both bounded branches are constant to working
+    # precision at nu = 0, where the raw Wronskian is exactly zero
+    p = PolymerParams(b=F("1e-400"), W=F(1, 4))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        solve_spectrum(p, F(0), F(1))
+    assert info.value.details["nu"] == 0
 
 
 def test_small_parameter_spectrum(small_spectrum):

@@ -6,6 +6,7 @@ import pytest
 from apparent import (
     INFINITY,
     AlreadyIntegratedError,
+    HeunParams,
     NothingToRemoveError,
     NotRemovableError,
     PointKind,
@@ -118,6 +119,34 @@ def test_undeform_reads_an_iterator_of_targets_once():
     assert undeform(res.ode, (t for t in [q]), multiplicities=iter([1])).ode == ode
     with pytest.raises(NothingToRemoveError):
         undeform(res.ode, iter([]))
+
+
+def _readme_heun():
+    # deform makes its accessory root 5 apparent
+    return general_heun(
+        HeunParams(t=F(3), theta1=F(1, 2), theta2=F(1, 3), theta3=F(1, 5),
+                   theta_inf=F(1, 7), alpha=F(173, 210), q=F(5))
+    )
+
+
+def test_undeform_rejects_a_string_of_targets():
+    ode = _readme_heun()
+    deformed = deform(ode).ode
+    with pytest.raises(TypeError, match="targets"):
+        undeform(deformed, "15")
+    with pytest.raises(TypeError, match="targets"):
+        undeform(deformed, "5")
+    assert undeform(deformed, ["5"]).ode == ode
+
+
+def test_undeform_rejects_a_string_of_multiplicities():
+    ode = _readme_heun()
+    deformed = deform(ode).ode
+    with pytest.raises(TypeError, match="multiplicities"):
+        undeform(deformed, multiplicities="12")
+    with pytest.raises(TypeError, match="multiplicities"):
+        undeform(deformed, [F(5)], multiplicities="1")
+    assert undeform(deformed, multiplicities=[1]).ode == ode
 
 
 def test_undeform_integer_gap_without_apparency_fails():
