@@ -11,15 +11,17 @@ errors print an error body on stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 import typing
 from fractions import Fraction
 
+# a subcommand imports the modules that only it runs, so one process
+# compiles or loads no other subcommand's code
 from . import APPARENT_SCHEMA, __version__
 from . import errors as err
-from . import heun, odemodel, polymer, transform
+from . import odemodel
 from .odemodel import INFINITY, LinearODE, make_ode
 from .polyrat import RatPoly
 
@@ -187,6 +189,8 @@ def cmd_riemann(args) -> dict:
 
 
 def cmd_deform(args) -> dict:
+    from . import transform
+
     parse_count(args.iterations, "--iterations")
     ode = parse_ode(read_json_input(args.input))
     chain = transform.deform_iter(ode, args.iterations)
@@ -213,6 +217,8 @@ def cmd_deform(args) -> dict:
 
 
 def cmd_undeform(args) -> dict:
+    from . import transform
+
     targets = None
     if args.targets:
         targets = [parse_frac(t, "--targets") for t in args.targets.split(",")]
@@ -249,21 +255,23 @@ def cmd_undeform(args) -> dict:
     return report("undeform", payload)
 
 
-# family -> (parameter record, constructor); the record's fields are the
-# keys of the parameter file
+# family -> names of its parameter record and constructor in heun; the
+# record's fields are the keys of the parameter file
 _FAMILIES = {
-    "general": (heun.HeunParams, heun.general_heun),
-    "multi": (heun.MultiHeunParams, heun.multi_heun),
-    "third": (heun.ThirdOrderParams, heun.third_order_example),
-    "confluent": (heun.ConfluentHeunParams, heun.confluent_heun),
+    "general": ("HeunParams", "general_heun"),
+    "multi": ("MultiHeunParams", "multi_heun"),
+    "third": ("ThirdOrderParams", "third_order_example"),
+    "confluent": ("ConfluentHeunParams", "confluent_heun"),
 }
 
 
 def cmd_heun(args) -> dict:
+    from . import heun
+
     params = read_json_input(args.params)
     if not isinstance(params, dict):
         raise UsageError("parameter file must hold a JSON object")
-    record, construct = _FAMILIES[args.family]
+    record, construct = (getattr(heun, name) for name in _FAMILIES[args.family])
     fields = typing.get_type_hints(record)
     missing = [n for n in fields if n not in params]
     if missing:
@@ -294,6 +302,10 @@ def parse_positive(text, what: str) -> Fraction:
 
 
 def cmd_polymer(args) -> dict:
+    import csv
+
+    from . import polymer
+
     tau = parse_positive(args.tau, "--tau")
     sweep_ws = (
         [parse_positive(w, "--sweep") for w in args.sweep.split(",")] if args.sweep else None
@@ -506,7 +518,15 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from . import transform
 from .errors import (
     DegenerateApparentPointError,
     NoEigenvalueInWindowError,
@@ -56,6 +55,9 @@ _GUARD_DIGITS = 10
 _TAIL_DIGITS = 20
 _QUIET_TERMS = 8
 _RTOL = Decimal(10) ** -10  # relative bracket width that ends refinement
+_NU_FLOOR = Decimal("1e-6")  # below |nu| = 1e-6 the width is absolute
+# the refinement's absolute resolution: a root closer to 0 is not told from 0
+_NU_RESOLUTION = float(_RTOL * _NU_FLOOR)
 _LOG10_2 = math.log10(2)
 
 
@@ -137,6 +139,8 @@ def polymer_deformed(p: PolymerParams, nu) -> LinearODE:
     Raises DegenerateApparentPoint where the trailing coefficient is
     constant, so that there is no q.
     """
+    from . import transform
+
     apparent_location(p.b, p.kappa, nu)
     return transform.deform(polymer_ode(p, nu)).ode
 
@@ -359,7 +363,7 @@ def _illinois(f, a, fa, b, fb) -> Decimal:
     time, the value kept at the far end is halved, which stops regula
     falsi from stalling on one side.  Stops at relative width 1e-10.
     """
-    while abs(b - a) > _RTOL * max(abs(a + b) / 2, Decimal("1e-6")):
+    while abs(b - a) > _RTOL * max(abs(a + b) / 2, _NU_FLOOR):
         c = b - fb * (b - a) / (fb - fa)
         fc = f(c)
         if fc == 0:
@@ -395,8 +399,9 @@ def solve_spectrum(
     `count` eigenvalues are returned, ascending.  With auto_retry=True
     a series may grow past series_order up to a hard cap, and past
     precision_bits when cancellation calls for it; with
-    auto_retry=False both are hard limits.  A first eigenvalue that is
-    zero as a float raises PrecisionExhausted: T_rel has no value.
+    auto_retry=False both are hard limits.  A first eigenvalue within the
+    refinement's absolute resolution (1e-16) of zero, or one whose T_rel
+    underflows a float, raises PrecisionExhausted: T_rel has no value.
     """
     if not nu_min < nu_max:
         raise ValueError("need nu_min < nu_max")
@@ -432,18 +437,22 @@ def solve_spectrum(
             nu_min=float(lo),
             nu_max=float(hi),
         )
-    if eigenvalues[0] == 0:
-        # the branches agree to working precision at nu = 0 (or the root
-        # underflows a float), and T_rel = b tau / nu_1 has no value
+    nu_1 = eigenvalues[0]
+    if abs(nu_1) < _NU_RESOLUTION:
+        # near nu = 0 the branches can agree to working precision, and
+        # then the raw Wronskian changes sign by rounding alone
         raise PrecisionExhaustedError(
-            "first eigenvalue indistinguishable from zero", nu=eigenvalues[0], bits=shoot.bits
+            "first eigenvalue indistinguishable from zero", nu=nu_1, bits=shoot.bits
         )
+    t_rel = float(p.b * p.tau / Fraction(nu_1))
+    if t_rel == 0:
+        raise PrecisionExhaustedError("T_rel underflows a float", nu=nu_1, bits=shoot.bits)
     warnings = ()
     if len(eigenvalues) < count:
         warnings = (f"requested {count} eigenvalues, found {len(eigenvalues)}",)
     return SpectralResult(
         eigenvalues=tuple(eigenvalues),
-        t_rel=float(p.b * p.tau / Fraction(eigenvalues[0])),
+        t_rel=t_rel,
         wronskian_samples=tuple(samples),
         series_order=shoot.terms,
         precision_bits=shoot.bits,

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -143,6 +144,14 @@ def test_polymer_zero_eigenvalue_is_a_domain_error(capsys):
     assert capsys.readouterr().err.startswith("error[PrecisionExhausted]: ")
 
 
+def test_polymer_rounding_root_at_zero_is_a_domain_error(capsys):
+    argv = ["polymer", "--b", "1e-400", "--W", "1/4", "--nu-min=-1/2", "--nu-max", "1"]
+    code, rep = run_json(capsys, [*argv, "--format", "json"])
+    assert code == 1
+    assert rep["error"]["code"] == "PrecisionExhausted"
+    assert 0 < abs(float(rep["error"]["details"]["nu"])) < 1e-16
+
+
 def test_polymer_bad_sweep_literal(capsys):
     assert run(["polymer", "--b", "2", "--W", "1/4", "--sweep", "1/4:1/3"]) == 2
     assert "bad rational" in capsys.readouterr().err
@@ -155,6 +164,64 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for sub in ("analyze", "riemann", "deform", "undeform", "heun", "polymer"):
         assert sub in proc.stdout
+
+
+def test_closed_stdout_exits_without_traceback(heun_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "apparent.cli", "analyze", str(heun_file), "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+# runs the CLI in a fresh process, then lists the apparent modules it loaded
+MODULE_PROBE = """
+import sys
+from apparent.cli import main
+code = main()
+print(*(m for m in sys.modules if m.startswith("apparent.")), file=sys.stderr)
+sys.exit(code)
+"""
+NEVER_IMPORTED = {
+    "heun": {"polymer", "transform"},
+    "deform": {"polymer", "heun"},
+    "analyze": {"polymer", "heun", "transform"},
+    "riemann": {"polymer", "heun", "transform"},
+    "undeform": {"polymer", "heun"},
+    "deform3": {"polymer", "heun"},
+    "polymer": {"heun", "transform", "frobenius", "_linalg"},
+}
+
+
+def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    params, heun_out, deform_out = (tmp_path / n for n in ("p.json", "heun.json", "deform.json"))
+    params.write_text(json.dumps(HEUN_PARAMS))
+    steps = [
+        ("heun", ["heun", "--family", "general", "--params", str(params)], heun_out),
+        ("deform", ["deform", str(heun_out)], deform_out),
+        ("analyze", ["analyze", str(deform_out)], None),
+        ("riemann", ["riemann", str(deform_out)], None),
+        ("undeform", ["undeform", str(deform_out)], None),
+        ("deform3", ["deform", str(heun_out), "--iterations", "3"], None),
+        ("polymer", ["polymer", "--b", "2", "--W", "1/4", "--nu-min", "7", "--nu-max", "15/2",
+                     "--grid-points", "2", "--precision-bits", "64"], None),
+    ]
+    for name, argv, out in steps:
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULE_PROBE, *argv, "--format", "json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if out is not None:
+            out.write_text(proc.stdout)
+        loaded = {m.removeprefix("apparent.") for m in proc.stderr.split()}
+        assert loaded & NEVER_IMPORTED[name] == set(), name
 
 
 @pytest.mark.parametrize(

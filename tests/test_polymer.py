@@ -131,6 +131,24 @@ def test_eigenvalue_at_zero_is_a_precision_error():
     assert info.value.details["nu"] == 0
 
 
+def test_rounding_root_near_zero_is_a_precision_error():
+    # on a window straddling 0 the same flat branches make the raw
+    # Wronskian change sign by rounding; the root it refines to lies
+    # below the refinement's absolute resolution of 1e-16
+    p = PolymerParams(b=F("1e-400"), W=F(1, 4))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        solve_spectrum(p, F(-1, 2), F(1))
+    assert 0 < abs(info.value.details["nu"]) < 1e-16
+
+
+def test_underflowing_t_rel_is_a_precision_error():
+    p = PolymerParams(b=F("1e-400"), W=F(1, 4))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        solve_spectrum(p, F(1, 2), F(10), grid_points=16)
+    assert info.value.details["nu"] > 1
+    assert info.value.message == "T_rel underflows a float"
+
+
 def test_small_parameter_spectrum(small_spectrum):
     p, res = small_spectrum
     assert res.eigenvalues == pytest.approx((7.157674592, 20.090909620), rel=1e-8)
