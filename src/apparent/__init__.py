@@ -54,79 +54,9 @@ _API = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APPARENT_SCHEMA",
-    "AlreadyIntegratedError",
-    "ApparentError",
-    "ApparentVerdict",
-    "BothZeroError",
-    "ConfluentHeunParams",
-    "DeformResult",
-    "DegenerateApparentPointError",
-    "DegenerateGeometryError",
-    "DegenerateLeadingError",
-    "FrobeniusSolution",
-    "FuchsReport",
-    "FuchsianIdentityError",
-    "HeunParams",
-    "INFINITY",
-    "IndicialExponents",
-    "IrregularPointError",
-    "LinearODE",
-    "MultiHeunParams",
-    "NoEigenvalueInWindowError",
-    "NotAnExponentError",
-    "NotAnODEError",
-    "NotConfluentClassError",
-    "NotFuchsianError",
-    "NothingToRemoveError",
-    "NotRemovableError",
-    "NotSingularError",
-    "PointKind",
-    "PolymerParams",
-    "PrecisionExhaustedError",
-    "RatPoly",
-    "RiemannSymbol",
-    "SingularMoebiusError",
-    "SingularPoint",
-    "SpectralResult",
-    "ThirdOrderParams",
-    "UndeformResult",
-    "ZeroPolynomialError",
-    "apparent_location",
-    "as_fraction",
-    "classify_point",
-    "confluent_heun",
-    "deform",
-    "deform_iter",
-    "eigenfunction_samples",
-    "exact_div",
-    "frobenius_series",
-    "fuchs_check",
-    "general_heun",
-    "indicial_exponents",
-    "indicial_polynomial",
-    "is_apparent",
-    "leading_residual",
-    "make_ode",
-    "moebius_transform",
-    "multi_heun",
-    "poly_derivative",
-    "poly_gcd",
-    "polymer_deformed",
-    "polymer_ode",
-    "radical",
-    "rational_roots",
-    "riemann_symbol",
-    "singular_points",
-    "solve_spectrum",
-    "substitution_rows",
-    "third_order_example",
-    "undeform",
-    "wronskian_mismatch",
-]
-
 APPARENT_SCHEMA = "apparent/v1"
+
+__all__ = ["APPARENT_SCHEMA", *(name for names in _API.values() for name in names)]
 
 
 def _load_api() -> None:

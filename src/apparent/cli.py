@@ -85,8 +85,12 @@ def parse_ode(obj) -> LinearODE:
 
 def read_json_input(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)

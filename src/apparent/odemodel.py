@@ -106,8 +106,9 @@ class SingularPoint:
 
     exponents are present exactly for the regular-singular and apparent
     kinds.  residual is the monic non-rational factor of the indicial
-    polynomial when some exponents are irrational (exponents then lists
-    only the rational ones and the point is flagged incomplete).
+    polynomial when some exponents are irrational: exponents then lists
+    only the rational ones, and the residual holds the non-rational
+    factor.
     """
 
     location: Fraction | _InfinityType

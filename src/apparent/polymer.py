@@ -59,6 +59,8 @@ _NU_FLOOR = Decimal("1e-6")  # below |nu| = 1e-6 the width is absolute
 # the refinement's absolute resolution: a root closer to 0 is not told from 0
 _NU_RESOLUTION = float(_RTOL * _NU_FLOOR)
 _LOG10_2 = math.log10(2)
+# where the bounded-at-0 and bounded-at-1 branches are compared
+_Z_MATCH = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -319,14 +321,11 @@ class _Series:
 class _Shooting:
     """Mismatch evaluations of one problem, and the work they took."""
 
-    def __init__(self, p: PolymerParams, matching_point, cap: int, bits: int, grow: bool):
-        self.z_match = as_fraction(matching_point)
-        if not 0 < self.z_match < 1:
-            raise ValueError(f"matching_point must lie inside (0, 1), got {matching_point}")
+    def __init__(self, p: PolymerParams, cap: int, bits: int, grow: bool):
         # bounded at 0 and bounded at 1, both summed at the matching point
         self.series = (
-            _Series(p.b, p.kappa, False, self.z_match),
-            _Series(p.b, p.kappa, True, self.z_match - 1),
+            _Series(p.b, p.kappa, False, _Z_MATCH),
+            _Series(p.b, p.kappa, True, _Z_MATCH - 1),
         )
         self.cap, self.grow = cap, grow
         self.bits = max(bits, 64)
@@ -385,15 +384,14 @@ def solve_spectrum(
     precision_bits: int = 256,
     series_order: int = 200,
     grid_points: int = 64,
-    matching_point=Fraction(1, 2),
     auto_retry: bool = True,
 ) -> SpectralResult:
     """Scan [nu_min, nu_max] for eigenvalues of the bounded problem.
 
     The mismatch D(nu) (Wronskian of the bounded-at-0 and bounded-at-1
-    branches at the matching point) is sampled on a uniform grid from
-    nu_min upward until `count` sign changes are bracketed; each is
-    refined by the Illinois method on the raw Wronskian (its
+    branches at the matching point z = 1/2) is sampled on a uniform
+    grid from nu_min upward until `count` sign changes are bracketed;
+    each is refined by the Illinois method on the raw Wronskian (its
     normalizer is positive, so the brackets are the same) to relative
     width 1e-10.  wronskian_samples hold the normalized value.  Up to
     `count` eigenvalues are returned, ascending.  With auto_retry=True
@@ -410,7 +408,7 @@ def solve_spectrum(
     if grid_points < 2:
         raise ValueError("need at least two grid points")
     lo, hi = as_fraction(nu_min), as_fraction(nu_max)
-    shoot = _Shooting(p, matching_point, series_order, precision_bits, auto_retry)
+    shoot = _Shooting(p, series_order, precision_bits, auto_retry)
     samples: list[tuple[float, float]] = []
     eigenvalues: list[float] = []
     with localcontext() as ctx:
@@ -467,14 +465,13 @@ def wronskian_mismatch(
     *,
     precision_bits: int = 256,
     series_order: int = 400,
-    matching_point=Fraction(1, 2),
 ) -> float:
     """Normalized eigencondition value at one nu (diagnostic).
 
     series_order caps the terms of each branch and precision_bits is
     fixed; PrecisionExhausted is raised when either falls short.
     """
-    return _Shooting(p, matching_point, series_order, precision_bits, False).wronskian(nu)[1]
+    return _Shooting(p, series_order, precision_bits, False).wronskian(nu)[1]
 
 
 def eigenfunction_samples(
@@ -484,18 +481,17 @@ def eigenfunction_samples(
     *,
     precision_bits: int = 256,
     series_order: int = 400,
-    matching_point=Fraction(1, 2),
 ):
     """Matched eigenfunction samples (z, w, w', w'') at points of (0, 1).
 
-    Points at or left of the matching point use the bounded-at-0
-    branch; points right of it use the bounded-at-1 branch scaled so
-    the two values agree at the matching point.  At an eigenvalue the
+    Points at or left of the matching point z = 1/2 use the
+    bounded-at-0 branch; points right of it use the bounded-at-1 branch
+    scaled so the two values agree at the matching point.  At an eigenvalue the
     derivative then glues as well, up to the residual mismatch.
     series_order caps the terms of each branch, as in
     wronskian_mismatch.  Returns a list of float tuples.
     """
-    shoot = _Shooting(p, matching_point, series_order, precision_bits, False)
+    shoot = _Shooting(p, series_order, precision_bits, False)
     left, right = shoot.branches(nu)
     if right.w == 0:
         raise ZeroDivisionError("bounded-at-1 branch vanishes at the matching point")
@@ -505,7 +501,7 @@ def eigenfunction_samples(
         z = _exact(z_raw)
         if not 0 < z < 1:
             raise ValueError("sample points must lie strictly inside (0, 1)")
-        at_one = z > shoot.z_match
+        at_one = z > _Z_MATCH
         series = _Series(p.b, p.kappa, at_one, z - 1 if at_one else z)
         br = series.branch(nu, series_order, shoot.bits, False)
         scale = ratio if at_one else 1

@@ -104,6 +104,22 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run(["analyze", str(bad), "--format", "json"]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "sub", [["analyze"], ["heun", "--family", "general", "--params"]], ids=["analyze", "heun"]
+)
+def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys, sub, fmt):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert run([*sub, str(bad), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert f"cannot read {bad}" in err and "Traceback" not in err
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "Usage"
+    else:
+        assert out == ""
+
+
 def test_domain_error_reports_code(tmp_path, capsys):
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps({"coeffs": [["1"], ["1"], ["0"]]}))
@@ -356,6 +372,15 @@ def test_riemann_lists_apparent_point_at_infinity(tmp_path, capsys):
     code, rep = run_json(capsys, ["riemann", str(path), "--format", "json"])
     assert code == 0
     assert {"location": "inf", "role": "apparent"} in rep["extra"]
+
+
+def test_riemann_of_irrational_singular_points_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "irrational.json"
+    path.write_text(json.dumps({"coeffs": [["-2", "0", "1"], ["0"], ["1"]]}))
+    code, rep = run_json(capsys, ["riemann", str(path), "--format", "json"])
+    assert code == 1
+    assert rep["error"]["code"] == "NotFuchsian"
+    assert rep["error"]["details"] == {"unresolved_factor": "z^2 - 2"}
 
 
 def test_help_lists_every_domain_error_code(capsys):

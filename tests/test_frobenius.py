@@ -7,6 +7,7 @@ from apparent import (
     INFINITY,
     ConfluentHeunParams,
     HeunParams,
+    IrregularPointError,
     NotSingularError,
     PointKind,
     RatPoly,
@@ -159,3 +160,16 @@ def test_wide_gap_points_are_decided_by_the_recurrence():
     ode = make_ode([RatPoly([1, 0, 1]), RatPoly([3, 1]), RatPoly([-2, 1]) ** 60])
     v = is_apparent(deform(ode).ode, F(2))
     assert v.is_apparent and v.exponents == (F(0), F(61)) and v.holomorphic_dim == 2
+
+
+@pytest.mark.parametrize("local", [indicial_polynomial, indicial_exponents, is_apparent])
+def test_local_data_at_an_irregular_point_raises(local):
+    ode = confluent_heun(ConfluentHeunParams(p0=[0, 0, 1], p1=[1, 0, 1], alpha=1, q=2))
+    with pytest.raises(IrregularPointError):
+        local(ode, INFINITY)
+
+
+def test_frobenius_series_at_an_irregular_point_raises():
+    # z^3 w'' + w = 0: z = 0 is irregular
+    with pytest.raises(IrregularPointError):
+        frobenius_series(make_ode([[0, 0, 0, 1], [0], [1]]), 0, 0, 4)

@@ -5,12 +5,15 @@ import pytest
 
 from apparent import (
     INFINITY,
+    ConfluentHeunParams,
     DegenerateLeadingError,
     HeunParams,
     NotAnODEError,
+    NotFuchsianError,
     PointKind,
     RatPoly,
     SingularMoebiusError,
+    confluent_heun,
     deform,
     fuchs_check,
     general_heun,
@@ -145,3 +148,16 @@ def test_fuchs_sum_shifts_by_two_under_deform():
     assert report.is_fuchsian and report.identity_holds
     assert report.num_singular == 5
     assert report.exponent_sum == 3
+
+
+def test_riemann_symbol_of_an_irregular_equation_raises():
+    ode = confluent_heun(ConfluentHeunParams(p0=[0, 0, 1], p1=[1, 0, 1], alpha=1, q=2))
+    with pytest.raises(NotFuchsianError):
+        riemann_symbol(ode)
+
+
+def test_riemann_symbol_with_irrational_singular_points_raises():
+    # (z^2 - 2) w'' + w = 0: the singular points are +-sqrt(2)
+    with pytest.raises(NotFuchsianError) as info:
+        riemann_symbol(make_ode([[-2, 0, 1], [0], [1]]))
+    assert info.value.details == {"unresolved_factor": "z^2 - 2"}

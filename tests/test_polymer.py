@@ -214,33 +214,22 @@ def test_empty_window_raises():
 
 
 def test_precision_guard_trips_near_far_matching_point():
+    # the z = 1 branch cancels by 21 digits at the matching point,
+    # which leaves fewer than 20 of the digits 64 bits carry
     p = PolymerParams(b=F(100), W=F(1, 4))
-    with pytest.raises(PrecisionExhaustedError):
-        wronskian_mismatch(
-            p, F(40), precision_bits=64, series_order=60, matching_point=F(19, 20)
-        )
-
-
-@pytest.mark.parametrize("z_match", [F(0), F(1), F(3, 2), F(-1, 2)])
-def test_matching_point_outside_the_interval_is_rejected(z_match):
-    p = PolymerParams(b=F(2), W=F(1, 4))
-    with pytest.raises(ValueError, match="matching_point"):
-        solve_spectrum(p, F(5), F(10), matching_point=z_match)
-    with pytest.raises(ValueError, match="matching_point"):
-        wronskian_mismatch(p, F(7), matching_point=z_match)
-    with pytest.raises(ValueError, match="matching_point"):
-        eigenfunction_samples(p, F(7), [F(1, 4)], matching_point=z_match)
+    with pytest.raises(PrecisionExhaustedError) as info:
+        wronskian_mismatch(p, F(40), precision_bits=64, series_order=400)
+    assert info.value.details == {"order": 113, "bits": 64, "endpoint": 1, "lost_digits": 21}
 
 
 def test_truncated_series_is_never_returned():
-    # 120 terms stop the z = 1 branch (offset -4/5) long before its tail
+    # 120 terms stop the z = 0 branch long before its tail
     p = PolymerParams(b=F(100), W=F(7, 20))
-    kwargs = dict(precision_bits=384, matching_point=F(1, 5))
-    converged = wronskian_mismatch(p, 1, series_order=3000, **kwargs)
-    assert converged == pytest.approx(-0.007434053587777523, abs=1e-12)
+    converged = wronskian_mismatch(p, 1, precision_bits=384, series_order=3000)
+    assert converged == pytest.approx(-0.002082941385333481, abs=1e-12)
     with pytest.raises(PrecisionExhaustedError) as info:
-        wronskian_mismatch(p, 1, series_order=120, **kwargs)
-    assert info.value.details == {"order": 120, "bits": 384, "endpoint": 1}
+        wronskian_mismatch(p, 1, precision_bits=384, series_order=120)
+    assert info.value.details == {"order": 120, "bits": 384, "endpoint": 0}
 
 
 def test_exhausted_error_reports_what_was_tried():
