@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import typing
 from fractions import Fraction
@@ -39,9 +40,27 @@ def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+# A decimal exponent stands for digits the input does not spell out, so
+# its magnitude is bounded: a parsed rational has at most _MAX_EXPONENT
+# digits more than its text.
+_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _rational(text) -> Fraction:
+    """Fraction(str(text)); ValueError for an exponent beyond _MAX_EXPONENT."""
+    text = str(text)
+    exp = _EXPONENT.search(text)
+    digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+    # lengths first: converting a long digit string is itself slow
+    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in {text!r}")
+    return Fraction(text)
+
+
 def parse_frac(text, what: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational for {what}: {text!r}") from exc
 
@@ -77,7 +96,7 @@ def parse_ode(obj) -> LinearODE:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise UsageError('"coeffs" must be a list of coefficient lists')
     try:
-        polys = [RatPoly([Fraction(str(c)) for c in row]) for row in rows]
+        polys = [RatPoly([_rational(c) for c in row]) for row in rows]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad coefficient: {exc}") from exc
     return make_ode(polys)
@@ -197,27 +216,18 @@ def cmd_deform(args) -> dict:
 
     parse_count(args.iterations, "--iterations")
     ode = parse_ode(read_json_input(args.input))
-    chain = transform.deform_iter(ode, args.iterations)
-    stages = []
-    for res in chain:
-        stages.append(
-            {
-                "ode": ode_json(res.ode),
-                "new_apparent": [
-                    {"location": frac_str(loc), "expected_gap": gap}
-                    for loc, gap in res.new_apparent
-                ],
-                "clearing_factor": poly_json(res.clearing_factor),
-            }
-        )
-    payload = {
-        "input": ode_json(ode),
-        "stages": stages,
-        "ode": stages[-1]["ode"],
-        "new_apparent": stages[-1]["new_apparent"],
-        "clearing_factor": stages[-1]["clearing_factor"],
-    }
-    return report("deform", payload)
+    stages = [
+        {
+            "ode": ode_json(res.ode),
+            "new_apparent": [
+                {"location": frac_str(loc), "expected_gap": gap} for loc, gap in res.new_apparent
+            ],
+            "clearing_factor": poly_json(res.clearing_factor),
+        }
+        for res in transform.deform_iter(ode, args.iterations)
+    ]
+    # the last stage's fields repeat at the top level
+    return report("deform", {"input": ode_json(ode), "stages": stages, **stages[-1]})
 
 
 def cmd_undeform(args) -> dict:
@@ -495,7 +505,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse arguments, execute, print a report; returns the exit code."""
+    """Parse arguments, execute, print a report; returns the exit code.
+
+    Python's int/str digit limit is lifted for the call, so exact
+    results of any size print in full, and restored on return.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -32,8 +32,6 @@ from .polyrat import (
     RatPoly,
     _int_divexact,
     _int_gcd,
-    _list_addmul,
-    _list_mul,
     _scaled,
     as_fraction,
     rational_roots,
@@ -172,19 +170,30 @@ class FuchsReport:
     exponent_sum is the sum of all characteristic exponents over the s
     singular points (infinity included when singular), computed from the
     indicial polynomials by Vieta so irrational exponents contribute
-    exactly.  expected_sum = (s-2) n(n-1)/2.  complete is False when
-    P_0 has a non-rational factor whose roots could not be enumerated;
-    the report then covers only the enumerated points.
+    exactly; expected_sum = (s-2) n(n-1)/2.  Both are None unless the
+    equation is Fuchsian.  unresolved_factor is the non-rational factor
+    of P_0 when its roots could not be enumerated; the report then
+    covers only the enumerated points.  num_singular, complete and
+    identity_holds are derived from these fields.
     """
 
     is_fuchsian: bool
     points: tuple[SingularPoint, ...]
-    num_singular: int
     exponent_sum: Fraction | None
     expected_sum: Fraction | None
-    identity_holds: bool
     unresolved_factor: RatPoly | None
-    complete: bool
+
+    @property
+    def num_singular(self) -> int:
+        return len(self.points)
+
+    @property
+    def complete(self) -> bool:
+        return self.unresolved_factor is None
+
+    @property
+    def identity_holds(self) -> bool:
+        return self.exponent_sum is not None and self.exponent_sum == self.expected_sum
 
 
 def make_ode(coeffs) -> LinearODE:
@@ -252,72 +261,57 @@ def leading_residual(ode: LinearODE) -> RatPoly:
 def moebius_transform(ode: LinearODE, m) -> LinearODE:
     """Change of variable z = (a zeta + b)/(c zeta + d), ad - bc != 0.
 
-    With r(zeta) = (c zeta + d)^2 / (ad - bc) the derivative transforms
-    as d/dz = r d/dzeta, so the operator pulls back through the
-    expansion (r d/dzeta)^m = sum_j c_{m,j} d^j/dzeta^j with polynomial
-    c_{m,j} given by c_{m,j} = r (c_{m-1,j-1} + c_{m-1,j}').  Composed
-    coefficients P_k(z(zeta)) are cleared of their (c zeta + d) powers,
-    and the result is canonicalized.
-
-    The work is done on integer coefficient lists, skipping zero
-    entries.  The matrix is projective, so it is scaled to integers;
-    the rows use (c zeta + d)^2 in place of r, which multiplies c_{m,j}
-    by det^m, and the composed P_k carry det^k to balance it, so every
-    new coefficient gains the same factor det^n.  The equation is
-    scaled to integer coefficients too.  make_ode removes both
-    constants, so the canonical result is the same as over Q.
+    With c = 0 the map is z = b/d + (a/d) zeta, else it is
+    z = a/c + mu/(zeta + d/c) with mu = -(ad - bc)/c^2, so it is composed
+    of Taylor shifts (RatPoly.shifted), a scaling and the Lah-number
+    inversion, each skipped when it is the identity: z = 1/zeta is the
+    inversion alone.  make_ode canonicalizes the result.
     """
-    entries = [as_fraction(v) for v in m]
-    scale = math.lcm(*[v.denominator for v in entries])
-    a, b, c, d = (int(v * scale) for v in entries)
+    a, b, c, d = (as_fraction(v) for v in m)
     det = a * d - b * c
     if det == 0:
         raise SingularMoebiusError("Moebius matrix has zero determinant")
-    n = ode.order
-    num = [b, a] if a else [b]
-    den = [d, c] if c else [d]
-    r = _list_mul(den, den)
+    if c == 0:
+        return make_ode(_rescaled(_translated(ode.coeffs, b / d), a / d))
+    polys = _rescaled(_translated(ode.coeffs, a / c), -det / (c * c))
+    return make_ode(_translated(_inverted(polys), d / c))
 
-    # rows[m][j] = det^m c_{m,j}; row 0 is the identity operator
-    rows = [[[1]]]
-    for _ in range(n):
-        prev = rows[-1]
-        cur = []
-        for j in range(len(prev) + 1):
-            acc = list(prev[j - 1]) if j >= 1 else []
-            if j < len(prev):
-                _list_addmul(acc, 1, [i * v for i, v in enumerate(prev[j])][1:])
-            cur.append(_list_mul(r, acc))
-        rows.append(cur)
 
-    # P_k(z(zeta)) * den^D is polynomial for D = max deg P_k
-    big_d = max(p.degree for p in ode.coeffs if not p.is_zero)
-    num_pows = [[1]]
-    den_pows = [[1]]
-    for _ in range(big_d):
-        num_pows.append(_list_mul(num_pows[-1], num))
-        den_pows.append(_list_mul(den_pows[-1], den))
-    basis = [_list_mul(num_pows[i], den_pows[big_d - i]) for i in range(big_d + 1)]
-    common = math.lcm(*[x.denominator for p in ode.coeffs for x in p.coeffs])
+def _translated(polys, shift: Fraction):
+    """Pullback z = y + shift: each P_k(y + shift)."""
+    return polys if shift == 0 else [p.shifted(shift) for p in polys]
 
-    composed = []
-    det_k = 1
-    for p in ode.coeffs:
-        acc = []
-        for i, x in enumerate(p.coeffs):
-            if x:
-                _list_addmul(acc, det_k * x.numerator * (common // x.denominator), basis[i])
-        composed.append(acc)
-        det_k *= det
-    new_coeffs = []
-    for j in range(n, -1, -1):
-        acc = []
-        for k in range(n + 1):
-            row = rows[n - k]
-            if j < len(row) and composed[k]:
-                _list_addmul(acc, 1, _list_mul(composed[k], row[j]))
-        new_coeffs.append(acc)
-    return make_ode(new_coeffs)
+
+def _rescaled(polys, mu: Fraction):
+    """Pullback z = mu y: d/dz = d/dy / mu, so P_k becomes P_k(mu y) mu^-(n-k)."""
+    n = len(polys) - 1
+    return polys if mu == 1 else [
+        RatPoly([x * mu ** (i + k - n) for i, x in enumerate(p.coeffs)])
+        for k, p in enumerate(polys)
+    ]
+
+
+def _inverted(polys) -> list[RatPoly]:
+    """Pullback z = 1/zeta on the equation scaled to integer coefficients.
+
+    d/dz = -zeta^2 d/dzeta, and (zeta^2 d/dzeta)^m = sum_{j=1..m} L(m, j)
+    zeta^(m+j) d^j/dzeta^j with the unsigned Lah numbers
+    L(m, j) = C(m-1, j-1) m!/j!; zeta^D P_k(1/zeta), D = max deg P_k, is
+    the reversed coefficient list of P_k padded to degree D.
+    """
+    n = len(polys) - 1
+    big_d = max(p.degree for p in polys)
+    common = math.lcm(*[x.denominator for p in polys for x in p.coeffs])
+    out = [[0] * (big_d + n + j + 1) for j in range(n, -1, -1)]  # out[n - j]: d^j/dzeta^j
+    for k, p in enumerate(polys):
+        m = n - k
+        rev = [x.numerator * (common // x.denominator) for x in reversed(p.coeffs)]
+        for j in range(min(m, 1), m + 1):
+            lah = (-1) ** m * math.comb(m - 1, j - 1) * math.perm(m, m - j) if m else 1
+            acc = out[n - j]
+            for i, y in enumerate(rev, m + j + big_d - p.degree):
+                acc[i] += lah * y
+    return [RatPoly(acc) for acc in out]
 
 
 def singular_points(ode: LinearODE) -> list[SingularPoint]:
@@ -329,23 +323,17 @@ def singular_points(ode: LinearODE) -> list[SingularPoint]:
     """
     from . import frobenius
 
-    out = []
-    for r, _m in _leading_roots(ode)[0]:
-        sp = frobenius.classify_point(ode, r)
-        if sp.kind is not PointKind.ORDINARY:
-            out.append(sp)
-    sp_inf = frobenius.classify_point(ode, INFINITY)
-    if sp_inf.kind is not PointKind.ORDINARY:
-        out.append(sp_inf)
-    return out
+    locations = [r for r, _m in _leading_roots(ode)[0]] + [INFINITY]
+    points = [frobenius.classify_point(ode, x) for x in locations]
+    return [sp for sp in points if sp.kind is not PointKind.ORDINARY]
 
 
 def _exponent_sum_at(ode: LinearODE, location) -> Fraction:
-    """Sum of the n indicial roots at a regular point, by Vieta."""
+    """Sum of the n indicial roots at a regular point, by Vieta (degree n >= 1)."""
     from . import frobenius
 
     ind = frobenius.indicial_polynomial(ode, location)
-    return -ind.coeffs[-2] / ind.coeffs[-1] if ind.degree >= 1 else Fraction(0)
+    return -ind.coeffs[-2] / ind.coeffs[-1]
 
 
 def fuchs_check(ode: LinearODE) -> FuchsReport:
@@ -359,37 +347,16 @@ def fuchs_check(ode: LinearODE) -> FuchsReport:
     """
     points = tuple(singular_points(ode))
     residual = leading_residual(ode)
-    complete = residual.degree <= 0
-    is_fuchsian = complete and all(
+    unresolved = residual if residual.degree > 0 else None
+    is_fuchsian = unresolved is None and all(
         p.kind in (PointKind.REGULAR, PointKind.APPARENT) for p in points
     )
-    n = ode.order
-    s = len(points)
-    if not is_fuchsian:
-        return FuchsReport(
-            is_fuchsian=False,
-            points=points,
-            num_singular=s,
-            exponent_sum=None,
-            expected_sum=None,
-            identity_holds=False,
-            unresolved_factor=None if complete else residual,
-            complete=complete,
-        )
-    total = Fraction(0)
-    for p in points:
-        total += _exponent_sum_at(ode, p.location)
-    expected = Fraction((s - 2) * n * (n - 1), 2)
-    return FuchsReport(
-        is_fuchsian=True,
-        points=points,
-        num_singular=s,
-        exponent_sum=total,
-        expected_sum=expected,
-        identity_holds=total == expected,
-        unresolved_factor=None,
-        complete=True,
-    )
+    total = expected = None
+    if is_fuchsian:
+        n = ode.order
+        total = sum((_exponent_sum_at(ode, p.location) for p in points), Fraction(0))
+        expected = Fraction((len(points) - 2) * n * (n - 1), 2)
+    return FuchsReport(is_fuchsian, points, total, expected, unresolved)
 
 
 def riemann_symbol(ode: LinearODE) -> RiemannSymbol:

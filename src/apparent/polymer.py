@@ -489,12 +489,16 @@ def eigenfunction_samples(
     scaled so the two values agree at the matching point.  At an eigenvalue the
     derivative then glues as well, up to the residual mismatch.
     series_order caps the terms of each branch, as in
-    wronskian_mismatch.  Returns a list of float tuples.
+    wronskian_mismatch.  Returns a list of float tuples.  When the
+    bounded-at-1 branch is zero at z = 1/2 no scale glues the two, and
+    PrecisionExhausted is raised naming nu and the bits used.
     """
     shoot = _Shooting(p, series_order, precision_bits, False)
     left, right = shoot.branches(nu)
     if right.w == 0:
-        raise ZeroDivisionError("bounded-at-1 branch vanishes at the matching point")
+        raise PrecisionExhaustedError(
+            "bounded-at-1 branch vanishes at the matching point", nu=nu, bits=shoot.bits
+        )
     ratio = left.values()[0] / right.values()[0]
     out = []
     for z_raw in zs:

@@ -1,8 +1,10 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -118,6 +120,67 @@ def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys, sub, fmt):
         assert json.loads(out)["error"]["code"] == "Usage"
     else:
         assert out == ""
+
+
+# each prints exact integers past Python's default 4,300-digit limit
+BIG_INPUTS = {
+    # deform multiplies a 2,500-digit coefficient into larger ones
+    "deform": '{"coeffs": [["1", "0", "1"], ["3", "1"], ["' + "7" * 2500 + '", "3", "5"]]}',
+    # a coefficient written as a bare JSON integer of 5,000 digits
+    "analyze": '{"coeffs": [["1", "1"], [' + "9" * 5000 + '], ["1"]]}',
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("sub", sorted(BIG_INPUTS))
+def test_results_of_any_size_print_in_full(tmp_path, capsys, sub, fmt):
+    path = tmp_path / "big.json"
+    path.write_text(BIG_INPUTS[sub])
+    limit = sys.get_int_max_str_digits()
+    assert run([sub, str(path), "--format", fmt]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    assert max(len(m) for m in re.findall(r"\d+", out)) >= 5000
+    if fmt == "json":
+        assert json.loads(out)["command"] == sub
+
+
+def test_a_long_string_coefficient_is_analysed(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"coeffs": [["1", "1"], ["9" * 5000], ["1"]]}))
+    code, rep = run_json(capsys, ["analyze", str(path), "--format", "json"])
+    assert code == 0
+    assert rep["ode"]["coeffs"][1] == ["9" * 5000]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_exponent_beyond_the_bound_is_usage_error(tmp_path, capsys, fmt):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"coeffs": [["1", "1"], ["1e2000000"], ["1"]]}))
+    start = time.perf_counter()
+    assert run(["analyze", str(path), "--format", fmt]) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert "decimal exponent beyond 1000" in err
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "Usage"
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "literal, code",
+    [("1e1000", 0), ("-25E-1_000", 0), ("1e0001000", 0), ("1e1001", 2), ("1.5e+99999", 2)],
+)
+def test_exponent_bound_is_inclusive(tmp_path, capsys, literal, code):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"coeffs": [["1", "1"], [literal], ["1"]]}))
+    assert run(["analyze", str(path), "--format", "json"]) == code
+    capsys.readouterr()
+    if code == 2:
+        # the same bound holds for option values, before any solving
+        code, rep = run_json(capsys, ["polymer", "--b", literal, "--W", "1/4", "--format", "json"])
+        assert code == 2 and "--b" in rep["error"]["message"]
 
 
 def test_domain_error_reports_code(tmp_path, capsys):

@@ -3,7 +3,8 @@
 ``golden_local.json`` holds, for a fixed set of generated equations (two
 draws of each of the four families, plus one ``deform`` of each), the
 indicial polynomial and classification of every rational root of P_0
-and of infinity, the Riemann symbol of the Fuchsian ones, the pullback
+and of infinity, every attribute of the ``fuchs_check`` report, the
+Riemann symbol of the Fuchsian ones, the pullback
 z = 1/zeta and ``undeform`` of the deformed ones: every antecedent, the
 count of free parameters and the removed points, or the error it raises
 (also with the first stage's points as explicit targets on the second
@@ -30,6 +31,7 @@ from apparent import (
     classify_point,
     confluent_heun,
     deform_iter,
+    fuchs_check,
     general_heun,
     indicial_polynomial,
     make_ode,
@@ -89,11 +91,23 @@ def symbol_dump(ode):
     }
 
 
+FUCHS_FIELDS = (
+    "is_fuchsian", "points", "num_singular", "exponent_sum", "expected_sum",
+    "identity_holds", "unresolved_factor", "complete",
+)
+
+
+def fuchs_dump(ode):
+    rep = fuchs_check(ode)
+    return {name: str(getattr(rep, name)) for name in FUCHS_FIELDS}
+
+
 def equation_dump(ode, fuchsian):
     points = [r for r, _m in rational_roots(ode.leading)[0]] + [INFINITY]
     return {
         "ode": ode_dump(ode),
         "points": [point_dump(ode, p) for p in points],
+        "fuchs": fuchs_dump(ode),
         "riemann": symbol_dump(ode) if fuchsian else None,
         "at_infinity": ode_dump(moebius_transform(ode, (0, 1, 1, 0))),
     }

@@ -1,15 +1,17 @@
 """The integer kernels under local analysis agree with rational arithmetic.
 
-RatPoly.shifted, the Stirling table behind the indicial tables and the
-Moebius pullback all work on integer coefficient lists; these properties
-pin them to plain RatPoly references and to the group law of Moebius
-maps.
+RatPoly.shifted and the Stirling table behind the indicial tables work
+on integer coefficient lists; these properties pin them to plain RatPoly
+references.  The Moebius pullback is composed from Taylor shifts, a
+scaling and the Lah-number inversion; it is pinned to the group law of
+Moebius maps and to the former power-basis expansion kept in
+``_moebius_reference.py``, on matrices with each entry zero in turn.
 """
 
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apparent import (
@@ -24,6 +26,7 @@ from apparent import (
 from apparent.frobenius import _stirling_rows
 
 from _gen import confluent_params, heun_params, multi_params, third_params
+from _moebius_reference import reference_moebius
 
 big = st.integers(-(2**64), 2**64)
 rationals = st.builds(F, big, st.integers(1, 2**64))
@@ -105,3 +108,26 @@ def test_moebius_composes_and_inverts(ode, m1, m2):
     once = moebius_transform(ode, m1)
     assert moebius_transform(once, m2) == moebius_transform(ode, compose(m1, m2))
     assert moebius_transform(once, (d, -b, -c, a)) == ode
+
+
+@st.composite
+def matrices_with_a_zero(draw):
+    """Invertible matrices; in most draws one chosen entry is zero."""
+    m = list(draw(st.tuples(small, small, small, small)))
+    zero = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    if zero is not None:
+        m[zero] = F(0)
+    assume(m[0] * m[3] != m[1] * m[2])
+    return tuple(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(equations(), matrices_with_a_zero())
+@example(general_heun(heun_params(random.Random(5))), (0, 1, 1, 0))
+@example(general_heun(heun_params(random.Random(5))), (F(3, 2), 0, 0, F(-1, 3)))
+def test_moebius_matches_power_basis_reference(ode, m):
+    got = moebius_transform(ode, m)
+    want = reference_moebius(ode, m)
+    assert got.coeffs == want.coeffs
+    assert got.degree_convention == want.degree_convention
+    assert all(type(c) is F for p in got.coeffs for c in p.coeffs)

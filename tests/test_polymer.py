@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -147,6 +148,20 @@ def test_underflowing_t_rel_is_a_precision_error():
         solve_spectrum(p, F(1, 2), F(10), grid_points=16)
     assert info.value.details["nu"] > 1
     assert info.value.message == "T_rel underflows a float"
+
+
+def test_vanishing_branch_at_the_matching_point_is_a_precision_error(monkeypatch):
+    branch = polymer._Series.branch
+
+    def zero_at_one(self, nu, cap, bits, grow):
+        br = branch(self, nu, cap, bits, grow)
+        return dataclasses.replace(br, w=0) if self.endpoint == 1 else br
+
+    monkeypatch.setattr(polymer._Series, "branch", zero_at_one)
+    p = PolymerParams(b=F(2), W=F(1, 4))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        eigenfunction_samples(p, F(7), [F(1, 4)], precision_bits=96, series_order=100)
+    assert info.value.details == {"nu": F(7), "bits": 96}
 
 
 def test_small_parameter_spectrum(small_spectrum):
