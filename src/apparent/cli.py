@@ -113,7 +113,9 @@ def read_json_input(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError; nesting past the decoder's depth
+    # raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -121,7 +123,7 @@ def point_json(sp) -> dict:
     out = {"location": location_str(sp.location), "kind": str(sp.kind)}
     if sp.exponents is not None:
         out["exponents"] = [frac_str(e) for e in sp.exponents]
-    if sp.residual is not None and sp.residual.degree > 0:
+    if sp.residual is not None:
         out["exponent_residual"] = poly_json(sp.residual)
     return out
 
@@ -373,23 +375,17 @@ def cmd_polymer(args) -> dict:
             "wronskian_samples": [list(s) for s in res_main.wronskian_samples],
         },
     }
-    rows = [(p_main.W, res_main.eigenvalues[0], res_main.t_rel)]
+    solved = [(w_main, res_main)] + [(w, solve_for(w)[1]) for w in sweep_ws or ()]
     if sweep_ws:
-        sweep_out = []
-        for w_value in sweep_ws:
-            p_s, res_s = solve_for(w_value)
-            sweep_out.append(
-                {"W": frac_str(w_value), "nu_1": res_s.eigenvalues[0], "T_rel": res_s.t_rel}
-            )
-            rows.append((w_value, res_s.eigenvalues[0], res_s.t_rel))
-        payload["sweep"] = sweep_out
+        payload["sweep"] = [{"W": frac_str(w), "nu_1": res.eigenvalues[0], "T_rel": res.t_rel}
+                            for w, res in solved[1:]]
     if args.csv:
         try:
             with open(args.csv, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["W", "nu_1", "T_rel"])
-                for w_value, nu_val, t_val in rows:
-                    writer.writerow([float(w_value), nu_val, t_val])
+                for w, res in solved:
+                    writer.writerow([float(w), res.eigenvalues[0], res.t_rel])
         except OSError as exc:
             raise UsageError(f"cannot write {args.csv}: {exc}") from exc
         payload["csv"] = args.csv
@@ -451,39 +447,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"apparent {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(sp):
+    def finish(sp, fn, text):
+        # --format comes last in every option list
         sp.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format (default: text)")
+        sp.set_defaults(fn=fn, text=text)
 
     sp = sub.add_parser("analyze", help="classify singular points and run the Fuchs checks")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
-    add_format(sp)
-    sp.set_defaults(fn=cmd_analyze, text=_text_analysis)
+    finish(sp, cmd_analyze, _text_analysis)
 
     sp = sub.add_parser("riemann", help="print the generalized Riemann symbol")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
-    add_format(sp)
-    sp.set_defaults(fn=cmd_riemann, text=_text_riemann)
+    finish(sp, cmd_riemann, _text_riemann)
 
     sp = sub.add_parser("deform", help="generate apparent singularities by differentiation")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
     sp.add_argument("--iterations", type=int, default=1, help="number of stages (default 1)")
-    add_format(sp)
-    sp.set_defaults(fn=cmd_deform, text=_text_deform)
+    finish(sp, cmd_deform, _text_deform)
 
     sp = sub.add_parser("undeform", help="remove apparent singularities by inverse differentiation")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
     sp.add_argument("--targets", help="comma-separated locations (default: all apparent points)")
     sp.add_argument("--multiplicities", help="comma-separated multiplicities for the targets")
     sp.add_argument("--max-slack", type=int, default=1, help="extra ansatz degree slack (default 1)")
-    add_format(sp)
-    sp.set_defaults(fn=cmd_undeform, text=_text_undeform)
+    finish(sp, cmd_undeform, _text_undeform)
 
     sp = sub.add_parser("heun", help="build an equation family instance and analyze it")
     sp.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     sp.add_argument("--params", required=True, help="parameter JSON path, or - for stdin")
-    add_format(sp)
-    sp.set_defaults(fn=cmd_heun, text=_text_analysis)
+    finish(sp, cmd_heun, _text_analysis)
 
     sp = sub.add_parser("polymer", help="solve the coil-stretch spectral problem")
     sp.add_argument("--b", required=True, help="flexibility parameter (rational)")
@@ -499,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-points", type=int, default=64)
     sp.add_argument("--sweep", help="comma-separated extra W values to sweep")
     sp.add_argument("--csv", help="write (W, nu_1, T_rel) rows to this CSV file")
-    add_format(sp)
-    sp.set_defaults(fn=cmd_polymer, text=_text_polymer)
+    finish(sp, cmd_polymer, _text_polymer)
     return parser
 
 

@@ -68,21 +68,12 @@ class _LocalData:
     """
 
     def __init__(self, ode: LinearODE, point: Fraction):
-        self.point = point
         n = self.n = ode.order
         shifted = [p.shifted(point) for p in ode.coeffs]
         self.v0 = shifted[0].valuation()
-        j0 = None
-        jmax = 0
-        for k, t in enumerate(shifted):
-            if t.is_zero:
-                continue
-            lo = t.valuation() + k
-            hi = t.degree + k
-            j0 = lo if j0 is None else min(j0, lo)
-            jmax = max(jmax, hi)
-        self.j0 = j0
-        self.jmax = jmax
+        spans = [(t.valuation() + k, t.degree + k) for k, t in enumerate(shifted) if not t.is_zero]
+        self.j0 = j0 = min(lo for lo, _hi in spans)
+        self.jmax = jmax = max(hi for _lo, hi in spans)
         stirling = _stirling_rows(n)
         tables = [t.coeffs for t in shifted]
         cpolys = []
@@ -110,11 +101,13 @@ class _LocalData:
         return self.cpolys[0]
 
     @cached_property
-    def exponents(self) -> tuple[tuple[Fraction, ...], RatPoly]:
+    def exponents(self) -> tuple[tuple[Fraction, ...], RatPoly | None]:
         """Rational indicial roots, ascending and repeated per
-        multiplicity, and the monic factor holding the others."""
+        multiplicity, and the monic factor holding the others (None
+        when there are none)."""
         roots, residual = rational_roots(self.indicial)
-        return tuple(r for r, m in roots for _ in range(m)), residual
+        return (tuple(r for r, m in roots for _ in range(m)),
+                residual if residual.degree > 0 else None)
 
     def series(self, rho: Fraction, top: int, cap: int) -> tuple[list, list]:
         """a_0..a_top of zeta^rho sum a_M zeta^M by the module's recurrence,
@@ -148,7 +141,7 @@ class _LocalData:
         """Apparency decision at a regular singular point."""
         n = self.n
         exponents, residual = self.exponents
-        if residual.degree > 0:
+        if residual is not None:
             return ApparentVerdict(False, exponents, "non-rational exponent", None)
         if any(e.denominator != 1 for e in exponents):
             return ApparentVerdict(False, exponents, "non-integer exponent", None)
@@ -186,21 +179,33 @@ def _local(ode: LinearODE, point) -> tuple[_LocalData, object]:
     return data, loc
 
 
+def _regular(ode: LinearODE, point) -> tuple[_LocalData, object]:
+    """_local, raising IrregularPoint unless the point is ordinary or regular."""
+    data, loc = _local(ode, point)
+    if not data.is_regular:
+        raise IrregularPointError(f"irregular singular point at {loc}")
+    return data, loc
+
+
 @dataclass(frozen=True)
 class IndicialExponents:
-    """Roots of the indicial polynomial at one point.
+    """Roots of the indicial polynomial at one point: one column of the
+    generalized Riemann symbol.
 
     exponents: the rational roots, sorted ascending, repeated per
-    multiplicity.  residual: monic factor holding any non-rational
-    roots (degree 0 when none).  complete: True when all n exponents
-    are listed in `exponents`.
+    multiplicity.  residual: monic factor holding the non-rational
+    roots, None when there are none.  complete: True when all n
+    exponents are listed in `exponents`.
     """
 
     location: object
     exponents: tuple[Fraction, ...]
-    residual: RatPoly
-    complete: bool
+    residual: RatPoly | None
     indicial: RatPoly
+
+    @property
+    def complete(self) -> bool:
+        return self.residual is None
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,7 @@ class FrobeniusSolution:
     coefficient is set to zero and the attempt continues formally.
     """
 
-    point: Fraction
+    point: Fraction | _InfinityType
     exponent: Fraction
     coeffs: tuple[Fraction, ...]
     truncation: int
@@ -244,40 +249,25 @@ class ApparentVerdict:
 
 def indicial_polynomial(ode: LinearODE, point) -> RatPoly:
     """The degree-n indicial polynomial C_{j0}(s) at a regular point."""
-    data, loc = _local(ode, point)
-    if not data.is_regular:
-        raise IrregularPointError(f"irregular singular point at {loc}")
-    return data.indicial
+    return _regular(ode, point)[0].indicial
 
 
 def indicial_exponents(ode: LinearODE, point) -> IndicialExponents:
     """Characteristic exponents at an ordinary or regular singular point."""
-    data, loc = _local(ode, point)
-    if not data.is_regular:
-        raise IrregularPointError(f"irregular singular point at {loc}")
-    exponents, residual = data.exponents
-    return IndicialExponents(
-        location=loc,
-        exponents=exponents,
-        residual=residual,
-        complete=residual.degree <= 0,
-        indicial=data.indicial,
-    )
+    data, loc = _regular(ode, point)
+    return IndicialExponents(loc, *data.exponents, data.indicial)
 
 
 def frobenius_series(ode: LinearODE, point, exponent, n_terms: int) -> FrobeniusSolution:
-    """Series coefficients a_0..a_N at a finite regular point.
+    """Series coefficients a_0..a_N at a regular point, in 1/z at infinity.
 
     exponent must be a root of the indicial polynomial.  At each
     resonance the obstruction value is recorded; see FrobeniusSolution.
     """
-    point = as_fraction(point)
     exponent = as_fraction(exponent)
     if n_terms < 1:
         raise ValueError("series needs at least one computed term")
-    data, _loc = _local(ode, point)
-    if not data.is_regular:
-        raise IrregularPointError(f"irregular singular point at {point}")
+    data, point = _regular(ode, point)
     ind = data.indicial
     if ind(exponent) != 0:
         raise NotAnExponentError(
@@ -322,15 +312,13 @@ def is_apparent(ode: LinearODE, point) -> ApparentVerdict:
 
     Apparent means every local solution is holomorphic: all n exponents
     are distinct nonnegative integers and the holomorphic solution
-    space has full dimension n.  Ordinary points are rejected with
-    NotSingular (the question is vacuous there), irregular points with
-    IrregularPoint.
+    space has full dimension n.  Irregular points are rejected with
+    IrregularPoint, ordinary points (which are regular) with NotSingular:
+    the question is vacuous there.
     """
-    data, loc = _local(ode, point)
+    data, loc = _regular(ode, point)
     if data.is_ordinary:
         raise NotSingularError(f"{loc} is an ordinary point")
-    if not data.is_regular:
-        raise IrregularPointError(f"irregular singular point at {loc}")
     return data.verdict
 
 
@@ -338,15 +326,8 @@ def classify_point(ode: LinearODE, point) -> SingularPoint:
     """Full classification of one point (finite rational or infinity)."""
     data, loc = _local(ode, point)
     if data.is_ordinary:
-        return SingularPoint(location=loc, kind=PointKind.ORDINARY)
+        return SingularPoint(loc, PointKind.ORDINARY)
     if not data.is_regular:
-        return SingularPoint(location=loc, kind=PointKind.IRREGULAR)
-    verdict = data.verdict
-    residual = data.exponents[1]
-    kind = PointKind.APPARENT if verdict.is_apparent else PointKind.REGULAR
-    return SingularPoint(
-        location=loc,
-        kind=kind,
-        exponents=verdict.exponents,
-        residual=residual if residual.degree > 0 else None,
-    )
+        return SingularPoint(loc, PointKind.IRREGULAR)
+    kind = PointKind.APPARENT if data.verdict.is_apparent else PointKind.REGULAR
+    return SingularPoint(loc, kind, *data.exponents)

@@ -103,10 +103,8 @@ class SingularPoint:
     """Classified point: location, kind, and exponents when defined.
 
     exponents are present exactly for the regular-singular and apparent
-    kinds.  residual is the monic non-rational factor of the indicial
-    polynomial when some exponents are irrational: exponents then lists
-    only the rational ones, and the residual holds the non-rational
-    factor.
+    kinds, and list the rational ones; residual is the monic factor of
+    the indicial polynomial holding the others, None when there are none.
     """
 
     location: Fraction | _InfinityType
@@ -116,23 +114,19 @@ class SingularPoint:
 
 
 @dataclass(frozen=True)
-class RiemannColumn:
-    location: Fraction | _InfinityType
-    exponents: tuple[Fraction, ...]
-    residual: RatPoly | None = None
-
-
-@dataclass(frozen=True)
 class RiemannSymbol:
     """Singular points with exponents, plus the extra-location column.
 
+    columns holds one frobenius.IndicialExponents per singular point:
+    its location, rational exponents and the monic factor holding the
+    non-rational ones (residual, None when every exponent is rational).
     apparent_params lists (location, role): role "apparent" for genuine
     apparent singular points, role "accessory" for zeros of P_n that are
     ordinary points of the equation (they become apparent under the
     derivative transform).
     """
 
-    columns: tuple[RiemannColumn, ...]
+    columns: tuple[frobenius.IndicialExponents, ...]  # not imported: frobenius imports this module
     apparent_params: tuple[tuple[Fraction | _InfinityType, str], ...]
 
     def pretty(self) -> str:
@@ -140,7 +134,7 @@ class RiemannSymbol:
         cells: list[list[str]] = []
         for col in self.columns:
             body = [str(e) for e in col.exponents]
-            if col.residual is not None and col.residual.degree > 0:
+            if col.residual is not None:
                 body.append(f"roots of {col.residual.pretty('s')}")
             cells.append([str(col.location)] + body)
         if not cells:
@@ -172,8 +166,9 @@ class FuchsReport:
     indicial polynomials by Vieta so irrational exponents contribute
     exactly; expected_sum = (s-2) n(n-1)/2.  Both are None unless the
     equation is Fuchsian.  unresolved_factor is the non-rational factor
-    of P_0 when its roots could not be enumerated; the report then
-    covers only the enumerated points.  num_singular, complete and
+    of P_0 when its roots could not be enumerated (None when every root
+    is rational, as leading_residual gives it); the report then covers
+    only the enumerated points.  num_singular, complete and
     identity_holds are derived from these fields.
     """
 
@@ -231,12 +226,14 @@ def make_ode(coeffs) -> LinearODE:
 _LEADING_ROOTS = "leading roots"
 
 
-def _leading_roots(ode: LinearODE) -> tuple[tuple[tuple[Fraction, int], ...], RatPoly]:
-    """rational_roots(P_0) as a tuple, computed once per equation."""
+def _leading_roots(ode: LinearODE) -> tuple[tuple[tuple[Fraction, int], ...], RatPoly | None]:
+    """rational_roots(P_0) as a tuple, the residual None when it is
+    constant; computed once per equation."""
     found = ode._memo.get(_LEADING_ROOTS)
     if found is None:
         roots, residual = rational_roots(ode.leading)
-        found = ode._memo[_LEADING_ROOTS] = (tuple(roots), residual)
+        found = ode._memo[_LEADING_ROOTS] = (
+            tuple(roots), residual if residual.degree > 0 else None)
     return found
 
 
@@ -253,8 +250,9 @@ def _accessory_roots(ode: LinearODE) -> list[tuple[Fraction, int]]:
     return [(r, m) for r, m in rational_roots(trailing)[0] if p0(r) != 0]
 
 
-def leading_residual(ode: LinearODE) -> RatPoly:
-    """Monic factor of P_0 carrying the non-rational roots (1 if none)."""
+def leading_residual(ode: LinearODE) -> RatPoly | None:
+    """Monic factor of P_0 carrying the non-rational roots, None when
+    every root of P_0 is rational."""
     return _leading_roots(ode)[1]
 
 
@@ -346,8 +344,7 @@ def fuchs_check(ode: LinearODE) -> FuchsReport:
     exponents are handled exactly.
     """
     points = tuple(singular_points(ode))
-    residual = leading_residual(ode)
-    unresolved = residual if residual.degree > 0 else None
+    unresolved = leading_residual(ode)
     is_fuchsian = unresolved is None and all(
         p.kind in (PointKind.REGULAR, PointKind.APPARENT) for p in points
     )
@@ -370,7 +367,7 @@ def riemann_symbol(ode: LinearODE) -> RiemannSymbol:
     from . import frobenius
 
     residual = leading_residual(ode)
-    if residual.degree > 0:
+    if residual is not None:
         raise NotFuchsianError(
             "leading coefficient has non-rational roots; cannot tabulate",
             unresolved_factor=residual.pretty(),
@@ -381,18 +378,7 @@ def riemann_symbol(ode: LinearODE) -> RiemannSymbol:
             raise NotFuchsianError(
                 f"irregular singular point at {p.location}", location=str(p.location)
             )
-    columns = []
-    for p in points:
-        ind = frobenius.indicial_exponents(ode, p.location)
-        columns.append(
-            RiemannColumn(
-                location=p.location,
-                exponents=ind.exponents,
-                residual=None if ind.complete else ind.residual,
-            )
-        )
+    columns = tuple(frobenius.indicial_exponents(ode, p.location) for p in points)
     extra = [(r, "accessory") for r, _m in _accessory_roots(ode)]
-    for p in points:
-        if p.kind is PointKind.APPARENT:
-            extra.append((p.location, "apparent"))
-    return RiemannSymbol(tuple(columns), tuple(extra))
+    extra += [(p.location, "apparent") for p in points if p.kind is PointKind.APPARENT]
+    return RiemannSymbol(columns, tuple(extra))

@@ -254,6 +254,13 @@ class _Series:
         reach _ORDER_CAP and a lossy branch reruns at bits sized from
         its loss; otherwise either shortfall raises PrecisionExhausted
         naming the terms and bits tried.
+
+        Before any term is summed the cap itself is tested: with
+        alpha = P(M) / (M (M + e1)) and beta = Q(M) / (M (M + e1)) the
+        terms near M grow by the largest root of r^2 = alpha r + beta,
+        of modulus at least 1 exactly when |alpha| + beta >= 1 or
+        |beta| >= 1.  If so at M = cap the tail cannot go quiet within
+        the cap, and the same PrecisionExhausted is raised at once.
         """
         if grow:
             cap = _ORDER_CAP
@@ -262,6 +269,8 @@ class _Series:
         p0, p0_nu, p1, p2, q0, q0_nu, q1, d1, d2 = self.ints
         p0, q0 = p0 * d + p0_nu * n, q0 * d + q0_nu * n
         p1, p2, q1, d1, d2 = p1 * d, p2 * d, q1 * d, d1 * d, d2 * d
+        # terms still growing at the cap stop the sum before its first term
+        stop = 0 if self._growing(cap, p0, p1, p2, q0, q1, d1, d2) else cap
         x = self.x
         num, den = abs(x.numerator), x.denominator  # |x| = num / den
         tail_scale = 10**_TAIL_DIGITS
@@ -275,7 +284,7 @@ class _Series:
             peak = bound = num * unit  # bound >= |w| + |w'|, exact when last tested
             quiet, m = 0, 0
             while quiet < _QUIET_TERMS:
-                if m == cap:
+                if m == stop:
                     raise PrecisionExhaustedError(
                         "series tail not negligible within the term cap",
                         order=cap, bits=bits, endpoint=self.endpoint,
@@ -316,6 +325,13 @@ class _Series:
                     order=m, bits=bits, endpoint=self.endpoint, lost_digits=loss,
                 )
             bits = need
+
+    @staticmethod
+    def _growing(m, p0, p1, p2, q0, q1, d1, d2) -> bool:
+        """|alpha| + beta >= 1 or |beta| >= 1 at M = m (see branch)."""
+        div = (d2 * m + d1) * m
+        q = q1 * m + q0
+        return abs((p2 * m + p1) * m + p0) + q >= div or abs(q) >= div
 
 
 class _Shooting:

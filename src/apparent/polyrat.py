@@ -13,10 +13,10 @@ Geddes & Gonnet (J. Symb. Comp. 1989), exact division divides integer
 primitive parts, and the rational root search is p-adic (Hensel)
 lifting, whose cost is polynomial in the bits, and not an enumeration
 of divisors, whose cost is exponential, with each root confirmed and
-deflated by exact integer division.  The private list
-kernels below (``_list_mul`` and friends) serve the same purpose for
-the other modules; ``RatPoly`` itself only ever holds ``Fraction``
-coefficients.
+deflated by exact integer division.  Of the private kernels below,
+``frobenius`` uses ``_list_addmul`` and ``make_ode`` the integer gcd,
+exact division and ``_scaled``; ``RatPoly`` itself only ever holds
+``Fraction`` coefficients.
 """
 
 from __future__ import annotations

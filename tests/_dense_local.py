@@ -27,7 +27,7 @@ def dense_verdict(ode, point):
     data, _loc = _local(ode, point)
     n = data.n
     exponents, residual = data.exponents
-    if residual.degree > 0:
+    if residual is not None:
         return ApparentVerdict(False, exponents, "non-rational exponent", None)
     if any(e.denominator != 1 for e in exponents):
         return ApparentVerdict(False, exponents, "non-integer exponent", None)

@@ -106,16 +106,25 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run(["analyze", str(bad), "--format", "json"]) == 2
 
 
+ANALYZE, HEUN = ["analyze"], ["heun", "--family", "general", "--params"]
+NOT_UTF8 = (b"\xff\xfe{", "cannot read")
+# nested past the decoder's depth, which raises RecursionError
+TOO_DEEP = (b"[" * 200_000, "invalid JSON in")
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize(
-    "sub", [["analyze"], ["heun", "--family", "general", "--params"]], ids=["analyze", "heun"]
+    "sub, content",
+    [(ANALYZE, NOT_UTF8), (HEUN, NOT_UTF8), (ANALYZE, TOO_DEEP), (HEUN, TOO_DEEP)],
+    ids=["analyze", "heun", "analyze-nested", "heun-nested"],
 )
-def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys, sub, fmt):
+def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys, sub, content, fmt):
+    data, message = content
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe{")
+    bad.write_bytes(data)
     assert run([*sub, str(bad), "--format", fmt]) == 2
     out, err = capsys.readouterr()
-    assert f"cannot read {bad}" in err and "Traceback" not in err
+    assert f"{message} {bad}" in err and "Traceback" not in err
     if fmt == "json":
         assert json.loads(out)["error"]["code"] == "Usage"
     else:
@@ -181,6 +190,28 @@ def test_exponent_bound_is_inclusive(tmp_path, capsys, literal, code):
         # the same bound holds for option values, before any solving
         code, rep = run_json(capsys, ["polymer", "--b", literal, "--W", "1/4", "--format", "json"])
         assert code == 2 and "--b" in rep["error"]["message"]
+
+
+# each branch's terms still grow at the 6,400-term cap; the error used to
+# come only after the full cap of ever longer integers, 11 s or more
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--b", "1e100", "--W", "1/4"],
+        ["--b", "2", "--W", "1e100"],
+        ["--b", "2", "--W", "1/4", "--nu-min", "1e99", "--nu-max", "1e100"],
+        ["--b", "1e1000", "--W", "1/4"],
+    ],
+    ids=["b", "W", "nu", "b-1e1000"],
+)
+def test_polymer_cost_is_bounded_for_huge_parameters(capsys, flags):
+    start = time.perf_counter()
+    code, rep = run_json(capsys, ["polymer", *flags, "--format", "json"])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert rep["error"]["code"] == "PrecisionExhausted"
+    assert rep["error"]["message"] == "series tail not negligible within the term cap"
+    assert rep["error"]["details"] == {"order": "6400", "bits": "256", "endpoint": "0"}
 
 
 def test_domain_error_reports_code(tmp_path, capsys):

@@ -20,6 +20,7 @@ from apparent import (
     indicial_polynomial,
     is_apparent,
     make_ode,
+    moebius_transform,
     substitution_rows,
     undeform,
 )
@@ -162,14 +163,26 @@ def test_wide_gap_points_are_decided_by_the_recurrence():
     assert v.is_apparent and v.exponents == (F(0), F(61)) and v.holomorphic_dim == 2
 
 
-@pytest.mark.parametrize("local", [indicial_polynomial, indicial_exponents, is_apparent])
+@pytest.mark.parametrize(
+    "local", [indicial_polynomial, indicial_exponents, is_apparent, frobenius_series]
+)
 def test_local_data_at_an_irregular_point_raises(local):
     ode = confluent_heun(ConfluentHeunParams(p0=[0, 0, 1], p1=[1, 0, 1], alpha=1, q=2))
-    with pytest.raises(IrregularPointError):
-        local(ode, INFINITY)
+    series_args = (0, 4) if local is frobenius_series else ()
+    with pytest.raises(IrregularPointError, match="irregular singular point at inf"):
+        local(ode, INFINITY, *series_args)
 
 
 def test_frobenius_series_at_an_irregular_point_raises():
     # z^3 w'' + w = 0: z = 0 is irregular
     with pytest.raises(IrregularPointError):
         frobenius_series(make_ode([[0, 0, 0, 1], [0], [1]]), 0, 0, 4)
+
+
+def test_frobenius_series_at_infinity_is_the_series_of_the_pullback():
+    ode = heun_with(F(1, 2), F(5))
+    pulled = moebius_transform(ode, (0, 1, 1, 0))
+    for rho in indicial_exponents(ode, INFINITY).exponents:
+        sol = frobenius_series(ode, INFINITY, rho, 6)
+        assert sol.point is INFINITY and sol.coeffs == frobenius_series(pulled, 0, rho, 6).coeffs
+        assert not any(substitution_rows(ode, sol))

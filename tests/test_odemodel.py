@@ -18,6 +18,7 @@ from apparent import (
     fuchs_check,
     general_heun,
     indicial_exponents,
+    leading_residual,
     make_ode,
     moebius_transform,
     riemann_symbol,
@@ -161,3 +162,28 @@ def test_riemann_symbol_with_irrational_singular_points_raises():
     with pytest.raises(NotFuchsianError) as info:
         riemann_symbol(make_ode([[-2, 0, 1], [0], [1]]))
     assert info.value.details == {"unresolved_factor": "z^2 - 2"}
+
+
+def test_leading_residual_is_none_when_every_root_is_rational():
+    assert leading_residual(make_ode([[0, -1, 1], [0], [1]])) is None
+    assert leading_residual(make_ode([[-2, 0, 1], [0], [1]])) == RatPoly([-2, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "ode, complete",
+    [
+        (sample_heun(), True),
+        (deform(sample_heun()).ode, True),
+        # w' (z + 1) + 2 w = 0: infinity is apparent
+        (make_ode([[1, 1], [2]]), True),
+        # Euler equation z^2 w'' + z w' - 2 w = 0: exponents +-sqrt 2 at 0 and infinity
+        (make_ode([[0, 0, 1], [0, 1], [-2]]), False),
+    ],
+    ids=["heun", "deformed", "apparent-infinity", "irrational"],
+)
+def test_riemann_columns_are_the_indicial_records(ode, complete):
+    columns = riemann_symbol(ode).columns
+    assert [c.location for c in columns] == [p.location for p in singular_points(ode)]
+    for col in columns:
+        record = indicial_exponents(ode, col.location)
+        assert col == record and col.complete == record.complete == complete

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -352,3 +353,32 @@ def test_numbers_of_every_kind_are_accepted():
         precision_bits=128, series_order=160,
     )
     assert as_decimal == exact
+
+
+def _branch_outcome(series, nu, cap):
+    try:
+        return series.branch(nu, cap, 256, False)
+    except PrecisionExhaustedError as exc:
+        return exc.message, exc.details
+
+
+def test_cap_test_refuses_only_sums_that_exhaust_the_cap(monkeypatch):
+    # every branch of the grid ends the same with the up-front cap test as
+    # with the summation alone, and the test refuses some and passes others
+    growing = polymer._Series._growing
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(growing(*args))
+        return verdicts[-1]
+
+    grid = itertools.product((40, 160), (F(3), F(30), F(300)), (F(1, 10), F(1, 2), F(3)),
+                             (False, True))
+    for cap, b, W, at_one in grid:
+        series = polymer._Series(b, b * W, at_one, F(-1, 2) if at_one else F(1, 2))
+        for nu in (F(1), b, 10 * b, -b):
+            monkeypatch.setattr(polymer._Series, "_growing", staticmethod(recorded))
+            checked = _branch_outcome(series, nu, cap)
+            monkeypatch.setattr(polymer._Series, "_growing", staticmethod(lambda *args: False))
+            assert checked == _branch_outcome(series, nu, cap), (cap, b, W, at_one, nu)
+    assert 0 < sum(verdicts) < len(verdicts)
