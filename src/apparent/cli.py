@@ -36,10 +36,6 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------- JSON forms
 
-def frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 # A decimal exponent stands for digits the input does not spell out, so
 # its magnitude is bounded: a parsed rational has at most _MAX_EXPONENT
 # digits more than its text.
@@ -76,7 +72,7 @@ def parse_count(text, what: str) -> int:
 
 
 def poly_json(p: RatPoly) -> list[str]:
-    return [frac_str(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def ode_json(ode: LinearODE) -> dict:
@@ -84,7 +80,7 @@ def ode_json(ode: LinearODE) -> dict:
 
 
 def location_str(loc) -> str:
-    return "inf" if loc is INFINITY else frac_str(loc)
+    return "inf" if loc is INFINITY else str(loc)
 
 
 def parse_ode(obj) -> LinearODE:
@@ -122,7 +118,7 @@ def read_json_input(path: str):
 def point_json(sp) -> dict:
     out = {"location": location_str(sp.location), "kind": str(sp.kind)}
     if sp.exponents is not None:
-        out["exponents"] = [frac_str(e) for e in sp.exponents]
+        out["exponents"] = [str(e) for e in sp.exponents]
     if sp.residual is not None:
         out["exponent_residual"] = poly_json(sp.residual)
     return out
@@ -132,8 +128,8 @@ def fuchs_json(rep) -> dict:
     return {
         "is_fuchsian": rep.is_fuchsian,
         "num_singular": rep.num_singular,
-        "exponent_sum": None if rep.exponent_sum is None else frac_str(rep.exponent_sum),
-        "expected_sum": None if rep.expected_sum is None else frac_str(rep.expected_sum),
+        "exponent_sum": None if rep.exponent_sum is None else str(rep.exponent_sum),
+        "expected_sum": None if rep.expected_sum is None else str(rep.expected_sum),
         "identity_holds": rep.identity_holds,
         "unresolved_factor": None
         if rep.unresolved_factor is None
@@ -200,7 +196,7 @@ def cmd_riemann(args) -> dict:
         "columns": [
             {
                 "location": location_str(c.location),
-                "exponents": [frac_str(e) for e in c.exponents],
+                "exponents": [str(e) for e in c.exponents],
                 "residual": None if c.residual is None else poly_json(c.residual),
             }
             for c in sym.columns
@@ -222,7 +218,7 @@ def cmd_deform(args) -> dict:
         {
             "ode": ode_json(res.ode),
             "new_apparent": [
-                {"location": frac_str(loc), "expected_gap": gap} for loc, gap in res.new_apparent
+                {"location": str(loc), "expected_gap": gap} for loc, gap in res.new_apparent
             ],
             "clearing_factor": poly_json(res.clearing_factor),
         }
@@ -265,7 +261,7 @@ def cmd_undeform(args) -> dict:
     payload = {
         "input": ode_json(ode),
         "ode": ode_json(res.ode),
-        "removed_points": [frac_str(q) for q in res.removed_points],
+        "removed_points": [str(q) for q in res.removed_points],
         "free_parameters": res.free_parameters,
     }
     return report("undeform", payload)
@@ -346,7 +342,6 @@ def cmd_polymer(args) -> dict:
             nu_max,
             args.count,
             precision_bits=args.precision_bits,
-            series_order=args.series_order,
             grid_points=args.grid_points,
         )
         return p, res
@@ -359,10 +354,10 @@ def cmd_polymer(args) -> dict:
         q = None
     payload = {
         "params": {
-            "b": frac_str(p_main.b),
-            "W": frac_str(p_main.W),
-            "tau": frac_str(p_main.tau),
-            "kappa": frac_str(p_main.kappa),
+            "b": str(p_main.b),
+            "W": str(p_main.W),
+            "tau": str(p_main.tau),
+            "kappa": str(p_main.kappa),
         },
         "eigenvalues": list(res_main.eigenvalues),
         "T_rel": res_main.t_rel,
@@ -377,7 +372,7 @@ def cmd_polymer(args) -> dict:
     }
     solved = [(w_main, res_main)] + [(w, solve_for(w)[1]) for w in sweep_ws or ()]
     if sweep_ws:
-        payload["sweep"] = [{"W": frac_str(w), "nu_1": res.eigenvalues[0], "T_rel": res.t_rel}
+        payload["sweep"] = [{"W": str(w), "nu_1": res.eigenvalues[0], "T_rel": res.t_rel}
                             for w, res in solved[1:]]
     if args.csv:
         try:

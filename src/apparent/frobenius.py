@@ -195,13 +195,13 @@ class IndicialExponents:
     exponents: the rational roots, sorted ascending, repeated per
     multiplicity.  residual: monic factor holding the non-rational
     roots, None when there are none.  complete: True when all n
-    exponents are listed in `exponents`.
+    exponents are listed in `exponents`.  The polynomial itself is
+    indicial_polynomial at the same point.
     """
 
     location: object
     exponents: tuple[Fraction, ...]
     residual: RatPoly | None
-    indicial: RatPoly
 
     @property
     def complete(self) -> bool:
@@ -255,7 +255,7 @@ def indicial_polynomial(ode: LinearODE, point) -> RatPoly:
 def indicial_exponents(ode: LinearODE, point) -> IndicialExponents:
     """Characteristic exponents at an ordinary or regular singular point."""
     data, loc = _regular(ode, point)
-    return IndicialExponents(loc, *data.exponents, data.indicial)
+    return IndicialExponents(loc, *data.exponents)
 
 
 def frobenius_series(ode: LinearODE, point, exponent, n_terms: int) -> FrobeniusSolution:

@@ -67,9 +67,9 @@ _Z_MATCH = Fraction(1, 2)
 class PolymerParams:
     """Model parameters: flexibility b, stretching W, base time tau.
 
-    kappa = b W is always derived, never stored.  Pass Fractions or
-    decimal strings ("0.35") to keep parameters exact; floats are
-    converted via their exact binary value.
+    kappa = b W is always derived, never stored.  Pass Fractions,
+    Decimals or decimal strings ("0.35") to keep parameters exact;
+    floats are converted via their exact binary value.
     """
 
     b: Fraction
@@ -152,13 +152,8 @@ def _digits(bits: int) -> int:
 
 
 def _exact(v) -> Fraction:
-    """Exact rational of a number: Decimals and the text of floats and
-    strings are taken as written."""
-    if isinstance(v, Decimal):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(repr(v))
-    return as_fraction(v)
+    """Exact rational of a number, a float taken as written."""
+    return Fraction(repr(v)) if isinstance(v, float) else as_fraction(v)
 
 
 def _log10_floor(n: int, d: int) -> int:
@@ -179,20 +174,19 @@ def _round_div(n: int, d: int) -> int:
 class _Branch:
     """One exponent-0 branch at one point: values and the work they took.
 
-    w, dw, d2w are fixed-point integers: the branch values times
-    2^frac_bits.
+    w, dw are fixed-point integers: the branch value and its derivative
+    times 2^frac_bits.
     """
 
     w: int
     dw: int
-    d2w: int
     frac_bits: int
     terms: int
     bits: int
 
-    def values(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(w, w', w'') as exact rationals."""
-        return tuple(Fraction(v, 1 << self.frac_bits) for v in (self.w, self.dw, self.d2w))
+    def values(self) -> tuple[Fraction, Fraction]:
+        """(w, w') as exact rationals."""
+        return Fraction(self.w, 1 << self.frac_bits), Fraction(self.dw, 1 << self.frac_bits)
 
 
 class _Series:
@@ -232,13 +226,13 @@ class _Series:
         self.x = x
 
     def branch(self, nu, cap: int, bits: int, grow: bool) -> _Branch:
-        """Exponent-0 branch (w, w', w'') at this offset.
+        """Exponent-0 branch (w, w') at this offset.
 
         The sum runs in fixed point: integers scaled by 2^F, F the bit
         equivalent of _digits(bits), each division rounded to nearest
         (a floor would leave terms below one unit at -1 for ever, and
-        the tail would never go quiet).  w, w' and w'' accumulate
-        sum b_M, sum M b_M / x and sum M(M-1) b_M / x^2.
+        the tail would never go quiet).  w and w' accumulate sum b_M
+        and sum M b_M / x.
 
         Terms are added until _QUIET_TERMS consecutive ones (of w and
         w') fall below 1e-20 (|w| + |w'|): relative to the branch's own
@@ -250,10 +244,10 @@ class _Series:
         rounding at _digits(bits) significant digits of the peak, and
         the sums keep _digits(bits) - loss >= 20 digits of |w| + |w'|
         as a floating sum would; a term that rounds to zero is then
-        below the tail tolerance as well.  With grow the terms may
-        reach _ORDER_CAP and a lossy branch reruns at bits sized from
-        its loss; otherwise either shortfall raises PrecisionExhausted
-        naming the terms and bits tried.
+        below the tail tolerance as well.  The terms stop at cap.  With
+        grow a lossy branch reruns at bits sized from its loss;
+        otherwise, and for a sum that reaches cap, the shortfall raises
+        PrecisionExhausted naming the terms and bits tried.
 
         Before any term is summed the cap itself is tested: with
         alpha = P(M) / (M (M + e1)) and beta = Q(M) / (M (M + e1)) the
@@ -262,8 +256,6 @@ class _Series:
         |beta| >= 1.  If so at M = cap the tail cannot go quiet within
         the cap, and the same PrecisionExhausted is raised at once.
         """
-        if grow:
-            cap = _ORDER_CAP
         nu = _exact(nu)
         n, d = nu.numerator, nu.denominator
         p0, p0_nu, p1, p2, q0, q0_nu, q1, d1, d2 = self.ints
@@ -280,7 +272,7 @@ class _Series:
             # the term sizes |b_M| + |M b_M / x| and |w| + |w'| below are
             # carried times |x| 2^F, hence the factors num and den
             b1, b2 = unit, 0  # b_{M-1}, b_{M-2}
-            w, dw, d2w = unit, 0, 0  # sum b_M, sum M b_M, sum M (M-1) b_M
+            w, dw = unit, 0  # sum b_M, sum M b_M
             peak = bound = num * unit  # bound >= |w| + |w'|, exact when last tested
             quiet, m = 0, 0
             while quiet < _QUIET_TERMS:
@@ -294,7 +286,6 @@ class _Series:
                 bm = (((p2 * m + p1) * m + p0) * b1 + (q1 * m + q0) * b2 + (div >> 1)) // div
                 w += bm
                 dw += m * bm
-                d2w += m * (m - 1) * bm
                 t = abs(bm) * (num + m * den)
                 if t > peak:
                     peak = t
@@ -314,10 +305,7 @@ class _Series:
             else:
                 loss = _digits(_BITS_CAP)
             if _digits(bits) - loss >= _TAIL_DIGITS:
-                return _Branch(
-                    w, _round_div(dw * den, x.numerator), _round_div(d2w * den * den, num * num),
-                    frac_bits, m, bits,
-                )
+                return _Branch(w, _round_div(dw * den, x.numerator), frac_bits, m, bits)
             need = -(-math.ceil((loss + _TAIL_DIGITS) / _LOG10_2) // 64) * 64
             if not grow or need > _BITS_CAP:
                 raise PrecisionExhaustedError(
@@ -400,7 +388,6 @@ def solve_spectrum(
     precision_bits: int = 256,
     series_order: int = 200,
     grid_points: int = 64,
-    auto_retry: bool = True,
 ) -> SpectralResult:
     """Scan [nu_min, nu_max] for eigenvalues of the bounded problem.
 
@@ -410,12 +397,13 @@ def solve_spectrum(
     each is refined by the Illinois method on the raw Wronskian (its
     normalizer is positive, so the brackets are the same) to relative
     width 1e-10.  wronskian_samples hold the normalized value.  Up to
-    `count` eigenvalues are returned, ascending.  With auto_retry=True
-    a series may grow past series_order up to a hard cap, and past
-    precision_bits when cancellation calls for it; with
-    auto_retry=False both are hard limits.  A first eigenvalue within the
-    refinement's absolute resolution (1e-16) of zero, or one whose T_rel
-    underflows a float, raises PrecisionExhausted: T_rel has no value.
+    `count` eigenvalues are returned, ascending.  Every series sizes
+    itself: its terms run until the tail is negligible, up to a hard
+    cap, and its precision grows past precision_bits when cancellation
+    calls for it; series_order is accepted and has no effect.  A first
+    eigenvalue within the refinement's absolute resolution (1e-16) of
+    zero, or one whose T_rel underflows a float, raises
+    PrecisionExhausted: T_rel has no value.
     """
     if not nu_min < nu_max:
         raise ValueError("need nu_min < nu_max")
@@ -424,7 +412,7 @@ def solve_spectrum(
     if grid_points < 2:
         raise ValueError("need at least two grid points")
     lo, hi = as_fraction(nu_min), as_fraction(nu_max)
-    shoot = _Shooting(p, series_order, precision_bits, auto_retry)
+    shoot = _Shooting(p, _ORDER_CAP, precision_bits, True)
     samples: list[tuple[float, float]] = []
     eigenvalues: list[float] = []
     with localcontext() as ctx:
@@ -502,12 +490,14 @@ def eigenfunction_samples(
 
     Points at or left of the matching point z = 1/2 use the
     bounded-at-0 branch; points right of it use the bounded-at-1 branch
-    scaled so the two values agree at the matching point.  At an eigenvalue the
-    derivative then glues as well, up to the residual mismatch.
-    series_order caps the terms of each branch, as in
-    wronskian_mismatch.  Returns a list of float tuples.  When the
-    bounded-at-1 branch is zero at z = 1/2 no scale glues the two, and
-    PrecisionExhausted is raised naming nu and the bits used.
+    scaled so the two values agree at the matching point.  At an
+    eigenvalue the derivative then glues as well, up to the residual
+    mismatch.  w'' is read off the equation, -(P_1 w' + P_2 w) / P_0
+    at z, where P_0 = z (z - 1) does not vanish.  series_order caps
+    the terms of each branch, as in wronskian_mismatch.  Returns a list
+    of float tuples.  When the bounded-at-1 branch is zero at z = 1/2
+    no scale glues the two, and PrecisionExhausted is raised naming nu
+    and the bits used.
     """
     shoot = _Shooting(p, series_order, precision_bits, False)
     left, right = shoot.branches(nu)
@@ -516,6 +506,7 @@ def eigenfunction_samples(
             "bounded-at-1 branch vanishes at the matching point", nu=nu, bits=shoot.bits
         )
     ratio = left.values()[0] / right.values()[0]
+    p0, p1, p2 = polymer_ode(p, _exact(nu)).coeffs
     out = []
     for z_raw in zs:
         z = _exact(z_raw)
@@ -525,5 +516,7 @@ def eigenfunction_samples(
         series = _Series(p.b, p.kappa, at_one, z - 1 if at_one else z)
         br = series.branch(nu, series_order, shoot.bits, False)
         scale = ratio if at_one else 1
-        out.append((float(z), *(float(scale * v) for v in br.values())))
+        w, dw = (scale * v for v in br.values())
+        d2w = -(p1(z) * dw + p2(z) * w) / p0(z)
+        out.append((float(z), float(w), float(dw), float(d2w)))
     return out

@@ -28,15 +28,15 @@ from .errors import BothZeroError, ZeroPolynomialError
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, strings like ``"3/16"``, and Fractions to Fraction."""
+    """Coerce what Fraction() takes to Fraction: ints, strings like
+    ``"3/16"``, Decimals and Fractions exactly, floats by their exact
+    binary value."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    try:
         return Fraction(x)
-    if isinstance(x, float):
-        # floats are accepted for convenience but converted exactly
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    except TypeError:
+        raise TypeError(f"cannot interpret {x!r} as an exact rational") from None
 
 
 class RatPoly:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -260,6 +261,51 @@ def test_polymer_rounding_root_at_zero_is_a_domain_error(capsys):
     assert code == 1
     assert rep["error"]["code"] == "PrecisionExhausted"
     assert 0 < abs(float(rep["error"]["details"]["nu"])) < 1e-16
+
+
+SWEEP_WITH_WARNING = ["polymer", "--b", "2", "--W", "1/4", "--nu-min", "1/10", "--nu-max", "30",
+                      "--count", "3", "--precision-bits", "128", "--grid-points", "48",
+                      "--sweep", "1/3,3/10"]
+
+
+def test_polymer_sweep_text_matches_json(capsys):
+    code, rep = run_json(capsys, [*SWEEP_WITH_WARNING, "--format", "json"])
+    assert code == 0
+    assert [row["W"] for row in rep["sweep"]] == ["1/3", "3/10"]
+    for row in rep["sweep"]:
+        assert row["T_rel"] == pytest.approx(2 / row["nu_1"], rel=1e-12)
+    assert rep["diagnostics"]["warnings"] == ["requested 3 eigenvalues, found 2"]
+    assert run([*SWEEP_WITH_WARNING, "--format", "text"]) == 0
+    pr = rep["params"]
+    want = [
+        f"b={pr['b']} W={pr['W']} tau={pr['tau']} (kappa={pr['kappa']})",
+        "eigenvalues: " + ", ".join(f"{v:.12g}" for v in rep["eigenvalues"]),
+        f"T_rel: {rep['T_rel']:.12g}",
+        f"apparent point q at nu_1: {rep['q']:.12g}",
+        *(f"  W={r['W']}: nu_1={r['nu_1']:.12g}  T_rel={r['T_rel']:.12g}" for r in rep["sweep"]),
+        "warning: requested 3 eigenvalues, found 2",
+    ]
+    assert capsys.readouterr().out.splitlines() == want
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["analyze", "-"], '{"coeffs": [["1"], "2"]}', "list of coefficient lists"),
+        (["analyze", "-"], '{"coeffs": "12"}', "list of coefficient lists"),
+        (["polymer", "--b", "2", "--W", "1/4", "--nu-min", "7", "--nu-max", "15/2",
+          "--grid-points", "2", "--precision-bits", "64", "--csv", "{missing}/out.csv"],
+         "", "cannot write"),
+    ],
+)
+def test_malformed_input_and_unwritable_output_are_usage_errors(
+        tmp_path, capsys, monkeypatch, argv, text, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, rep = run_json(capsys, [*argv, "--format", "json"])
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert message in rep["error"]["message"]
 
 
 def test_polymer_bad_sweep_literal(capsys):

@@ -8,6 +8,7 @@ from apparent import (
     ConfluentHeunParams,
     HeunParams,
     IrregularPointError,
+    NotAnExponentError,
     NotSingularError,
     PointKind,
     RatPoly,
@@ -186,3 +187,16 @@ def test_frobenius_series_at_infinity_is_the_series_of_the_pullback():
         sol = frobenius_series(ode, INFINITY, rho, 6)
         assert sol.point is INFINITY and sol.coeffs == frobenius_series(pulled, 0, rho, 6).coeffs
         assert not any(substitution_rows(ode, sol))
+
+
+@pytest.mark.parametrize(
+    "exponent, n_terms, error, match",
+    [
+        (F(0), 0, ValueError, "at least one"),
+        (F(1, 4), 3, NotAnExponentError, "not an indicial root"),
+    ],
+)
+def test_frobenius_series_refuses_what_it_cannot_compute(exponent, n_terms, error, match):
+    ode = heun_with(F(1, 2), F(5))
+    with pytest.raises(error, match=match):
+        frobenius_series(ode, F(0), exponent, n_terms)

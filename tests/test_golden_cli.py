@@ -6,6 +6,8 @@ wrong list lengths, parameters the constructors reject) run under both
 output formats, and the help text of the program and of each
 subcommand: for each, the exit code and the exact stdout and stderr.
 Parameters are read from stdin, so no path appears in the output.
+The file also pins ``analyze``, ``riemann``, ``deform`` and
+``undeform`` on a few equations read from stdin, under both formats.
 ``polymer`` is left out: its floats may move in the last digits when
 the solver changes.
 
@@ -17,11 +19,13 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from apparent.cli import run
+from apparent import heun, transform
+from apparent.cli import ode_json, run
 
 GOLDEN = Path(__file__).with_name("data") / "golden_cli.json"
 
@@ -33,6 +37,19 @@ THIRD = {"t": "-1/2", "alpha": "1/3", "beta": "2/5", "theta2": "1/7",
          "theta3": "3/4", "kappa": "2", "q": "7"}
 CONFLUENT = {"p0": ["0", "1"], "p1": ["1", "0", "1"], "alpha": "1", "q": "2"}
 VALID = {"general": GENERAL, "multi": MULTI, "third": THIRD, "confluent": CONFLUENT}
+
+
+def _equations():
+    """(name, ODE JSON text) for the pinned equation subcommands."""
+    ode = heun.general_heun(heun.HeunParams(**{k: Fraction(v) for k, v in GENERAL.items()}))
+    return [
+        ("general Heun", json.dumps(ode_json(ode))),
+        ("deformed general Heun", json.dumps(ode_json(transform.deform(ode).ode))),
+        # P_0 = z^2 - 2 has no rational root
+        ("non-rational P_0", json.dumps({"coeffs": [["-2", "0", "1"], ["0"], ["1"]]})),
+        # z^2 w'' + z w' - 2 w = 0: exponents +-sqrt(2) at 0 and infinity
+        ("exponents +-sqrt 2", json.dumps({"coeffs": [["0", "0", "1"], ["0", "1"], ["-2"]]})),
+    ]
 
 
 def _without(params, *names):
@@ -106,6 +123,13 @@ def _invocations():
         for fmt in ("json", "text"):
             out.append((f"{family}: {name} ({fmt})",
                         ["heun", "--family", family, "--params", "-", "--format", fmt], text))
+    runs = [("analyze", []), ("riemann", []), ("deform", []),
+            ("deform x3", ["--iterations", "3"]), ("undeform", [])]
+    for name, text in _equations():
+        for label, extra in runs:
+            for fmt in ("json", "text"):
+                argv = [label.split()[0], "-", *extra, "--format", fmt]
+                out.append((f"{label}: {name} ({fmt})", argv, text))
     return out
 
 

@@ -187,3 +187,18 @@ def test_riemann_columns_are_the_indicial_records(ode, complete):
     for col in columns:
         record = indicial_exponents(ode, col.location)
         assert col == record and col.complete == record.complete == complete
+
+
+@pytest.mark.parametrize(
+    "coeffs, pretty",
+    [
+        # P_2 = 0 has no accessory zeros; 0 is apparent with exponents {0, 2}
+        ([[0, -1, 1], [1], [0]],
+         "P(  0  1  inf  | 0 (apparent)  ; z )\n    0  0  -1\n    2  0  0"),
+        # z^2 w'' + z w' - 2 w = 0: exponents +-sqrt(2) at 0 and infinity
+        ([[0, 0, 1], [0, 1], [-2]],
+         "P(  0                 inf  ; z )\n    roots of s^2 - 2  roots of s^2 - 2"),
+    ],
+)
+def test_riemann_symbol_of_edge_equations(coeffs, pretty):
+    assert riemann_symbol(make_ode(coeffs)).pretty() == pretty

@@ -185,20 +185,21 @@ def test_mismatch_vanishes_only_at_eigenvalues(small_spectrum):
 
 
 def test_matched_eigenfunction_solves_equation(small_spectrum):
+    # w'' is read off the equation, so the samples solve it when w' and
+    # w'' are the derivatives of the sampled w and w': central
+    # differences of step 1e-4 agree to about 1e-8 of their scale
     p, res = small_spectrum
     nu1 = res.eigenvalues[0]
-    b = float(p.b)
-    kappa = float(p.kappa)
     zs = [0.11, 0.31, 0.5, 0.68, 0.9]
     samples = eigenfunction_samples(p, nu1, zs, precision_bits=128, series_order=160)
-    assert len(samples) == len(zs)
+    assert [s[0] for s in samples] == zs
+    h = 1e-4
     for z, w, dw, d2w in samples:
-        p0 = z * (z - 1.0)
-        p1 = -kappa * z * z + (kappa + b + 2.5) * z - 1.5
-        p2 = (nu1 - kappa) * (z - 1.0) - 2.0 * b * kappa * z
-        resid = p0 * d2w + p1 * dw + p2 * w
-        scale = max(abs(p0 * d2w), abs(p1 * dw), abs(p2 * w), 1e-30)
-        assert abs(resid) / scale < 1e-8
+        (_, w_lo, dw_lo, _), (_, w_hi, dw_hi, _) = eigenfunction_samples(
+            p, nu1, [z - h, z + h], precision_bits=128, series_order=160)
+        scale = abs(w) + abs(dw) + abs(d2w)
+        assert abs((w_hi - w_lo) / (2 * h) - dw) < 1e-7 * scale
+        assert abs((dw_hi - dw_lo) / (2 * h) - d2w) < 1e-7 * scale
     # the two branches glue smoothly: Taylor step from the left branch
     # across the matching point reproduces the right branch
     mid = eigenfunction_samples(p, nu1, [0.499, 0.501], precision_bits=128, series_order=160)
@@ -208,6 +209,35 @@ def test_matched_eigenfunction_solves_equation(small_spectrum):
     assert mid[1][1] == pytest.approx(predicted, rel=1e-7)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: PolymerParams(b=F(0), W=F(1, 4)), "positive"),
+        (lambda: PolymerParams(b=F(2), W=F(-1, 4)), "positive"),
+        (lambda: PolymerParams(b=F(2), W=F(1, 4), tau=F(0)), "positive"),
+        (lambda: solve_spectrum(PolymerParams(2, F(1, 4)), F(5), F(5)), "nu_min < nu_max"),
+        (lambda: solve_spectrum(PolymerParams(2, F(1, 4)), F(5), F(10), count=0), "count"),
+        (lambda: solve_spectrum(PolymerParams(2, F(1, 4)), F(5), F(10), grid_points=1), "grid"),
+        (lambda: eigenfunction_samples(PolymerParams(2, F(1, 4)), F(7), [F(0)]), "inside"),
+        (lambda: eigenfunction_samples(PolymerParams(2, F(1, 4)), F(7), [F(1, 2), 1.0]), "inside"),
+    ],
+)
+def test_out_of_domain_arguments_are_refused(call, match):
+    # the CLI checks its flags before it calls these, so only a library
+    # caller reaches the checks
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_short_spectrum_warns(small_spectrum):
+    p, res = small_spectrum
+    more = solve_spectrum(
+        p, F(1, 10), F(30), count=3, precision_bits=128, series_order=120, grid_points=48
+    )
+    assert more.eigenvalues == res.eigenvalues
+    assert more.warnings == ("requested 3 eigenvalues, found 2",)
+
+
 def test_custom_relaxation_scale():
     p = PolymerParams(b=F(2), W=F(1, 4), tau=F(3))
     res = solve_spectrum(p, F(5), F(10), count=1, precision_bits=96, series_order=100, grid_points=24)
@@ -215,6 +245,7 @@ def test_custom_relaxation_scale():
 
 
 def test_auto_retry_escalates_series_order():
+    # a solve sizes every series itself; series_order has no effect
     p = PolymerParams(b=F(2), W=F(1, 4))
     res = solve_spectrum(
         p, F(1, 10), F(30), count=1, precision_bits=64, series_order=24, grid_points=48
@@ -249,13 +280,14 @@ def test_truncated_series_is_never_returned():
 
 
 def test_exhausted_error_reports_what_was_tried():
+    # the first evaluation of a solve from nu = 1, at hard limits
     p = PolymerParams(b=F(100), W=F(1, 4))
     with pytest.raises(PrecisionExhaustedError) as info:
-        solve_spectrum(p, F(1), F(60), series_order=240, precision_bits=384, auto_retry=False)
+        wronskian_mismatch(p, F(1), series_order=240, precision_bits=384)
     assert info.value.details == {"order": 240, "bits": 384, "endpoint": 0}
     # enough terms, but the z = 1 branch cancels by about 30 digits
     with pytest.raises(PrecisionExhaustedError) as info:
-        solve_spectrum(p, F(1), F(60), series_order=400, precision_bits=64, auto_retry=False)
+        wronskian_mismatch(p, F(1), series_order=400, precision_bits=64)
     details = info.value.details
     assert details["bits"] == 64 and details["endpoint"] == 1
     assert details["order"] < 400 and details["lost_digits"] > 20
@@ -316,9 +348,44 @@ def test_fixed_point_branch_matches_exact_series(nu, terms):
         coeffs = frobenius_series(ode, F(int(at_one)), F(0), br.terms).coeffs
         w = sum(c * x**k for k, c in enumerate(coeffs))
         dw = sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
-        d2w = sum(k * (k - 1) * c * x ** (k - 2) for k, c in enumerate(coeffs) if k > 1)
-        for got, want in zip(br.values(), (w, dw, d2w)):
-            assert abs(got - want) <= F(1, 10**20) * (abs(w) + abs(dw))
+        got = br.values()
+        assert len(got) == 2
+        for value, want in zip(got, (w, dw)):
+            assert abs(value - want) <= F(1, 10**20) * (abs(w) + abs(dw))
+
+
+def _exact_branch(ode, point, x, n_terms):
+    """w, w', w'' of the exact exponent-0 series at offset x, n_terms terms."""
+    coeffs = frobenius_series(ode, point, F(0), n_terms).coeffs
+    assert abs(coeffs[-1] * x**n_terms) < F(1, 10**30)
+    return tuple(
+        sum(math.perm(k, j) * c * x ** (k - j) for k, c in enumerate(coeffs) if k >= j)
+        for j in range(3)
+    )
+
+
+@pytest.mark.parametrize("b, nu, n_terms", [(F(2), F(7), 120), (F(100), F(27), 400)],
+                         ids=["b=2", "b=100"])
+def test_sampled_second_derivative_matches_exact_series(b, nu, n_terms):
+    # w'' comes from the equation, not from a series sum; it must still be
+    # the second derivative of the exact series on both sides of z = 1/2,
+    # the right side scaled by w0(1/2) / w1(1/2) as the samples are.  The
+    # samples are floats: 1e-12 of |w| + |w'| + |w''| at each point
+    p = PolymerParams(b=b, W=F(1, 4))
+    ode = polymer_ode(p, nu)
+    ratio = (_exact_branch(ode, F(0), F(1, 2), n_terms)[0]
+             / _exact_branch(ode, F(1), F(-1, 2), n_terms)[0])
+    zs = [F(1, 5), F(2, 5), F(3, 5), F(4, 5)]
+    samples = eigenfunction_samples(p, nu, zs)
+    for z, (z_float, *got) in zip(zs, samples):
+        if z < F(1, 2):
+            want = _exact_branch(ode, F(0), z, n_terms)
+        else:
+            want = tuple(ratio * v for v in _exact_branch(ode, F(1), z - 1, n_terms))
+        tol = 1e-12 * float(sum(abs(v) for v in want))
+        assert z_float == float(z)
+        assert abs(got[2] - float(want[2])) <= tol, (z, got, want)
+        assert all(abs(g - float(v)) <= tol for g, v in zip(got, want))
 
 
 def test_refinement_on_the_raw_wronskian():
@@ -353,6 +420,11 @@ def test_numbers_of_every_kind_are_accepted():
         precision_bits=128, series_order=160,
     )
     assert as_decimal == exact
+    # the exact entry points take a Decimal as well
+    assert PolymerParams(b=Decimal("2"), W=Decimal("0.25")) == p
+    assert polymer_ode(p, Decimal("7.1")) == polymer_ode(p, F(71, 10))
+    small = {"precision_bits": 96, "grid_points": 24}
+    assert solve_spectrum(p, Decimal("5"), 10, **small) == solve_spectrum(p, F(5), 10, **small)
 
 
 def _branch_outcome(series, nu, cap):

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apparent import (
+    BothZeroError,
     RatPoly,
     ZeroPolynomialError,
     exact_div,
@@ -292,3 +293,33 @@ def test_pretty_round_trips_signs():
     p = RatPoly([F(-1, 2), 0, 1])
     text = p.pretty()
     assert "z^2" in text and "1/2" in text
+
+
+ZERO, LINEAR = RatPoly(), RatPoly([1, 1])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: ZERO.leading, ZeroPolynomialError, "leading"),
+        (lambda: ZERO.valuation(), ZeroPolynomialError, "valuation"),
+        (lambda: ZERO.monic(), ZeroPolynomialError, "monic"),
+        (lambda: radical(ZERO), ZeroPolynomialError, "radical"),
+        (lambda: rational_roots(ZERO), ZeroPolynomialError, "root search"),
+        (lambda: divmod(LINEAR, ZERO), ZeroPolynomialError, "division by zero"),
+        (lambda: exact_div(LINEAR, ZERO), ZeroPolynomialError, "division by zero"),
+        (lambda: poly_gcd(ZERO, ZERO), BothZeroError, "undefined"),
+        (lambda: LINEAR ** -1, ValueError, "negative power"),
+        (lambda: setattr(LINEAR, "coeffs", ()), AttributeError, "immutable"),
+    ],
+)
+def test_undefined_operations_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_scalars_are_constant_polynomials():
+    assert RatPoly([F(1, 2)]) == F(1, 2) and RatPoly([3]) == 3
+    assert LINEAR != 1 and ZERO == 0
+    assert 2 - LINEAR == RatPoly([1, -1])
+    assert F(1, 2) - LINEAR == RatPoly([F(-1, 2), -1])

@@ -7,6 +7,7 @@ from apparent import (
     INFINITY,
     AlreadyIntegratedError,
     HeunParams,
+    IrregularPointError,
     NothingToRemoveError,
     NotRemovableError,
     PointKind,
@@ -252,3 +253,21 @@ def test_undeform_target_with_irrational_exponents_is_not_removable():
     with pytest.raises(NotRemovableError, match="not rational") as err:
         undeform(ode, [0])
     assert err.value.details == {"residual": "s^2 - 2"}
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: deform_iter(make_ode([[0, 1], [1], [1]]), 0), ValueError, "at least one stage"),
+        (lambda: undeform(make_ode([[0, 1], [1]])), ValueError, "order >= 2"),
+        # P_0 = z^3, P_2 = 1: z = 0 is an irregular singular point
+        (lambda: undeform(make_ode([[0, 0, 0, 1], [0], [1]]), [0]), IrregularPointError,
+         "irregular"),
+        # z (z - 1) w'' + w = 0: exponents {0, 1} at 0, a gap below n = 2
+        (lambda: undeform(make_ode([[0, -1, 1], [0], [1]]), [0]), NotRemovableError,
+         "not an integer >= 2"),
+    ],
+)
+def test_transforms_refuse_what_they_cannot_do(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
