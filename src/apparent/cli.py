@@ -431,7 +431,10 @@ def _text_polymer(rep):
 def build_parser() -> argparse.ArgumentParser:
     epilog = (
         "domain error codes (exit 1): " + ", ".join(_ERROR_CODES) + ". "
-        "Exit 2 means a usage or input-format problem."
+        "Exit 2 means a usage or input-format problem. "
+        "Rationals, in files and options, use Python's Fraction syntax "
+        f"('3/16', '-0.25', '1e-400') with a decimal exponent of at most {_MAX_EXPONENT} "
+        "in magnitude."
     )
     parser = argparse.ArgumentParser(
         prog="apparent",

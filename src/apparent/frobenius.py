@@ -39,7 +39,7 @@ from .errors import (
     NotSingularError,
 )
 from .odemodel import INFINITY, LinearODE, PointKind, SingularPoint, _InfinityType
-from .polyrat import RatPoly, _list_addmul, as_fraction, rational_roots
+from .polyrat import RatPoly, _from_ints, _list_addmul, as_fraction, rational_roots
 
 
 def _stirling_rows(n: int) -> list[list[int]]:
@@ -84,7 +84,7 @@ class _LocalData:
             acc = [0] * (n + 1)
             for t, row in terms:
                 _list_addmul(acc, t.numerator * (den // t.denominator), row)
-            cpolys.append(RatPoly([Fraction(x, den) for x in acc]))
+            cpolys.append(_from_ints(acc, Fraction(1, den)))
         self.cpolys: tuple[RatPoly, ...] = tuple(cpolys)
 
     @property

@@ -30,8 +30,10 @@ from .errors import (
 )
 from .polyrat import (
     RatPoly,
+    _from_ints,
     _int_divexact,
     _int_gcd,
+    _over_common_unit,
     _scaled,
     as_fraction,
     rational_roots,
@@ -206,7 +208,7 @@ def make_ode(coeffs) -> LinearODE:
     # P_k = s_k I_k with I_k integer and primitive; the gcd G of the
     # I_k is the common factor, and P_k / G over the leading coefficient
     # of P_0 / G is s_k (I_k / G) / (s_0 lead(I_0 / G))
-    prims = [p.integer_primitive() for p in polys]
+    prims = [p._form for p in polys]
     g = prims[0][0]
     for ints, _scale in prims[1:]:
         if len(g) == 1:
@@ -290,7 +292,8 @@ def _rescaled(polys, mu: Fraction):
 
 
 def _inverted(polys) -> list[RatPoly]:
-    """Pullback z = 1/zeta on the equation scaled to integer coefficients.
+    """Pullback z = 1/zeta, on integer coefficients over the common unit
+    of the coefficients' contents.
 
     d/dz = -zeta^2 d/dzeta, and (zeta^2 d/dzeta)^m = sum_{j=1..m} L(m, j)
     zeta^(m+j) d^j/dzeta^j with the unsigned Lah numbers
@@ -299,17 +302,17 @@ def _inverted(polys) -> list[RatPoly]:
     """
     n = len(polys) - 1
     big_d = max(p.degree for p in polys)
-    common = math.lcm(*[x.denominator for p in polys for x in p.coeffs])
+    unit, mults = _over_common_unit([p._form[1] for p in polys])
     out = [[0] * (big_d + n + j + 1) for j in range(n, -1, -1)]  # out[n - j]: d^j/dzeta^j
-    for k, p in enumerate(polys):
+    for k, (p, mult) in enumerate(zip(polys, mults)):
         m = n - k
-        rev = [x.numerator * (common // x.denominator) for x in reversed(p.coeffs)]
+        rev = [x * mult for x in reversed(p._form[0])]
         for j in range(min(m, 1), m + 1):
             lah = (-1) ** m * math.comb(m - 1, j - 1) * math.perm(m, m - j) if m else 1
             acc = out[n - j]
             for i, y in enumerate(rev, m + j + big_d - p.degree):
                 acc[i] += lah * y
-    return [RatPoly(acc) for acc in out]
+    return [_from_ints(acc, unit) for acc in out]
 
 
 def singular_points(ode: LinearODE) -> list[SingularPoint]:

@@ -5,18 +5,23 @@ Polynomials are stored dense in ascending degree order with trailing
 zeros trimmed; the zero polynomial is the empty coefficient list.
 Degrees in this package stay small (typically below ten), so products
 are schoolbook.  Coefficient sizes do not stay small: each ``deform``
-stage adds about ten bits.  The kernels that run most often therefore
-work on integers and build a ``Fraction`` only once per output
-coefficient: the Taylor shift is the integer shift by 1 of von zur
-Gathen & Gerhard (ISSAC 1997), the gcd is the heuristic GCDHEU of Char,
-Geddes & Gonnet (J. Symb. Comp. 1989), exact division divides integer
-primitive parts, and the rational root search is p-adic (Hensel)
-lifting, whose cost is polynomial in the bits, and not an enumeration
-of divisors, whose cost is exponential, with each root confirmed and
-deflated by exact integer division.  Of the private kernels below,
-``frobenius`` uses ``_list_addmul`` and ``make_ode`` the integer gcd,
-exact division and ``_scaled``; ``RatPoly`` itself only ever holds
-``Fraction`` coefficients.
+stage adds about ten bits.  Beside its ``Fraction`` coefficients every
+``RatPoly`` therefore carries its integer form, a positive content
+times a primitive integer list (the layout of the classical integer
+algorithms, Gauss's lemma: von zur Gathen & Gerhard, *Modern Computer
+Algebra*, 3rd ed., ch. 6), and the arithmetic runs on it: a product
+multiplies the primitive parts and the contents and needs no gcd, a
+sum, derivative or evaluation takes one, and each result builds one
+``Fraction`` per coefficient.  The other kernels work on integers too:
+the Taylor shift is the integer shift by 1 of von zur Gathen & Gerhard
+(ISSAC 1997), the gcd is the heuristic GCDHEU of Char, Geddes & Gonnet
+(J. Symb. Comp. 1989), exact division divides primitive parts, and the
+rational root search is p-adic (Hensel) lifting, whose cost is
+polynomial in the bits, and not an enumeration of divisors, whose cost
+is exponential, with each root confirmed and deflated by exact integer
+division.  Of the private kernels below, ``frobenius`` uses
+``_list_addmul`` and ``_from_ints``, and ``odemodel`` the integer gcd,
+exact division, ``_scaled``, ``_from_ints`` and ``_over_common_unit``.
 """
 
 from __future__ import annotations
@@ -44,19 +49,38 @@ class RatPoly:
 
     ``RatPoly([0, -1, 0, 1])`` is z^3 - z.  Instances are immutable and
     hashable; all arithmetic returns new objects.  Mixed arithmetic with
-    ints and Fractions treats the scalar as a constant polynomial.
+    ints and Fractions treats the scalar as a constant polynomial, and a
+    constant polynomial equals and hashes like its value.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_int")
 
     def __init__(self, coeffs=()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_int", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
+
+    @property
+    def _form(self) -> tuple[list[int], Fraction]:
+        """The integer form (ints, content), self = content * RatPoly(ints).
+
+        ints is primitive (gcd 1) with a nonzero last entry, which
+        carries the sign, and content > 0; the zero polynomial is
+        ([], 0), and the operations below need no case for it.  _scaled
+        sets the form; a polynomial built from coefficients computes it
+        on first use.  Never mutated.
+        """
+        if self._int is None:
+            den = math.lcm(*[c.denominator for c in self.coeffs])
+            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            g = math.gcd(*ints)
+            object.__setattr__(self, "_int", ([v // g for v in ints], Fraction(g, den)))
+        return self._int
 
     # -- constructors ------------------------------------------------
 
@@ -67,6 +91,8 @@ class RatPoly:
     @classmethod
     def monomial(cls, k: int, c=1) -> "RatPoly":
         """c * z^k."""
+        if k < 0:
+            raise ValueError("negative power in a monomial")
         return cls([0] * k + [c])
 
     @classmethod
@@ -120,6 +146,9 @@ class RatPoly:
         return NotImplemented
 
     def __hash__(self):
+        if len(self.coeffs) <= 1:
+            # equal to its value (zero to 0), so hashed like it
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("RatPoly", self.coeffs))
 
     # -- arithmetic --------------------------------------------------
@@ -132,35 +161,53 @@ class RatPoly:
             return RatPoly.constant(other)
         return None
 
+    def _add(self, q: "RatPoly", sign: int) -> "RatPoly":
+        """self + sign * q: both contents over their common unit, one
+        integer sum, one gcd."""
+        if not q.coeffs:  # 0 + 0 has no common unit
+            return self
+        (a, ca), (b, cb) = self._form, q._form
+        unit, (ma, mb) = _over_common_unit((ca, cb))
+        mb *= sign
+        if len(a) < len(b):
+            a, ma, b, mb = b, mb, a, ma
+        s = [x * ma for x in a]
+        for i, y in enumerate(b):
+            s[i] += y * mb
+        return _from_ints(s, unit)
+
     def __add__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(q.coeffs))
-        return RatPoly([self.coeff(i) + q.coeff(i) for i in range(n)])
+        return self._add(q, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
+        ints, content = self._form
+        return _scaled([-v for v in ints], content)
 
     def __sub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        return self._add(q, -1)
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return q + (-self)
+        return q._add(self, -1)
 
     def __mul__(self, other):
+        """Product of the primitive parts, which is primitive (Gauss's
+        lemma), times the product of the contents: no gcd."""
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return RatPoly(_list_mul(self.coeffs, q.coeffs))
+        (a, ca), (b, cb) = self._form, q._form
+        return _scaled(_list_mul(a, b), ca * cb)
 
     __rmul__ = __mul__
 
@@ -203,16 +250,33 @@ class RatPoly:
             c = as_fraction(other)
             if c == 0:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return RatPoly([a / c for a in self.coeffs])
+            ints, content = self._form
+            return _scaled(ints, content / c)
         return NotImplemented
 
     # -- calculus and evaluation -------------------------------------
 
     def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        ints, content = self._form
+        return _from_ints([i * v for i, v in enumerate(ints)][1:], content)
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int arguments."""
+        """Horner evaluation; exact for Fraction/int arguments.
+
+        At x = u/v the integer form gives content * sum a_i u^i v^(d-i)
+        / v^d: one integer Horner pass and one Fraction.  Other argument
+        types run Horner on the coefficients.
+        """
+        if isinstance(x, (int, Fraction)):
+            if not self.coeffs:
+                return Fraction(0)
+            ints, content = self._form
+            u, v = x.numerator, x.denominator
+            acc, vpow = ints[-1], 1
+            for i in range(len(ints) - 2, -1, -1):
+                vpow *= v
+                acc = acc * u + ints[i] * vpow
+            return Fraction(content.numerator * acc, content.denominator * vpow)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -235,22 +299,17 @@ class RatPoly:
     def monic(self) -> "RatPoly":
         if self.is_zero:
             raise ZeroPolynomialError("cannot make the zero polynomial monic")
-        lead = self.coeffs[-1]
-        if lead == 1:
+        if self.coeffs[-1] == 1:
             return self
-        return RatPoly([c / lead for c in self.coeffs])
+        return _monic(self._form[0])
 
     def integer_primitive(self) -> tuple[list[int], Fraction]:
         """Integer coefficient list with content 1, plus the scale factor.
 
         self = scale * RatPoly(int_list); scale > 0 unless self is zero.
         """
-        if self.is_zero:
-            return [], Fraction(0)
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return [v // g for v in ints], Fraction(g, den)
+        ints, content = self._form
+        return list(ints), content
 
     # -- presentation ------------------------------------------------
 
@@ -345,9 +404,39 @@ def poly_derivative(p: RatPoly) -> RatPoly:
 
 
 def _scaled(ints: list[int], scale: Fraction) -> RatPoly:
-    """scale * RatPoly(ints), one Fraction per coefficient."""
+    """scale * RatPoly(ints) for a primitive integer list with a nonzero
+    last entry and a nonzero scale, or for ([], 0): the constructor from
+    the integer form, one Fraction per coefficient.  A negative scale
+    moves its sign into ints."""
     num, den = scale.numerator, scale.denominator
-    return RatPoly([Fraction(v * num, den) for v in ints])
+    if num < 0:
+        ints, num, scale = [-v for v in ints], -num, -scale
+    p = object.__new__(RatPoly)
+    object.__setattr__(p, "coeffs", tuple([Fraction(v * num, den) for v in ints]))
+    object.__setattr__(p, "_int", (ints, scale))
+    return p
+
+
+def _from_ints(ints: list[int], scale: Fraction) -> RatPoly:
+    """scale * RatPoly(ints) for any integer list and a scale > 0: trims
+    ints in place and divides out its gcd."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = math.gcd(*ints)
+    return _scaled([v // g for v in ints], scale * g)
+
+
+def _monic(ints: list[int]) -> RatPoly:
+    """RatPoly(ints) over its last entry, for a primitive integer list."""
+    return _scaled(ints, Fraction(1, ints[-1]))
+
+
+def _over_common_unit(contents) -> tuple[Fraction, list[int]]:
+    """The unit u = gcd(numerators) / lcm(denominators) of contents >= 0,
+    not all zero, and the integers c / u; u is in lowest terms."""
+    g = math.gcd(*[c.numerator for c in contents])
+    den = math.lcm(*[c.denominator for c in contents])
+    return Fraction(g, den), [c.numerator // g * (den // c.denominator) for c in contents]
 
 
 def _int_divexact(a: list[int], b: list[int]) -> list[int] | None:
@@ -409,7 +498,7 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     x, y = RatPoly(a), RatPoly(b)
     while not y.is_zero:
         x, y = y, x % y
-    return x.monic().integer_primitive()[0]
+    return x.monic()._form[0]
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
@@ -418,8 +507,7 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
         raise BothZeroError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         return (a or b).monic()
-    g = _int_gcd(a.integer_primitive()[0], b.integer_primitive()[0])
-    return _scaled(g, Fraction(1, g[-1]))
+    return _monic(_int_gcd(a._form[0], b._form[0]))
 
 
 def exact_div(a: RatPoly, b: RatPoly) -> RatPoly:
@@ -431,8 +519,8 @@ def exact_div(a: RatPoly, b: RatPoly) -> RatPoly:
     """
     if b.is_zero:
         raise ZeroPolynomialError("polynomial division by zero")
-    a_ints, a_scale = a.integer_primitive()
-    b_ints, b_scale = b.integer_primitive()
+    a_ints, a_scale = a._form
+    b_ints, b_scale = b._form
     q = _int_divexact(a_ints, b_ints)
     if q is None:
         raise ValueError(f"inexact polynomial division: remainder {divmod(a, b)[1]!r}")
@@ -455,8 +543,7 @@ def radical(p: RatPoly) -> RatPoly:
         raise ZeroPolynomialError("radical of the zero polynomial")
     if p.degree == 0:
         return ONE
-    q = _int_squarefree(p.integer_primitive()[0])
-    return _scaled(q, Fraction(1, q[-1]))
+    return _monic(_int_squarefree(p._form[0]))
 
 
 def _deflate(f: list[int], r: Fraction) -> tuple[list[int], int]:
@@ -477,7 +564,7 @@ def root_multiplicity(p: RatPoly, r) -> int:
     """Multiplicity of r as a root of p (0 when p(r) != 0)."""
     if p.is_zero:
         raise ZeroPolynomialError("every value is a root of the zero polynomial")
-    return _deflate(p.integer_primitive()[0], as_fraction(r))[1]
+    return _deflate(p._form[0], as_fraction(r))[1]
 
 
 def _int_eval(coeffs: list[int], y: int, modulus: int = 0) -> int:
@@ -551,11 +638,11 @@ def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
         raise ZeroPolynomialError("root search on the zero polynomial")
     if p.degree <= 0:
         return [], ONE
-    f = p.integer_primitive()[0]
+    f = p._form[0]
     roots: list[tuple[Fraction, int]] = []
     for r in sorted(_hensel_roots(_int_squarefree(f))):
         f, m = _deflate(f, r)
         if m:
             roots.append((r, m))
-    residual = _scaled(f, Fraction(1, f[-1])) if len(f) > 1 else ONE
+    residual = _monic(f) if len(f) > 1 else ONE
     return roots, residual

@@ -311,6 +311,7 @@ ZERO, LINEAR = RatPoly(), RatPoly([1, 1])
         (lambda: poly_gcd(ZERO, ZERO), BothZeroError, "undefined"),
         (lambda: LINEAR ** -1, ValueError, "negative power"),
         (lambda: setattr(LINEAR, "coeffs", ()), AttributeError, "immutable"),
+        (lambda: RatPoly.monomial(-1, 5), ValueError, "monomial"),
     ],
 )
 def test_undefined_operations_raise(call, error, match):
@@ -323,3 +324,13 @@ def test_scalars_are_constant_polynomials():
     assert LINEAR != 1 and ZERO == 0
     assert 2 - LINEAR == RatPoly([1, -1])
     assert F(1, 2) - LINEAR == RatPoly([F(-1, 2), -1])
+
+
+def test_constants_hash_like_their_values():
+    for value in (1, -7, F(3, 4), 0):
+        const = RatPoly([value])
+        assert const == value and hash(const) == hash(value)
+        assert len({value, const}) == 1
+    assert hash(ZERO) == hash(0) and len({0, ZERO, RatPoly([0, 0])}) == 1
+    assert hash(RatPoly([F(1, 2), 1])) == hash(RatPoly([F(2, 4), F(3, 3)]))
+    assert len({LINEAR, RatPoly([1, 1]), 1}) == 2
