@@ -26,7 +26,6 @@ every call and share it, so infinity is pulled back once per equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +38,14 @@ from .errors import (
     NotSingularError,
 )
 from .odemodel import INFINITY, LinearODE, PointKind, SingularPoint, _InfinityType
-from .polyrat import RatPoly, _from_ints, _list_addmul, as_fraction, rational_roots
+from .polyrat import (
+    RatPoly,
+    _from_ints,
+    _list_addmul,
+    _over_common_unit,
+    as_fraction,
+    rational_roots,
+)
 
 
 def _stirling_rows(n: int) -> list[list[int]]:
@@ -62,9 +68,9 @@ class _LocalData:
     """Shifted-coefficient tables for one finite point; shared, never mutated.
 
     cpolys[j - j0] is C_j(s) = sum_k t_{k,j-k} S_{n-k}(s), built on
-    coefficient lists: S_m is row m of the Stirling table, so each C_j
-    is a sum of integer rows scaled by the nonzero t_{k,j-k}, taken over
-    their common denominator.
+    integer lists: S_m is row m of the Stirling table, and the T_k are
+    put over the common unit of their contents, so each C_j is a sum of
+    integer rows scaled by integer t_{k,j-k}, times that unit.
     """
 
     def __init__(self, ode: LinearODE, point: Fraction):
@@ -75,16 +81,15 @@ class _LocalData:
         self.j0 = j0 = min(lo for lo, _hi in spans)
         self.jmax = jmax = max(hi for _lo, hi in spans)
         stirling = _stirling_rows(n)
-        tables = [t.coeffs for t in shifted]
+        unit, mults = _over_common_unit([t._form[1] for t in shifted])
+        tables = [[v * mult for v in t._form[0]] for t, mult in zip(shifted, mults)]
         cpolys = []
         for j in range(j0, jmax + 1):
-            terms = [(tk[j - k], stirling[n - k]) for k, tk in enumerate(tables)
-                     if 0 <= j - k < len(tk) and tk[j - k]]
-            den = math.lcm(*[t.denominator for t, _row in terms])
             acc = [0] * (n + 1)
-            for t, row in terms:
-                _list_addmul(acc, t.numerator * (den // t.denominator), row)
-            cpolys.append(_from_ints(acc, Fraction(1, den)))
+            for k, tk in enumerate(tables):
+                if 0 <= j - k < len(tk) and tk[j - k]:
+                    _list_addmul(acc, tk[j - k], stirling[n - k])
+            cpolys.append(_from_ints(acc, unit))
         self.cpolys: tuple[RatPoly, ...] = tuple(cpolys)
 
     @property

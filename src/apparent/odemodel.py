@@ -334,7 +334,7 @@ def _exponent_sum_at(ode: LinearODE, location) -> Fraction:
     from . import frobenius
 
     ind = frobenius.indicial_polynomial(ode, location)
-    return -ind.coeffs[-2] / ind.coeffs[-1]
+    return Fraction(-ind._form[0][-2], ind._form[0][-1])
 
 
 def fuchs_check(ode: LinearODE) -> FuchsReport:

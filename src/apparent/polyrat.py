@@ -1,27 +1,28 @@
 """Exact univariate polynomial arithmetic over Q.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``).
-Polynomials are stored dense in ascending degree order with trailing
-zeros trimmed; the zero polynomial is the empty coefficient list.
-Degrees in this package stay small (typically below ten), so products
-are schoolbook.  Coefficient sizes do not stay small: each ``deform``
-stage adds about ten bits.  Beside its ``Fraction`` coefficients every
-``RatPoly`` therefore carries its integer form, a positive content
-times a primitive integer list (the layout of the classical integer
-algorithms, Gauss's lemma: von zur Gathen & Gerhard, *Modern Computer
-Algebra*, 3rd ed., ch. 6), and the arithmetic runs on it: a product
-multiplies the primitive parts and the contents and needs no gcd, a
-sum, derivative or evaluation takes one, and each result builds one
-``Fraction`` per coefficient.  The other kernels work on integers too:
-the Taylor shift is the integer shift by 1 of von zur Gathen & Gerhard
-(ISSAC 1997), the gcd is the heuristic GCDHEU of Char, Geddes & Gonnet
-(J. Symb. Comp. 1989), exact division divides primitive parts, and the
-rational root search is p-adic (Hensel) lifting, whose cost is
+A ``RatPoly`` is stored as its integer form: a positive content times a
+primitive integer coefficient list, dense in ascending degree order with
+trailing zeros trimmed and the sign in the last entry (the layout of
+the classical integer algorithms, Gauss's lemma: von zur Gathen &
+Gerhard, *Modern Computer Algebra*, 3rd ed., ch. 6).  The zero
+polynomial is the empty list with content 0.  The ``Fraction``
+coefficients are a view, built on first read and cached.  Degrees in
+this package stay small (typically below ten), so products are
+schoolbook.  Coefficient sizes do not stay small: each ``deform`` stage
+adds about ten bits, and every operation runs on the integer form: a
+product multiplies the primitive parts and the contents and needs no
+gcd; a sum, derivative, evaluation, Taylor shift or division takes one.
+The Taylor shift is the integer shift by 1 of von zur Gathen & Gerhard
+(ISSAC 1997), division is pseudo-division over Z (Knuth, TAOCP vol. 2,
+4.6.1, Algorithm R), the gcd is the heuristic GCDHEU of Char, Geddes &
+Gonnet (J. Symb. Comp. 1989), exact division divides primitive parts,
+and the rational root search is p-adic (Hensel) lifting, whose cost is
 polynomial in the bits, and not an enumeration of divisors, whose cost
 is exponential, with each root confirmed and deflated by exact integer
 division.  Of the private kernels below, ``frobenius`` uses
-``_list_addmul`` and ``_from_ints``, and ``odemodel`` the integer gcd,
-exact division, ``_scaled``, ``_from_ints`` and ``_over_common_unit``.
+``_list_addmul``, ``_from_ints`` and ``_over_common_unit``, and
+``odemodel`` the integer gcd, exact division, ``_scaled``,
+``_from_ints`` and ``_over_common_unit``.
 """
 
 from __future__ import annotations
@@ -51,36 +52,45 @@ class RatPoly:
     hashable; all arithmetic returns new objects.  Mixed arithmetic with
     ints and Fractions treats the scalar as a constant polynomial, and a
     constant polynomial equals and hashes like its value.
+
+    The one state is ``_form`` = (ints, content), self = content *
+    RatPoly(ints): ints primitive with the sign in its nonzero last
+    entry, content > 0, and ([], 0) for zero.  It is canonical, so
+    equality compares forms; ``coeffs`` is a view of it.
     """
 
-    __slots__ = ("coeffs", "_int")
+    __slots__ = ("_form", "_coeffs")
 
     def __init__(self, coeffs=()):
+        if isinstance(coeffs, (str, bytes)):
+            raise TypeError("RatPoly takes a coefficient sequence, not a string")
         cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_int", None)
+        den = math.lcm(*[c.denominator for c in cs])
+        ints = [c.numerator * (den // c.denominator) for c in cs]
+        g = math.gcd(*ints)
+        object.__setattr__(self, "_form", ([v // g for v in ints], Fraction(g, den)))
+        object.__setattr__(self, "_coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
 
-    @property
-    def _form(self) -> tuple[list[int], Fraction]:
-        """The integer form (ints, content), self = content * RatPoly(ints).
+    def __reduce__(self):
+        return RatPoly, (self.coeffs,)
 
-        ints is primitive (gcd 1) with a nonzero last entry, which
-        carries the sign, and content > 0; the zero polynomial is
-        ([], 0), and the operations below need no case for it.  _scaled
-        sets the form; a polynomial built from coefficients computes it
-        on first use.  Never mutated.
-        """
-        if self._int is None:
-            den = math.lcm(*[c.denominator for c in self.coeffs])
-            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            g = math.gcd(*ints)
-            object.__setattr__(self, "_int", ([v // g for v in ints], Fraction(g, den)))
-        return self._int
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients, ascending, trailing zeros trimmed; built from
+        the integer form on first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            ints, content = self._form
+            num, den = content.numerator, content.denominator
+            cs = tuple([Fraction(v * num, den) for v in ints])
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
 
     # -- constructors ------------------------------------------------
 
@@ -108,48 +118,46 @@ class RatPoly:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._form[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._form[0]
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        ints, content = self._form
+        if not ints:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return ints[-1] * content
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of z^i (zero outside the stored range)."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return self.coeffs[i] if 0 <= i <= self.degree else Fraction(0)
 
     def valuation(self) -> int:
         """Order of vanishing at z = 0; raises on the zero polynomial."""
-        if not self.coeffs:
+        ints = self._form[0]
+        if not ints:
             raise ZeroPolynomialError("zero polynomial has no valuation")
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise AssertionError("unreachable: trailing zeros are trimmed")
+        return next(i for i, v in enumerate(ints) if v)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._form[0])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
+            return self._form == other._form
         if isinstance(other, (int, Fraction)):
             return self == RatPoly.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        if len(self.coeffs) <= 1:
+        ints, content = self._form
+        if len(ints) <= 1:
             # equal to its value (zero to 0), so hashed like it
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(("RatPoly", self.coeffs))
+            return hash(ints[0] * content if ints else 0)
+        return hash(("RatPoly", tuple(ints), content))
 
     # -- arithmetic --------------------------------------------------
 
@@ -164,9 +172,9 @@ class RatPoly:
     def _add(self, q: "RatPoly", sign: int) -> "RatPoly":
         """self + sign * q: both contents over their common unit, one
         integer sum, one gcd."""
-        if not q.coeffs:  # 0 + 0 has no common unit
-            return self
         (a, ca), (b, cb) = self._form, q._form
+        if not b:  # 0 + 0 has no common unit
+            return self
         unit, (ma, mb) = _over_common_unit((ca, cb))
         mb *= sign
         if len(a) < len(b):
@@ -229,18 +237,20 @@ class RatPoly:
             return NotImplemented
         if q.is_zero:
             raise ZeroPolynomialError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = q.degree
-        lead = q.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dq, 0)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i] / lead
-            if c == 0:
-                continue
-            quot[i - dq] = c
-            for j, b in enumerate(q.coeffs):
-                rem[i - dq + j] -= c * b
-        return RatPoly(quot), RatPoly(rem[:dq] if dq > 0 else [])
+        # pseudo-division over Z (Knuth, TAOCP 4.6.1, Algorithm R):
+        # lead^k a = quot b + rem on the primitive parts, k = deg a - deg b + 1
+        (a, ca), (b, cb) = self._form, q._form
+        db, lead = len(b) - 1, b[-1]
+        k = max(len(a) - db, 0)
+        rem, quot = list(a), [0] * k
+        for i in range(len(a) - 1, db - 1, -1):
+            c = rem.pop()
+            quot[i - db] = c * lead ** (i - db)
+            rem = [lead * v for v in rem]
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+        scale = Fraction(1, lead**k)
+        return _from_ints(quot, ca / cb * scale), _from_ints(rem, ca * scale)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -268,9 +278,9 @@ class RatPoly:
         types run Horner on the coefficients.
         """
         if isinstance(x, (int, Fraction)):
-            if not self.coeffs:
-                return Fraction(0)
             ints, content = self._form
+            if not ints:
+                return Fraction(0)
             u, v = x.numerator, x.denominator
             acc, vpow = ints[-1], 1
             for i in range(len(ints) - 2, -1, -1):
@@ -290,26 +300,19 @@ class RatPoly:
         ISSAC 1997): see _taylor_shift.  a = 0 and constants return self.
         """
         a = as_fraction(a)
-        if a == 0 or len(self.coeffs) <= 1:
+        ints, content = self._form
+        if a == 0 or len(ints) <= 1:
             return self
-        return RatPoly(_taylor_shift(self.coeffs, a))
+        return _taylor_shift(ints, content, a)
 
     # -- normal forms ------------------------------------------------
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
             raise ZeroPolynomialError("cannot make the zero polynomial monic")
-        if self.coeffs[-1] == 1:
+        if self.leading == 1:
             return self
         return _monic(self._form[0])
-
-    def integer_primitive(self) -> tuple[list[int], Fraction]:
-        """Integer coefficient list with content 1, plus the scale factor.
-
-        self = scale * RatPoly(int_list); scale > 0 unless self is zero.
-        """
-        ints, content = self._form
-        return list(ints), content
 
     # -- presentation ------------------------------------------------
 
@@ -342,38 +345,30 @@ class RatPoly:
 ONE = RatPoly([1])
 
 
-def _taylor_shift(coeffs: tuple[Fraction, ...], a: Fraction) -> list[Fraction]:
-    """Coefficients of p(z + a) for p = sum coeffs[i] z^i, a = u/v != 0.
+def _taylor_shift(f: list[int], content: Fraction, a: Fraction) -> RatPoly:
+    """content * f(z + a) for a primitive integer list f of degree d >= 1
+    and a = u/v != 0.
 
-    With den the common denominator of p and d = deg p, the integers
-    f_i = den c_i u^i v^(d-i) are the coefficients of
-    den v^d p((u/v) y), so shifting them by 1 with integer additions
-    gives den v^d p((u/v)(y + 1)); substituting back y = (v/u) z, the
-    coefficient of z^k is g_k / (den v^(d-k) u^k).  One gcd per output
-    coefficient, no Fraction arithmetic in the d(d+1)/2 additions.
+    The integers g_i = f_i u^i v^(d-i) are the coefficients of
+    v^d f((u/v) y), so shifting them by 1 with integer additions gives
+    h, the coefficients of v^d f((u/v)(y + 1)); substituting back
+    y = (v/u) z, the coefficient of z^k is h_k / (v^(d-k) u^k), which is
+    h_k u^(d-k) v^k over (u v)^d, negative for u < 0 at odd d (_scaled
+    moves that sign into the list).  No Fraction arithmetic in the
+    d(d+1)/2 additions, one gcd for the result.
     """
-    d = len(coeffs) - 1
+    d = len(f) - 1
     u, v = a.numerator, a.denominator
-    # star-args from a list: a tuple grown from a generator skips CPython's
-    # tuple free list when built but joins it when freed, raising peak RSS
-    den = math.lcm(*[c.denominator for c in coeffs])
-    vpow = [1]
+    upow, vpow = [1], [1]
     for _ in range(d):
+        upow.append(upow[-1] * u)
         vpow.append(vpow[-1] * v)
-    f = []
-    upow = 1
-    for i, c in enumerate(coeffs):
-        f.append(c.numerator * (den // c.denominator) * upow * vpow[d - i] if c else 0)
-        upow *= u
+    g = [c * upow[i] * vpow[d - i] for i, c in enumerate(f)]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            f[j] += f[j + 1]
-    out = []
-    upow = 1
-    for k, g in enumerate(f):
-        out.append(Fraction(g, den * vpow[d - k] * upow))
-        upow *= u
-    return out
+            g[j] += g[j + 1]
+    scale = content / (upow[d] * vpow[d])
+    return _from_ints([h * upow[d - k] * vpow[k] for k, h in enumerate(g)], scale)
 
 
 def _list_mul(a, b) -> list:
@@ -406,20 +401,17 @@ def poly_derivative(p: RatPoly) -> RatPoly:
 def _scaled(ints: list[int], scale: Fraction) -> RatPoly:
     """scale * RatPoly(ints) for a primitive integer list with a nonzero
     last entry and a nonzero scale, or for ([], 0): the constructor from
-    the integer form, one Fraction per coefficient.  A negative scale
-    moves its sign into ints."""
-    num, den = scale.numerator, scale.denominator
-    if num < 0:
-        ints, num, scale = [-v for v in ints], -num, -scale
+    the integer form.  A negative scale moves its sign into ints."""
+    if scale.numerator < 0:
+        ints, scale = [-v for v in ints], -scale
     p = object.__new__(RatPoly)
-    object.__setattr__(p, "coeffs", tuple([Fraction(v * num, den) for v in ints]))
-    object.__setattr__(p, "_int", (ints, scale))
+    object.__setattr__(p, "_form", (ints, scale))
     return p
 
 
 def _from_ints(ints: list[int], scale: Fraction) -> RatPoly:
-    """scale * RatPoly(ints) for any integer list and a scale > 0: trims
-    ints in place and divides out its gcd."""
+    """scale * RatPoly(ints) for any integer list and a nonzero scale:
+    trims ints in place and divides out its gcd."""
     while ints and not ints[-1]:
         ints.pop()
     g = math.gcd(*ints)

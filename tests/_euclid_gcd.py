@@ -2,7 +2,7 @@
 
 These are the former bodies of ``poly_gcd`` and ``exact_div``: the
 Euclidean algorithm on ``RatPoly`` remainders and ``divmod`` with a
-remainder check, both in ``Fraction`` arithmetic.  They are kept only
+remainder check.  They are kept only
 as oracles for ``test_gcd.py``; ``euclid_int_gcd`` wraps the gcd in the
 integer-list form of ``polyrat._int_gcd`` so it can stand in for it.
 """
@@ -21,7 +21,7 @@ def euclid_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 def euclid_int_gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd with a positive leading coefficient of integer lists."""
-    return euclid_gcd(RatPoly(a), RatPoly(b)).integer_primitive()[0]
+    return euclid_gcd(RatPoly(a), RatPoly(b))._form[0]
 
 
 def schoolbook_exact_div(a: RatPoly, b: RatPoly) -> RatPoly:

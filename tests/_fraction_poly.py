@@ -4,10 +4,11 @@ This is ``RatPoly``'s arithmetic as it was when the class held only
 ``Fraction`` coefficients, written on ascending tuples with trailing
 zeros trimmed (the zero polynomial is ``()``), so that it shares no
 code with ``apparent.polyrat``.  It is kept only as the oracle of
-``test_int_form.py``: ``exact_div`` is schoolbook division with a
-remainder check, ``radical`` divides by the Euclidean gcd with the
-derivative, and ``make_ode`` divides out the Euclidean gcd of all
-coefficients and makes P_0 monic.
+``test_int_form.py``: ``shift`` is Horner's rule, ``divmod_`` is
+schoolbook division over Q, ``exact_div`` adds a remainder check,
+``radical`` divides by the Euclidean gcd with the derivative, and
+``make_ode`` divides out the Euclidean gcd of all coefficients and
+makes P_0 monic.
 """
 
 import math
@@ -52,6 +53,14 @@ def evaluate(a, x) -> Fraction:
     acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x + c
+    return acc
+
+
+def shift(a, x) -> tuple:
+    """a(z + x) by Horner's rule."""
+    acc = ()
+    for c in reversed(a):
+        acc = add(mul(acc, (Fraction(x), Fraction(1))), (c,))
     return acc
 
 

@@ -40,7 +40,7 @@ def polys(coeff=small, max_degree=3):
 
 def first_xi(a: RatPoly, b: RatPoly) -> int:
     """The first GCDHEU evaluation point for a and b."""
-    norms = [max(map(abs, p.integer_primitive()[0])) for p in (a, b)]
+    norms = [max(map(abs, p._form[0])) for p in (a, b)]
     return 2 * min(norms) + 29
 
 

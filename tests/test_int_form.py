@@ -1,11 +1,14 @@
 """``RatPoly``'s integer form against the ``Fraction`` oracle of ``_fraction_poly``.
 
-Every operation that runs on the integer form (content x primitive
-integer list) must give the coefficients the ``Fraction`` arithmetic
-gives, and every polynomial it returns must carry a valid form: content
-> 0, gcd of the integer list 1, a nonzero last entry, and content times
-the list equal to ``coeffs``.  The strategies mix small fractions with
-200-bit numerators and denominators, and the draws are derandomized.
+The integer form (content x primitive integer list) is a ``RatPoly``'s
+only state and ``coeffs`` a view of it.  Every operation must give the
+coefficients the ``Fraction`` arithmetic gives, and every polynomial it
+returns must carry a valid form: content > 0, gcd of the integer list 1,
+a nonzero last entry, and content times the list equal to ``coeffs``.
+Its equality and hash must not depend on whether the view has been
+read, and must agree with those of the polynomial rebuilt from the view.
+The strategies mix small fractions with 200-bit numerators and
+denominators, and the draws are derandomized.
 """
 
 import math
@@ -28,10 +31,16 @@ points = st.one_of(st.integers(-7, 7), small, big)
 
 
 def checked(p: RatPoly) -> tuple:
-    """p.coeffs, after asserting that p's integer form is valid."""
+    """p.coeffs, after asserting that p's integer form is valid and that
+    p equals and hashes like RatPoly(p.coeffs), before the view is
+    built and after."""
     ints, content = p._form
-    if not p.coeffs:
-        assert ints == [] and content == 0
+    h = hash(p)
+    for _ in range(2):  # the first pass may build the view, the second reads it back
+        twin = RatPoly(p.coeffs)
+        assert twin == p and p == twin and hash(twin) == hash(p) == h
+    if not ints:
+        assert p.coeffs == () and content == 0
     else:
         assert content > 0
         assert math.gcd(*ints) == 1
@@ -65,7 +74,9 @@ def test_integer_form_agrees_with_fraction_arithmetic(p, q, x):
     assert checked(p * F(-2, 3)) == oracle.mul(a, (F(-2, 3),))
     assert checked(p / F(-5, 7)) == oracle.mul(a, (F(-7, 5),))
     assert p(x) == oracle.evaluate(a, F(x))
-    assert p.integer_primitive() == oracle.integer_primitive(a)
+    assert p._form == oracle.integer_primitive(a)
+    assert (p == q) == (a == b) and (p == 2 * p) == (not a)
+    assert checked(p.shifted(x)) == oracle.shift(a, x)
     if not p.is_zero:
         assert checked(p.monic()) == oracle.monic(a)
         assert checked(radical(p * p)) == oracle.radical(oracle.mul(a, a))
@@ -73,3 +84,6 @@ def test_integer_form_agrees_with_fraction_arithmetic(p, q, x):
         assert tuple(map(checked, ode.coeffs)) == oracle.make_ode([a, b, oracle.mul(a, b)])
     if not q.is_zero:
         assert checked(exact_div(p * q, q)) == oracle.exact_div(oracle.mul(a, b), b)
+        quot, rem = divmod(p, q)
+        assert (checked(quot), checked(rem)) == oracle.divmod_(a, b)
+        assert checked(p % q) == oracle.divmod_(a, b)[1]

@@ -5,7 +5,9 @@ local-data constructor and the Moebius pullback to see how often the
 work behind them runs.
 """
 
+import copy
 import gc
+import pickle
 import random
 import weakref
 from collections import Counter
@@ -103,3 +105,12 @@ def test_memo_dies_with_its_equation():
     del ode, res
     gc.collect()
     assert ref() is None
+
+
+def test_equation_with_a_filled_memo_pickles_and_copies():
+    ode = deform(general_heun(heun_params(random.Random(4)))).ode
+    report = fuchs_check(ode)
+    assert ode._memo
+    for clone in (pickle.loads(pickle.dumps(ode)), copy.copy(ode), copy.deepcopy(ode)):
+        assert clone == ode and hash(clone) == hash(ode)
+        assert fuchs_check(clone) == report

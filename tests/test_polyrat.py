@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -312,11 +314,18 @@ ZERO, LINEAR = RatPoly(), RatPoly([1, 1])
         (lambda: LINEAR ** -1, ValueError, "negative power"),
         (lambda: setattr(LINEAR, "coeffs", ()), AttributeError, "immutable"),
         (lambda: RatPoly.monomial(-1, 5), ValueError, "monomial"),
+        (lambda: RatPoly("12"), TypeError, "not a string"),
     ],
 )
 def test_undefined_operations_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("p", [ZERO, RatPoly([F(-3, 7)]), RatPoly([F(1 << 200, 3), 0, F(-5, (1 << 200) + 1)])])
+def test_pickle_and_copy_round_trip(p):
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and hash(clone) == hash(p) and clone.coeffs == p.coeffs
 
 
 def test_scalars_are_constant_polynomials():
