@@ -228,6 +228,11 @@ def cmd_deform(args) -> dict:
     return report("deform", {"input": ode_json(ode), "stages": stages, **stages[-1]})
 
 
+# undeform's slack loop grows about as slack^4 (slack 32 takes about 1 s,
+# 64 about 10 s), so the command line refuses a slack past _MAX_SLACK
+_MAX_SLACK = 32
+
+
 def cmd_undeform(args) -> dict:
     from . import transform
 
@@ -244,8 +249,10 @@ def cmd_undeform(args) -> dict:
             f"--multiplicities needs one value per target: {len(targets)} targets, "
             f"{len(mults)} multiplicities"
         )
-    if args.max_slack < 0:
-        raise UsageError(f"--max-slack must be at least 0, got {args.max_slack}")
+    if not 0 <= args.max_slack <= _MAX_SLACK:
+        raise UsageError(
+            f"--max-slack must be between 0 and {_MAX_SLACK}, got {args.max_slack}"
+        )
     ode = parse_ode(read_json_input(args.input))
     if ode.order < 2:
         raise UsageError(f"undeform needs an equation of order at least 2, got {ode.order}")

@@ -13,9 +13,11 @@ boundary condition is boundedness, i.e. the exponent-0 branch at each
 end.  Infinity is an irregular point (confluent degree pattern).
 
 nu is an eigenvalue when the bounded-at-0 and bounded-at-1 branches are
-proportional; the first eigenvalue nu_1 sets the relaxation time
-T_rel = b tau / nu_1, which grows as W approaches the coil-stretch
-transition at W = 1/2.
+proportional.  The spectrum continues below 0 (one eigenvalue at b = 2,
+W = 1/4; four at b = 100, W = 1/4), and counted from its bottom the
+k-th eigenfunction has k - 1 zeros.  nu_1, which sets the relaxation
+time T_rel = b tau / nu_1, is the smallest positive eigenvalue; T_rel
+grows as W approaches the coil-stretch transition at W = 1/2.
 
 Numerics: two-sided Frobenius-series shooting.  One series kernel
 (_Series.branch) sums a branch in fixed point, on Python integers
@@ -24,11 +26,15 @@ term rounded to nearest (Brent & Zimmermann, Modern Computer
 Arithmetic, 2010, ch. 4).  It sums until the tail is negligible
 against the branch's own value and measures the digits lost to
 cancellation, which at the z = 1 end (coefficients of size 2^b) runs
-to tens of digits; the 20 digits that loss must leave also bound the
-fixed-point rounding.  The scan stops at the last bracket needed; each
-bracket is refined by the Illinois method (Dowell & Jarratt, BIT 1971)
-on the raw Wronskian, which is nearly linear in nu where the reported,
-scale-normalized mismatch saturates.  decimal appears only at the
+to tens of digits; the digits that loss must leave also bound the
+fixed-point rounding.  A grid point of the scan needs only the sign of
+the Wronskian, so its branches are summed to 8 digits, and the sign is
+taken only above the error bound those digits leave
+(_Shooting.scan_point); below it the point is summed again to the 20
+digits the refinement uses.  The scan stops at the last bracket needed;
+each bracket is refined by the Illinois method (Dowell & Jarratt, BIT
+1971) on the raw Wronskian, which is nearly linear in nu where the
+reported, scale-normalized mismatch saturates.  decimal appears only at the
 edges: for nu on the scan and in the refinement, and for digit counts.
 """
 
@@ -50,10 +56,15 @@ from .polyrat import RatPoly, as_fraction
 _ORDER_CAP = 6400
 _BITS_CAP = 4096
 _GUARD_DIGITS = 10
-# tail test: _QUIET_TERMS consecutive terms each below 1e-20 (|w| + |w'|);
-# the same 20 digits must survive cancellation
+# tail test: _QUIET_TERMS consecutive terms each below 10^-digits (|w| + |w'|);
+# the same digits must survive cancellation.  The refinement and the
+# diagnostics sum to _TAIL_DIGITS; a scan point, which needs only a sign,
+# to _SIGN_DIGITS, and its sign stands when |mismatch| > _SIGN_BOUND
 _TAIL_DIGITS = 20
+_SIGN_DIGITS = 8
 _QUIET_TERMS = 8
+_SIGN_MARGIN = 100
+_SIGN_BOUND = _SIGN_MARGIN * (4 * 10.0**-_SIGN_DIGITS + 2 * 10.0 ** (-2 * _SIGN_DIGITS))
 _RTOL = Decimal(10) ** -10  # relative bracket width that ends refinement
 _NU_FLOOR = Decimal("1e-6")  # below |nu| = 1e-6 the width is absolute
 # the refinement's absolute resolution: a root closer to 0 is not told from 0
@@ -91,14 +102,18 @@ class PolymerParams:
 class SpectralResult:
     """Eigenvalues and diagnostics of one spectral solve.
 
-    eigenvalues: strictly increasing; t_rel = b tau / eigenvalues[0].
+    eigenvalues: strictly increasing; t_rel = b tau / eigenvalues[0],
+    the relaxation time when the window starts above 0.
     wronskian_samples: (nu, scale-normalized mismatch) at the scan grid
     points evaluated; the scan stops at the grid point that closes the
     last bracket needed, and the mismatch changes sign across each
-    reported eigenvalue.
+    reported eigenvalue.  A sample summed to the scan's 8 digits lies
+    within 8e-8 (plus O(1e-16)) of the 20-digit mismatch; the first
+    grid point, and a point evaluated again, carry 20 digits.
     series_order / precision_bits: the largest number of series terms
     and the largest precision any branch evaluation used.
-    evaluations: mismatch evaluations, grid and refinement together.
+    evaluations: mismatch evaluations, grid and refinement together; a
+    grid point evaluated again at 20 digits counts twice.
     """
 
     eigenvalues: tuple[float, ...]
@@ -151,6 +166,11 @@ def _digits(bits: int) -> int:
     return math.ceil(bits * _LOG10_2) + _GUARD_DIGITS
 
 
+def _bits_for(digits: int) -> int:
+    """Bits that carry `digits` digits, rounded up to a multiple of 64."""
+    return -(-math.ceil(digits / _LOG10_2) // 64) * 64
+
+
 def _exact(v) -> Fraction:
     """Exact rational of a number, a float taken as written."""
     return Fraction(repr(v)) if isinstance(v, float) else as_fraction(v)
@@ -175,7 +195,8 @@ class _Branch:
     """One exponent-0 branch at one point: values and the work they took.
 
     w, dw are fixed-point integers: the branch value and its derivative
-    times 2^frac_bits.
+    times 2^frac_bits; lost counts the digits of |w| + |w'| that
+    cancellation took.
     """
 
     w: int
@@ -183,6 +204,7 @@ class _Branch:
     frac_bits: int
     terms: int
     bits: int
+    lost: int
 
     def values(self) -> tuple[Fraction, Fraction]:
         """(w, w') as exact rationals."""
@@ -201,8 +223,9 @@ class _Series:
     P(M) = -sign x c2(M-1), Q(M) = -sign x^2 c3(M-2), where nu enters
     only the constant terms of P and Q, linearly.  The coefficients
     apart from nu are cleared to integers once here; branch() clears
-    nu's denominator, so every term costs a few integer products and
-    one division.
+    nu's denominator and steps P(M), Q(M) and M (M + e1) by their
+    finite differences, so every term costs three integer products, a
+    few sums and one division.
     """
 
     def __init__(self, b, kappa, at_one: bool, x):
@@ -225,8 +248,8 @@ class _Series:
         self.ints = [c.numerator * (scale // c.denominator) for c in coeffs]
         self.x = x
 
-    def branch(self, nu, cap: int, bits: int, grow: bool) -> _Branch:
-        """Exponent-0 branch (w, w') at this offset.
+    def branch(self, nu, cap: int, bits: int, grow: bool, digits: int = _TAIL_DIGITS) -> _Branch:
+        """Exponent-0 branch (w, w') at this offset, to `digits` digits.
 
         The sum runs in fixed point: integers scaled by 2^F, F the bit
         equivalent of _digits(bits), each division rounded to nearest
@@ -235,19 +258,19 @@ class _Series:
         and sum M b_M / x.
 
         Terms are added until _QUIET_TERMS consecutive ones (of w and
-        w') fall below 1e-20 (|w| + |w'|): relative to the branch's own
-        value, because at b = 100 the z = 1 branch cancels by 20-40
+        w') fall below 10^-digits (|w| + |w'|): relative to the branch's
+        own value, because at b = 100 the z = 1 branch cancels by 20-40
         digits and a test against its peak term stops early with the
         wrong sign.  That loss, log10(peak / (|w| + |w'|)), must leave
-        20 digits.  The same test bounds the fixed-point error: each
-        rounding is 2^-F of the first term, 1, so no larger than a
+        `digits` digits.  The same test bounds the fixed-point error:
+        each rounding is 2^-F of the first term, 1, so no larger than a
         rounding at _digits(bits) significant digits of the peak, and
-        the sums keep _digits(bits) - loss >= 20 digits of |w| + |w'|
-        as a floating sum would; a term that rounds to zero is then
-        below the tail tolerance as well.  The terms stop at cap.  With
-        grow a lossy branch reruns at bits sized from its loss;
-        otherwise, and for a sum that reaches cap, the shortfall raises
-        PrecisionExhausted naming the terms and bits tried.
+        the sums keep _digits(bits) - loss >= digits digits of
+        |w| + |w'| as a floating sum would; a term that rounds to zero
+        is then below the tail tolerance as well.  The terms stop at
+        cap.  With grow a lossy branch reruns at bits sized from its
+        loss; otherwise, and for a sum that reaches cap, the shortfall
+        raises PrecisionExhausted naming the terms and bits tried.
 
         Before any term is summed the cap itself is tested: with
         alpha = P(M) / (M (M + e1)) and beta = Q(M) / (M (M + e1)) the
@@ -265,7 +288,8 @@ class _Series:
         stop = 0 if self._growing(cap, p0, p1, p2, q0, q1, d1, d2) else cap
         x = self.x
         num, den = abs(x.numerator), x.denominator  # |x| = num / den
-        tail_scale = 10**_TAIL_DIGITS
+        tail_scale = 10**digits
+        p2x2, d2x2 = 2 * p2, 2 * d2
         while True:
             frac_bits = math.ceil(_digits(bits) / _LOG10_2)
             unit = 1 << frac_bits
@@ -275,6 +299,9 @@ class _Series:
             w, dw = unit, 0  # sum b_M, sum M b_M
             peak = bound = num * unit  # bound >= |w| + |w'|, exact when last tested
             quiet, m = 0, 0
+            # at M = 0: P(M) and its step P(M + 1) - P(M), Q(M), M (M + e1)
+            # and its step, and num + M den, the factor of the term sizes
+            pm, dp, qm, div, dd, size = p0, p2 + p1, q0, 0, d2 + d1, num
             while quiet < _QUIET_TERMS:
                 if m == stop:
                     raise PrecisionExhaustedError(
@@ -282,11 +309,16 @@ class _Series:
                         order=cap, bits=bits, endpoint=self.endpoint,
                     )
                 m += 1
-                div = (d2 * m + d1) * m
-                bm = (((p2 * m + p1) * m + p0) * b1 + (q1 * m + q0) * b2 + (div >> 1)) // div
+                pm += dp
+                dp += p2x2
+                qm += q1
+                div += dd
+                dd += d2x2
+                size += den
+                bm = (pm * b1 + qm * b2 + (div >> 1)) // div
                 w += bm
                 dw += m * bm
-                t = abs(bm) * (num + m * den)
+                t = abs(bm) * size
                 if t > peak:
                     peak = t
                 # |w| + |w'| grows by at most t a term, so the exact sum is
@@ -304,9 +336,9 @@ class _Series:
                 loss = _log10_floor(peak, num * unit) + 1 - _log10_floor(value, num * unit)
             else:
                 loss = _digits(_BITS_CAP)
-            if _digits(bits) - loss >= _TAIL_DIGITS:
-                return _Branch(w, _round_div(dw * den, x.numerator), frac_bits, m, bits)
-            need = -(-math.ceil((loss + _TAIL_DIGITS) / _LOG10_2) // 64) * 64
+            if _digits(bits) - loss >= digits:
+                return _Branch(w, _round_div(dw * den, x.numerator), frac_bits, m, bits, loss)
+            need = _bits_for(loss + digits)
             if not grow or need > _BITS_CAP:
                 raise PrecisionExhaustedError(
                     "cancellation leaves too few digits at this precision",
@@ -332,19 +364,24 @@ class _Shooting:
             _Series(p.b, p.kappa, True, _Z_MATCH - 1),
         )
         self.cap, self.grow = cap, grow
-        self.bits = max(bits, 64)
+        # precision by tail digits; the scan's is set by the first full
+        # evaluation, and each grows from the loss it measures
+        self.bits = {_TAIL_DIGITS: max(bits, 64)}
         self.terms = 0
         self.evaluations = 0
 
-    def branches(self, nu) -> tuple[_Branch, _Branch]:
+    def branches(self, nu, digits: int = _TAIL_DIGITS) -> tuple[_Branch, _Branch]:
         """Bounded-at-0 and bounded-at-1 branches at the matching point."""
-        out = tuple(s.branch(nu, self.cap, self.bits, self.grow) for s in self.series)
+        bits = self.bits[digits]
+        out = tuple(s.branch(nu, self.cap, bits, self.grow, digits) for s in self.series)
         # a precision that had to grow once is kept for later evaluations
-        self.bits = max(self.bits, *(br.bits for br in out))
+        self.bits[digits] = max(bits, *(br.bits for br in out))
+        lost = max(br.lost for br in out)
+        self.bits.setdefault(_SIGN_DIGITS, _bits_for(lost + _SIGN_DIGITS))
         self.terms = max(self.terms, *(br.terms for br in out))
         return out
 
-    def wronskian(self, nu) -> tuple[Decimal, float]:
+    def wronskian(self, nu, digits: int = _TAIL_DIGITS) -> tuple[Decimal, float]:
         """Raw Wronskian of the two bounded branches, and the same scaled
         by (|w0| + |w0'|) (|w1| + |w1'|) into [-1, 1].
 
@@ -352,10 +389,37 @@ class _Shooting:
         the scaled one is the reported mismatch.  Both have one sign.
         """
         self.evaluations += 1
-        left, right = self.branches(nu)
+        left, right = self.branches(nu, digits)
         raw = left.w * right.dw - left.dw * right.w
         norm = (abs(left.w) + abs(left.dw)) * (abs(right.w) + abs(right.dw))
         return Decimal(raw) / (1 << (left.frac_bits + right.frac_bits)), raw / norm
+
+    def scan_point(self, nu) -> tuple[Decimal, float]:
+        """wronskian at a grid point of the scan, which needs only its sign.
+
+        The first point is evaluated in full: the loss its branches
+        measure sizes the scan's precision for S = _SIGN_DIGITS digits.
+        Later points sum each branch to S digits, so each of w and w'
+        is known to eps (|w| + |w'|), eps = 10^-S (see _Series.branch).
+        With n_k = |w_k| + |w_k'| and d the errors of the summed values,
+            dD = dw0 w1' + w0 dw1' - dw0' w1 - w0' dw1 + dw0 dw1' - dw0' dw1;
+        each of the four first-order products is at most eps n0 n1 and
+        the last two together at most 2 eps^2 n0 n1, so
+            |dD| <= (4 eps + 2 eps^2) n0 n1,
+        and the summed normalizer lies within a factor (1 +- 2 eps)^2
+        of n0 n1.  The sign is taken when the mismatch D / (n0 n1)
+        exceeds that bound times _SIGN_MARGIN = 100; the margin also
+        covers the tail test, whose _QUIET_TERMS small terms bound the
+        tail only while the terms keep falling.  Otherwise the same nu
+        is evaluated again in full, and that evaluation counts as well.
+        A mismatch from the S-digit sums lies within 8 eps + O(eps^2)
+        of the full one: 4 eps from dD and 4 eps from the normalizer.
+        """
+        if _SIGN_DIGITS in self.bits:
+            raw, mismatch = self.wronskian(nu, _SIGN_DIGITS)
+            if abs(mismatch) > _SIGN_BOUND:
+                return raw, mismatch
+        return self.wronskian(nu)
 
 
 def _illinois(f, a, fa, b, fb) -> Decimal:
@@ -396,14 +460,19 @@ def solve_spectrum(
     grid from nu_min upward until `count` sign changes are bracketed;
     each is refined by the Illinois method on the raw Wronskian (its
     normalizer is positive, so the brackets are the same) to relative
-    width 1e-10.  wronskian_samples hold the normalized value.  Up to
-    `count` eigenvalues are returned, ascending.  Every series sizes
-    itself: its terms run until the tail is negligible, up to a hard
-    cap, and its precision grows past precision_bits when cancellation
-    calls for it; series_order is accepted and has no effect.  A first
-    eigenvalue within the refinement's absolute resolution (1e-16) of
-    zero, or one whose T_rel underflows a float, raises
-    PrecisionExhausted: T_rel has no value.
+    width 1e-10.  wronskian_samples hold the normalized value, to the
+    scan's 8 digits and their stated bound (_Shooting.scan_point); a
+    grid point whose sign that bound does not settle is evaluated again
+    at 20 digits, and counts again in evaluations.  Up to `count`
+    eigenvalues are returned, ascending.  The spectrum continues below
+    0, and nu_1 of T_rel = b tau / nu_1 is the smallest positive
+    eigenvalue: a window from nu_min > 0 returns it first.  Every
+    series sizes itself: its terms run until the tail is negligible,
+    up to a hard cap, and its precision grows past precision_bits when
+    cancellation calls for it; series_order is accepted and has no
+    effect.  A first eigenvalue within the refinement's absolute
+    resolution (1e-16) of zero, or one whose T_rel underflows a float,
+    raises PrecisionExhausted: T_rel has no value.
     """
     if not nu_min < nu_max:
         raise ValueError("need nu_min < nu_max")
@@ -423,7 +492,7 @@ def solve_spectrum(
         for i in range(grid_points + 1):
             nu_exact = lo + (hi - lo) * i / grid_points
             nu = Decimal(nu_exact.numerator) / nu_exact.denominator
-            d, mismatch = shoot.wronskian(nu)
+            d, mismatch = shoot.scan_point(nu)
             samples.append((float(nu), mismatch))
             if prev is not None and prev[1] * d < 0:
                 root = _illinois(lambda v: shoot.wronskian(v)[0], *prev, nu, d)
@@ -440,15 +509,16 @@ def solve_spectrum(
             nu_max=float(hi),
         )
     nu_1 = eigenvalues[0]
+    bits = max(shoot.bits.values())
     if abs(nu_1) < _NU_RESOLUTION:
         # near nu = 0 the branches can agree to working precision, and
         # then the raw Wronskian changes sign by rounding alone
         raise PrecisionExhaustedError(
-            "first eigenvalue indistinguishable from zero", nu=nu_1, bits=shoot.bits
+            "first eigenvalue indistinguishable from zero", nu=nu_1, bits=bits
         )
     t_rel = float(p.b * p.tau / Fraction(nu_1))
     if t_rel == 0:
-        raise PrecisionExhaustedError("T_rel underflows a float", nu=nu_1, bits=shoot.bits)
+        raise PrecisionExhaustedError("T_rel underflows a float", nu=nu_1, bits=bits)
     warnings = ()
     if len(eigenvalues) < count:
         warnings = (f"requested {count} eigenvalues, found {len(eigenvalues)}",)
@@ -457,7 +527,7 @@ def solve_spectrum(
         t_rel=t_rel,
         wronskian_samples=tuple(samples),
         series_order=shoot.terms,
-        precision_bits=shoot.bits,
+        precision_bits=bits,
         evaluations=shoot.evaluations,
         warnings=warnings,
     )
@@ -501,9 +571,10 @@ def eigenfunction_samples(
     """
     shoot = _Shooting(p, series_order, precision_bits, False)
     left, right = shoot.branches(nu)
+    bits = shoot.bits[_TAIL_DIGITS]
     if right.w == 0:
         raise PrecisionExhaustedError(
-            "bounded-at-1 branch vanishes at the matching point", nu=nu, bits=shoot.bits
+            "bounded-at-1 branch vanishes at the matching point", nu=nu, bits=bits
         )
     ratio = left.values()[0] / right.values()[0]
     p0, p1, p2 = polymer_ode(p, _exact(nu)).coeffs
@@ -514,7 +585,7 @@ def eigenfunction_samples(
             raise ValueError("sample points must lie strictly inside (0, 1)")
         at_one = z > _Z_MATCH
         series = _Series(p.b, p.kappa, at_one, z - 1 if at_one else z)
-        br = series.branch(nu, series_order, shoot.bits, False)
+        br = series.branch(nu, series_order, bits, False)
         scale = ratio if at_one else 1
         w, dw = (scale * v for v in br.values())
         d2w = -(p1(z) * dw + p2(z) * w) / p0(z)

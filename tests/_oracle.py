@@ -45,7 +45,25 @@ def fd_smallest_positive(b, W, n_cells, xcut):
 
 
 def oracle_nu1(b, W, n_cells=12800, xcut=0.95):
-    """Richardson-extrapolated smallest positive eigenvalue."""
-    coarse = fd_smallest_positive(b, W, n_cells, xcut)
-    fine = fd_smallest_positive(b, W, 2 * n_cells, xcut)
-    return (4.0 * fine - coarse) / 3.0
+    """Smallest positive eigenvalue, extrapolated from n, 2n and 4n cells.
+
+    The discretization error is A h + B h^2 + ...: at the three
+    criterion-9 points (b = 100; W = 1/4, 7/20, 9/20) the three-grid
+    order log2((f_n - f_2n) / (f_2n - f_4n)) reads 1.29, 1.62 and 1.80
+    at n = 12800 and 1.15, 1.43 and 1.65 at n = 25600, falling to the
+    first order while a large second-order term fades.  So one
+    second-order step (4 f_2n - f_n) / 3 leaves an O(h) error of up to
+    1.7e-4, and a single step at the measured order up to 5e-5; the
+    Richardson steps for orders 1 and then 2 remove both terms, leaving
+    under 5e-8 there (1e-7 between n = 6400 and 12800).  A ratio of
+    differences outside (2, 4), an order outside (1, 2), breaks that
+    premise and raises.
+
+    xcut has no effect at a fixed cell width: for xcut from 0.9 to 0.99
+    at h = 0.95 / 12800 the eigenvalue is the same float.
+    """
+    f1, f2, f4 = (fd_smallest_positive(b, W, k * n_cells, xcut) for k in (1, 2, 4))
+    ratio = (f1 - f2) / (f2 - f4)
+    if not 2.0 < ratio < 4.0:
+        raise AssertionError(f"three-grid order {np.log2(ratio):.3f} is outside (1, 2)")
+    return (8.0 * f4 - 6.0 * f2 + f1) / 3.0

@@ -482,6 +482,17 @@ def test_undeform_negative_slack_is_usage_error(deformed_heun_file, capsys):
     assert "--max-slack" in rep["error"]["message"]
 
 
+def test_undeform_slack_past_the_cap_is_usage_error(deformed_heun_file, capsys):
+    # slack 32 is accepted; 33 is refused before the equation is read
+    argv = ["undeform", str(deformed_heun_file), "--max-slack", "32", "--format", "json"]
+    assert run_json(capsys, argv)[0] == 0
+    argv[3] = "33"
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "Usage"
+    assert "--max-slack" in rep["error"]["message"] and "32" in rep["error"]["message"]
+
+
 def test_undeform_first_order_is_usage_error(tmp_path, capsys):
     path = tmp_path / "first.json"
     path.write_text(json.dumps({"coeffs": [["1", "1"], ["2"]]}))

@@ -154,8 +154,8 @@ def test_underflowing_t_rel_is_a_precision_error():
 def test_vanishing_branch_at_the_matching_point_is_a_precision_error(monkeypatch):
     branch = polymer._Series.branch
 
-    def zero_at_one(self, nu, cap, bits, grow):
-        br = branch(self, nu, cap, bits, grow)
+    def zero_at_one(self, nu, cap, bits, grow, digits):
+        br = branch(self, nu, cap, bits, grow, digits)
         return dataclasses.replace(br, w=0) if self.endpoint == 1 else br
 
     monkeypatch.setattr(polymer._Series, "branch", zero_at_one)
@@ -309,6 +309,90 @@ def test_lazy_scan_stops_at_the_last_bracket():
     # what was used, not what was asked for
     assert res.precision_bits == 256
     assert 0 < res.series_order < 400
+
+
+# the bench solves and two windows reaching below 0: (b, W, nu_min,
+# nu_max, count, keyword arguments)
+SCAN_WINDOWS = (
+    (F(100), F(1, 4), F(1), F(60), 1, {}),
+    (F(100), F(7, 20), F(1), F(60), 1, {}),
+    (F(100), F(9, 20), F(1), F(60), 1, {}),
+    (F(2), F(1, 4), F(1, 10), F(30), 2, {"precision_bits": 128, "grid_points": 48}),
+    (F(2), F(1, 4), F(-3), F(30), 3, {"grid_points": 128}),
+    (F(100), F(1, 4), F(-300), F(0), 4, {"grid_points": 256}),
+)
+# a scan sample lies within 8 eps + O(eps^2) of the full mismatch,
+# eps = 10^-_SIGN_DIGITS (_Shooting.scan_point); 1e-12 more covers the
+# float nu a sample records in place of the 20-digit one
+SCAN_BOUND = 8 * 10.0**-polymer._SIGN_DIGITS + 1e-12
+
+
+@pytest.mark.parametrize("b, W, lo, hi, count, kwargs", SCAN_WINDOWS,
+                         ids=["b100-W1/4", "b100-W7/20", "b100-W9/20", "b2", "b2-neg", "b100-neg"])
+def test_scan_signs_are_the_full_signs(b, W, lo, hi, count, kwargs):
+    p = PolymerParams(b=b, W=W)
+    res = solve_spectrum(p, lo, hi, count, **kwargs)
+    assert len(res.eigenvalues) == count
+    full = [wronskian_mismatch(p, nu) for nu, _ in res.wronskian_samples]
+    assert [m > 0 for _, m in res.wronskian_samples] == [m > 0 for m in full]
+    for (nu, got), want in zip(res.wronskian_samples, full):
+        assert abs(got - want) <= SCAN_BOUND, nu
+
+
+def test_scan_point_under_the_bound_is_evaluated_in_full(small_spectrum, monkeypatch):
+    # the cheap sums of one grid point are made to cancel exactly: the
+    # z = 1 branch is replaced by the z = 0 one, so D = 0 there
+    p, res = small_spectrum
+    target = res.wronskian_samples[3][0]
+    branch = polymer._Series.branch
+    digits_at_target, left = [], {}
+
+    def cancelling(self, nu, cap, bits, grow, digits):
+        br = branch(self, nu, cap, bits, grow, digits)
+        if float(nu) != target:
+            return br
+        digits_at_target.append(digits)
+        if self.endpoint == 0:
+            left[digits] = br
+        elif digits == polymer._SIGN_DIGITS:
+            return dataclasses.replace(br, w=left[digits].w, dw=left[digits].dw)
+        return br
+
+    monkeypatch.setattr(polymer._Series, "branch", cancelling)
+    again = solve_spectrum(
+        p, F(1, 10), F(30), count=2, precision_bits=128, series_order=120, grid_points=48
+    )
+    sign, full = polymer._SIGN_DIGITS, polymer._TAIL_DIGITS
+    assert digits_at_target == [sign, sign, full, full]
+    assert again.evaluations == res.evaluations + 1
+    assert again.eigenvalues == res.eigenvalues
+    samples = list(again.wronskian_samples)
+    nu, mismatch = samples.pop(3)
+    assert samples == [s for i, s in enumerate(res.wronskian_samples) if i != 3]
+    assert nu == target and mismatch != 0
+    monkeypatch.undo()
+    assert abs(mismatch - wronskian_mismatch(p, target, precision_bits=128)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "b, lo, hi, count, grid, eigenvalues",
+    [(F(2), F(-3), F(30), 3, 128, (-0.5333212109420054, 7.157674591943364, 20.090909620154598)),
+     (F(100), F(-300), F(0), 4, 256,
+      (-178.1605009047345, -121.21464190962122, -74.41880135859913, -28.671810760827146))],
+    ids=["b=2", "b=100"],
+)
+def test_spectrum_continues_below_zero(b, lo, hi, count, grid, eigenvalues):
+    # counted from the bottom of the spectrum the k-th eigenfunction has
+    # k - 1 zeros, so nu_1 of T_rel, the smallest positive eigenvalue,
+    # is not the first: 1 eigenvalue lies below 0 at b = 2, 4 at b = 100
+    p = PolymerParams(b=b, W=F(1, 4))
+    res = solve_spectrum(p, lo, hi, count, grid_points=grid)
+    assert res.eigenvalues == pytest.approx(eigenvalues, rel=1e-10)
+    assert res.warnings == ()
+    zs = [F(k, 64) for k in range(1, 64)]
+    for zeros, nu in enumerate(res.eigenvalues):
+        ws = [w for _z, w, _dw, _d2w in eigenfunction_samples(p, nu, zs)]
+        assert sum(1 for u, v in zip(ws, ws[1:]) if u * v < 0) == zeros
 
 
 @pytest.mark.parametrize("nu", [F(7), F(41, 4)])
