@@ -338,6 +338,9 @@ def cmd_polymer(args) -> dict:
     for flag, value in (("--count", args.count), ("--precision-bits", args.precision_bits),
                         ("--series-order", args.series_order)):
         parse_count(value, flag)
+    if args.precision_bits > polymer._BITS_CAP:
+        raise UsageError(f"--precision-bits must be at most {polymer._BITS_CAP}, "
+                         f"got {args.precision_bits}")
     if args.grid_points < 2:
         raise UsageError(f"--grid-points must be at least 2, got {args.grid_points}")
 

@@ -14,6 +14,7 @@ singular exactly when j_0 = ord T_0; the indicial polynomial is then
 C_{j_0}, of degree exactly n, and its roots are the characteristic
 exponents.  A series w = sum a_M zeta^(rho+M) satisfies the coefficient
 recurrence a_M C_{j_0}(rho+M) = -sum_{m<M} a_m C_{j_0+M-m}(rho+m).
+odemodel._recurrence builds the C_j, for this module and for polymer.
 
 The point at infinity is always handled by the pullback z = 1/zeta and
 analysis at zeta = 0; an exponent rho there describes w ~ z^(-rho).
@@ -38,59 +39,16 @@ from .errors import (
     NotSingularError,
 )
 from .odemodel import INFINITY, LinearODE, PointKind, SingularPoint, _InfinityType
-from .polyrat import (
-    RatPoly,
-    _from_ints,
-    _list_addmul,
-    _over_common_unit,
-    as_fraction,
-    rational_roots,
-)
-
-
-def _stirling_rows(n: int) -> list[list[int]]:
-    """Rows m = 0..n of the signed Stirling numbers of the first kind.
-
-    Row m is the integer coefficient list, ascending in s, of the
-    falling factorial s(s-1)...(s-m+1); row 0 is [1].
-    """
-    rows = [[1]]
-    for m in range(n):
-        row = [0] * (m + 2)
-        for i, c in enumerate(rows[-1]):
-            row[i + 1] += c
-            row[i] -= m * c
-        rows.append(row)
-    return rows
+from .polyrat import RatPoly, _from_ints, as_fraction, rational_roots
 
 
 class _LocalData:
-    """Shifted-coefficient tables for one finite point; shared, never mutated.
-
-    cpolys[j - j0] is C_j(s) = sum_k t_{k,j-k} S_{n-k}(s), built on
-    integer lists: S_m is row m of the Stirling table, and the T_k are
-    put over the common unit of their contents, so each C_j is a sum of
-    integer rows scaled by integer t_{k,j-k}, times that unit.
-    """
+    """Tables of one finite point, cpolys[j - j0] = C_j (odemodel._recurrence); never mutated."""
 
     def __init__(self, ode: LinearODE, point: Fraction):
-        n = self.n = ode.order
-        shifted = [p.shifted(point) for p in ode.coeffs]
-        self.v0 = shifted[0].valuation()
-        spans = [(t.valuation() + k, t.degree + k) for k, t in enumerate(shifted) if not t.is_zero]
-        self.j0 = j0 = min(lo for lo, _hi in spans)
-        self.jmax = jmax = max(hi for _lo, hi in spans)
-        stirling = _stirling_rows(n)
-        unit, mults = _over_common_unit([t._form[1] for t in shifted])
-        tables = [[v * mult for v in t._form[0]] for t, mult in zip(shifted, mults)]
-        cpolys = []
-        for j in range(j0, jmax + 1):
-            acc = [0] * (n + 1)
-            for k, tk in enumerate(tables):
-                if 0 <= j - k < len(tk) and tk[j - k]:
-                    _list_addmul(acc, tk[j - k], stirling[n - k])
-            cpolys.append(_from_ints(acc, unit))
-        self.cpolys: tuple[RatPoly, ...] = tuple(cpolys)
+        self.n = ode.order
+        self.v0, self.j0, self.jmax, unit, rows = odemodel._recurrence(ode, point)
+        self.cpolys: tuple[RatPoly, ...] = tuple(_from_ints(row, unit) for row in rows)
 
     @property
     def is_regular(self) -> bool:

@@ -33,6 +33,7 @@ from .polyrat import (
     _from_ints,
     _int_divexact,
     _int_gcd,
+    _list_addmul,
     _over_common_unit,
     _scaled,
     as_fraction,
@@ -313,6 +314,44 @@ def _inverted(polys) -> list[RatPoly]:
             for i, y in enumerate(rev, m + j + big_d - p.degree):
                 acc[i] += lah * y
     return [_from_ints(acc, unit) for acc in out]
+
+
+def _stirling_rows(n: int) -> list[list[int]]:
+    """Rows m = 0..n of the signed Stirling numbers of the first kind: row
+    m lists the coefficients, ascending in s, of s(s-1)...(s-m+1)."""
+    rows = [[1]]
+    for m in range(n):
+        row = [0] * (m + 2)
+        for i, c in enumerate(rows[-1]):
+            row[i + 1] += c
+            row[i] -= m * c
+        rows.append(row)
+    return rows
+
+
+def _recurrence(ode: LinearODE, point: Fraction):
+    """The coefficient recurrence at a finite point (conventions in frobenius).
+
+    Returns v0 = ord T_0, j0, jmax and unit, rows: C_j(s) = unit * rows[j - j0],
+    each row n + 1 integers ascending in s.  C_j = sum_k t_{k,j-k} S_{n-k} is
+    built on integer lists: S_m is row m of the Stirling table, and the T_k
+    are put over the common unit of their contents.
+    """
+    n = ode.order
+    shifted = [p.shifted(point) for p in ode.coeffs]
+    spans = [(t.valuation() + k, t.degree + k) for k, t in enumerate(shifted) if not t.is_zero]
+    j0, jmax = min(lo for lo, _hi in spans), max(hi for _lo, hi in spans)
+    stirling = _stirling_rows(n)
+    unit, mults = _over_common_unit([t._form[1] for t in shifted])
+    tables = [[v * mult for v in t._form[0]] for t, mult in zip(shifted, mults)]
+    rows = []
+    for j in range(j0, jmax + 1):
+        acc = [0] * (n + 1)
+        for k, tk in enumerate(tables):
+            if 0 <= j - k < len(tk) and tk[j - k]:
+                _list_addmul(acc, tk[j - k], stirling[n - k])
+        rows.append(acc)
+    return shifted[0].valuation(), j0, jmax, unit, rows
 
 
 def singular_points(ode: LinearODE) -> list[SingularPoint]:

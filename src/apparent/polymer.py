@@ -19,22 +19,19 @@ k-th eigenfunction has k - 1 zeros.  nu_1, which sets the relaxation
 time T_rel = b tau / nu_1, is the smallest positive eigenvalue; T_rel
 grows as W approaches the coil-stretch transition at W = 1/2.
 
-Numerics: two-sided Frobenius-series shooting.  One series kernel
-(_Series.branch) sums a branch in fixed point, on Python integers
-scaled by 2^F with F the bit equivalent of the working digits, each
-term rounded to nearest (Brent & Zimmermann, Modern Computer
-Arithmetic, 2010, ch. 4).  It sums until the tail is negligible
-against the branch's own value and measures the digits lost to
-cancellation, which at the z = 1 end (coefficients of size 2^b) runs
-to tens of digits; the digits that loss must leave also bound the
-fixed-point rounding.  A grid point of the scan needs only the sign of
-the Wronskian, so its branches are summed to 8 digits, and the sign is
-taken only above the error bound those digits leave
-(_Shooting.scan_point); below it the point is summed again to the 20
-digits the refinement uses.  The scan stops at the last bracket needed;
+Numerics: two-sided Frobenius-series shooting, on the recurrence of
+the exact stack (odemodel._recurrence, read by _recurrences).  One
+kernel (_Series.branch) sums a branch in fixed point, on Python
+integers scaled by 2^F, each term rounded to nearest (Brent &
+Zimmermann, Modern Computer Arithmetic, 2010, ch. 4), until the tail
+is negligible against the branch's own value, and measures the digits
+lost to cancellation: tens of digits at z = 1 (coefficients of size
+2^b).  A scan point needs only the sign of the Wronskian, so it is
+summed to 8 digits and its sign taken above the bound those leave
+(_Shooting.scan_point).  The scan stops at the last bracket needed;
 each bracket is refined by the Illinois method (Dowell & Jarratt, BIT
 1971) on the raw Wronskian, which is nearly linear in nu where the
-reported, scale-normalized mismatch saturates.  decimal appears only at the
+scale-normalized mismatch saturates.  decimal appears only at the
 edges: for nu on the scan and in the refinement, and for digit counts.
 """
 
@@ -50,8 +47,8 @@ from .errors import (
     NoEigenvalueInWindowError,
     PrecisionExhaustedError,
 )
-from .odemodel import LinearODE, make_ode
-from .polyrat import RatPoly, as_fraction
+from .odemodel import LinearODE, _recurrence, make_ode
+from .polyrat import as_fraction
 
 _ORDER_CAP = 6400
 _BITS_CAP = 4096
@@ -103,7 +100,8 @@ class SpectralResult:
     """Eigenvalues and diagnostics of one spectral solve.
 
     eigenvalues: strictly increasing; t_rel = b tau / eigenvalues[0],
-    the relaxation time when the window starts above 0.
+    the relaxation time when the window starts above 0 (a warning says
+    so when eigenvalues[0] < 0).
     wronskian_samples: (nu, scale-normalized mismatch) at the scan grid
     points evaluated; the scan stops at the grid point that closes the
     last bracket needed, and the mismatch changes sign across each
@@ -127,14 +125,10 @@ class SpectralResult:
 
 def polymer_ode(p: PolymerParams, nu) -> LinearODE:
     """The exact order-2 equation for rational parameters and nu."""
-    nu = as_fraction(nu)
-    kappa = p.kappa
-    z = RatPoly([0, 1])
-    zm1 = RatPoly([-1, 1])
-    p0 = z * zm1
-    p1 = -kappa * z * zm1 + Fraction(3, 2) * zm1 + (p.b + 1) * z
-    p2 = (nu - kappa) * zm1 - 2 * p.b * kappa * z
-    return make_ode([p0, p1, p2])
+    nu, kappa = as_fraction(nu), p.kappa
+    # the module equation in powers of z
+    p1 = [Fraction(-3, 2), kappa + p.b + Fraction(5, 2), -kappa]
+    return make_ode([[0, -1, 1], p1, [kappa - nu, nu - kappa - 2 * p.b * kappa]])
 
 
 def apparent_location(b, kappa, nu) -> Fraction:
@@ -211,42 +205,47 @@ class _Branch:
         return Fraction(self.w, 1 << self.frac_bits), Fraction(self.dw, 1 << self.frac_bits)
 
 
+def _recurrences(p: PolymerParams) -> tuple[list[int], list[int]]:
+    """Integer tables of the recurrence at z = 0 and at z = 1 (_Series):
+    C_2 (constant, nu, s, s^2), C_3 (constant, nu, s) and C_1 (s, s^2)
+    of polymer_ode(p, 0) over the leading coefficient of C_1, times a
+    positive integer.  nu enters only P_2, as nu (z - 1), and S_0 = 1,
+    so nu adds to C_j the coefficient of (z - e)^(j-2) in z - 1.
+    """
+    ode = polymer_ode(p, 0)
+    tables = []
+    for e in (0, 1):
+        _v0, _j0, _jmax, unit, (first, second, third) = _recurrence(ode, e)
+        # v C_j = u row_j + nu v slope_j for unit = u / v > 0, slope = z - 1
+        # in powers of z - e; of the lead u first[2] / v only its sign is left
+        sign, slope = 1 if first[2] > 0 else -1, (e - 1, 1)
+        u, v = sign * unit.numerator, sign * unit.denominator
+        tables.append([u * second[0], v * slope[0], u * second[1], u * second[2],
+                       u * third[0], v * slope[1], u * third[1], u * first[1], u * first[2]])
+    return tables[0], tables[1]
+
+
 class _Series:
     """The exponent-0 series of one endpoint, summed at offset x from it.
 
-    At each endpoint the exponent-0 Taylor coefficients satisfy
-        a_M c1(M) = -(a_{M-1} c2(M-1) + a_{M-2} c3(M-2)),
-    with c1(M) nonzero for all M >= 1 (the other exponents, -1/2 and
-    -b, are negative, so the recurrence never hits a resonance).  In
-    the terms b_M = a_M x^M it reads
-        M (M + e1) b_M = P(M) b_{M-1} + Q(M) b_{M-2},
-    P(M) = -sign x c2(M-1), Q(M) = -sign x^2 c3(M-2), where nu enters
-    only the constant terms of P and Q, linearly.  The coefficients
-    apart from nu are cleared to integers once here; branch() clears
-    nu's denominator and steps P(M), Q(M) and M (M + e1) by their
-    finite differences, so every term costs three integer products, a
-    few sums and one division.
+    There j0 = 1 and jmax = 3, and the recurrence of frobenius over the
+    leading coefficient of C_1 reads, in the terms b_M = a_M x^M,
+        C_1(M) b_M = P(M) b_{M-1} + Q(M) b_{M-2},
+    P(M) = -x C_2(M-1), Q(M) = -x^2 C_3(M-2), C_1(M) = M (M - r) > 0 for
+    M >= 1, as the other exponent r (-1/2 or -b) is negative.  branch()
+    clears nu's denominator and steps P(M), Q(M) and C_1(M) by their
+    finite differences: every term costs three integer products, a few
+    sums and one division.
     """
 
-    def __init__(self, b, kappa, at_one: bool, x):
-        x = _exact(x)
-        self.endpoint = 1 if at_one else 0
-        # c1(s) = sign s (s + e1); c2(s) = s (s + e2) + f2; c3(s) = g3 - kappa s,
-        # f2 = f2_0 + f2_nu nu and g3 = g3_0 + nu
-        if at_one:
-            sign, e1, e2, f2_0, f2_nu = 1, b, b + Fraction(3, 2) - kappa, -2 * b * kappa, 0
-        else:
-            sign, e1, e2, f2_0, f2_nu = -1, Fraction(1, 2), kappa + b + Fraction(3, 2), kappa, -1
-        g3_0 = -kappa - 2 * b * kappa
-        px, qx = -sign * x, -sign * x * x
-        coeffs = [
-            px * (1 - e2 + f2_0), px * f2_nu, px * (e2 - 2), px,  # P: 1, nu, M, M^2
-            qx * (g3_0 + 2 * kappa), qx, -qx * kappa,  # Q: 1, nu, M
-            e1, Fraction(1),  # M (M + e1): M, M^2
-        ]
-        scale = math.lcm(*[c.denominator for c in coeffs])
-        self.ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-        self.x = x
+    def __init__(self, tables: tuple[list[int], list[int]], endpoint: int, x):
+        x = self.x = _exact(x)
+        self.endpoint = endpoint
+        n, d = x.numerator, x.denominator  # P times -x, Q times -x^2, all times d^2
+        factors = (-n * d,) * 4 + (-n * n,) * 3 + (d * d,) * 2
+        ints = [v * f for v, f in zip(tables[endpoint], factors)]
+        g = math.gcd(*ints)  # the smallest integers keep every term's products short
+        self.ints = [v // g for v in ints]
 
     def branch(self, nu, cap: int, bits: int, grow: bool, digits: int = _TAIL_DIGITS) -> _Branch:
         """Exponent-0 branch (w, w') at this offset, to `digits` digits.
@@ -273,7 +272,7 @@ class _Series:
         raises PrecisionExhausted naming the terms and bits tried.
 
         Before any term is summed the cap itself is tested: with
-        alpha = P(M) / (M (M + e1)) and beta = Q(M) / (M (M + e1)) the
+        alpha = P(M) / C_1(M) and beta = Q(M) / C_1(M) the
         terms near M grow by the largest root of r^2 = alpha r + beta,
         of modulus at least 1 exactly when |alpha| + beta >= 1 or
         |beta| >= 1.  If so at M = cap the tail cannot go quiet within
@@ -299,9 +298,9 @@ class _Series:
             w, dw = unit, 0  # sum b_M, sum M b_M
             peak = bound = num * unit  # bound >= |w| + |w'|, exact when last tested
             quiet, m = 0, 0
-            # at M = 0: P(M) and its step P(M + 1) - P(M), Q(M), M (M + e1)
-            # and its step, and num + M den, the factor of the term sizes
-            pm, dp, qm, div, dd, size = p0, p2 + p1, q0, 0, d2 + d1, num
+            # at M = 0: P(M) and its step P(M + 1) - P(M), Q(M), C_1(M) and
+            # its step, and num + M den, the factor of the term sizes
+            pm, dp, qm, div, dd, size = p0 - p1 + p2, p1 - p2, q0 - 2 * q1, 0, d2 + d1, num
             while quiet < _QUIET_TERMS:
                 if m == stop:
                     raise PrecisionExhaustedError(
@@ -350,19 +349,19 @@ class _Series:
     def _growing(m, p0, p1, p2, q0, q1, d1, d2) -> bool:
         """|alpha| + beta >= 1 or |beta| >= 1 at M = m (see branch)."""
         div = (d2 * m + d1) * m
-        q = q1 * m + q0
-        return abs((p2 * m + p1) * m + p0) + q >= div or abs(q) >= div
+        q = q1 * (m - 2) + q0
+        return abs((p2 * (m - 1) + p1) * (m - 1) + p0) + q >= div or abs(q) >= div
 
 
 class _Shooting:
     """Mismatch evaluations of one problem, and the work they took."""
 
     def __init__(self, p: PolymerParams, cap: int, bits: int, grow: bool):
+        if bits > _BITS_CAP:
+            raise ValueError(f"precision_bits must be at most {_BITS_CAP}, got {bits}")
         # bounded at 0 and bounded at 1, both summed at the matching point
-        self.series = (
-            _Series(p.b, p.kappa, False, _Z_MATCH),
-            _Series(p.b, p.kappa, True, _Z_MATCH - 1),
-        )
+        self.tables = _recurrences(p)
+        self.series = (_Series(self.tables, 0, _Z_MATCH), _Series(self.tables, 1, _Z_MATCH - 1))
         self.cap, self.grow = cap, grow
         # precision by tail digits; the scan's is set by the first full
         # evaluation, and each grows from the loss it measures
@@ -397,23 +396,20 @@ class _Shooting:
     def scan_point(self, nu) -> tuple[Decimal, float]:
         """wronskian at a grid point of the scan, which needs only its sign.
 
-        The first point is evaluated in full: the loss its branches
-        measure sizes the scan's precision for S = _SIGN_DIGITS digits.
-        Later points sum each branch to S digits, so each of w and w'
-        is known to eps (|w| + |w'|), eps = 10^-S (see _Series.branch).
-        With n_k = |w_k| + |w_k'| and d the errors of the summed values,
-            dD = dw0 w1' + w0 dw1' - dw0' w1 - w0' dw1 + dw0 dw1' - dw0' dw1;
-        each of the four first-order products is at most eps n0 n1 and
-        the last two together at most 2 eps^2 n0 n1, so
-            |dD| <= (4 eps + 2 eps^2) n0 n1,
-        and the summed normalizer lies within a factor (1 +- 2 eps)^2
-        of n0 n1.  The sign is taken when the mismatch D / (n0 n1)
-        exceeds that bound times _SIGN_MARGIN = 100; the margin also
-        covers the tail test, whose _QUIET_TERMS small terms bound the
-        tail only while the terms keep falling.  Otherwise the same nu
-        is evaluated again in full, and that evaluation counts as well.
-        A mismatch from the S-digit sums lies within 8 eps + O(eps^2)
-        of the full one: 4 eps from dD and 4 eps from the normalizer.
+        The first point is evaluated in full, and its loss sizes the
+        scan's precision for S = _SIGN_DIGITS digits.  Later points sum
+        each branch to S digits, so w and w' are each known to
+        eps (|w| + |w'|), eps = 10^-S (_Series.branch).  With
+        n_k = |w_k| + |w_k'| and d the errors of the summed values,
+            dD = dw0 w1' + w0 dw1' - dw0' w1 - w0' dw1 + dw0 dw1' - dw0' dw1,
+        so |dD| <= (4 eps + 2 eps^2) n0 n1, and the summed normalizer is
+        within a factor (1 +- 2 eps)^2 of n0 n1: a mismatch from S-digit
+        sums lies within 8 eps + O(eps^2) of the full one.  The sign is
+        taken when the mismatch D / (n0 n1) exceeds the bound on dD
+        times _SIGN_MARGIN = 100, which also covers the tail test (its
+        _QUIET_TERMS small terms bound the tail only while the terms
+        keep falling); otherwise nu is evaluated again in full, and
+        that evaluation counts as well.
         """
         if _SIGN_DIGITS in self.bits:
             raw, mismatch = self.wronskian(nu, _SIGN_DIGITS)
@@ -460,19 +456,17 @@ def solve_spectrum(
     grid from nu_min upward until `count` sign changes are bracketed;
     each is refined by the Illinois method on the raw Wronskian (its
     normalizer is positive, so the brackets are the same) to relative
-    width 1e-10.  wronskian_samples hold the normalized value, to the
-    scan's 8 digits and their stated bound (_Shooting.scan_point); a
-    grid point whose sign that bound does not settle is evaluated again
-    at 20 digits, and counts again in evaluations.  Up to `count`
-    eigenvalues are returned, ascending.  The spectrum continues below
-    0, and nu_1 of T_rel = b tau / nu_1 is the smallest positive
-    eigenvalue: a window from nu_min > 0 returns it first.  Every
+    width 1e-10.  Up to `count` eigenvalues are returned, ascending.
+    The spectrum continues below 0, and nu_1 of T_rel = b tau / nu_1 is
+    the smallest positive eigenvalue: a window from nu_min > 0 returns
+    it first, and warnings say so when the first is negative.  Every
     series sizes itself: its terms run until the tail is negligible,
     up to a hard cap, and its precision grows past precision_bits when
     cancellation calls for it; series_order is accepted and has no
     effect.  A first eigenvalue within the refinement's absolute
-    resolution (1e-16) of zero, or one whose T_rel underflows a float,
-    raises PrecisionExhausted: T_rel has no value.
+    resolution (1e-16) of zero, or one whose T_rel underflows or
+    overflows a float, raises PrecisionExhausted: T_rel has no value.
+    precision_bits above the cap of 4096 raises ValueError.
     """
     if not nu_min < nu_max:
         raise ValueError("need nu_min < nu_max")
@@ -516,12 +510,18 @@ def solve_spectrum(
         raise PrecisionExhaustedError(
             "first eigenvalue indistinguishable from zero", nu=nu_1, bits=bits
         )
-    t_rel = float(p.b * p.tau / Fraction(nu_1))
+    try:
+        t_rel = float(p.b * p.tau / Fraction(nu_1))
+    except OverflowError:
+        raise PrecisionExhaustedError("T_rel overflows a float", nu=nu_1, bits=bits) from None
     if t_rel == 0:
         raise PrecisionExhaustedError("T_rel underflows a float", nu=nu_1, bits=bits)
-    warnings = ()
+    warnings = []
     if len(eigenvalues) < count:
-        warnings = (f"requested {count} eigenvalues, found {len(eigenvalues)}",)
+        warnings.append(f"requested {count} eigenvalues, found {len(eigenvalues)}")
+    if nu_1 < 0:
+        warnings.append("first eigenvalue is negative, so t_rel is not the relaxation time: "
+                        "nu_1 of T_rel is the smallest positive eigenvalue")
     return SpectralResult(
         eigenvalues=tuple(eigenvalues),
         t_rel=t_rel,
@@ -529,7 +529,7 @@ def solve_spectrum(
         series_order=shoot.terms,
         precision_bits=bits,
         evaluations=shoot.evaluations,
-        warnings=warnings,
+        warnings=tuple(warnings),
     )
 
 
@@ -584,7 +584,7 @@ def eigenfunction_samples(
         if not 0 < z < 1:
             raise ValueError("sample points must lie strictly inside (0, 1)")
         at_one = z > _Z_MATCH
-        series = _Series(p.b, p.kappa, at_one, z - 1 if at_one else z)
+        series = _Series(shoot.tables, int(at_one), z - 1 if at_one else z)
         br = series.branch(nu, series_order, bits, False)
         scale = ratio if at_one else 1
         w, dw = (scale * v for v in br.values())

@@ -19,10 +19,9 @@ Gonnet (J. Symb. Comp. 1989), exact division divides primitive parts,
 and the rational root search is p-adic (Hensel) lifting, whose cost is
 polynomial in the bits, and not an enumeration of divisors, whose cost
 is exponential, with each root confirmed and deflated by exact integer
-division.  Of the private kernels below, ``frobenius`` uses
-``_list_addmul``, ``_from_ints`` and ``_over_common_unit``, and
-``odemodel`` the integer gcd, exact division, ``_scaled``,
-``_from_ints`` and ``_over_common_unit``.
+division.  Of the private kernels below, ``odemodel`` uses the integer
+gcd, exact division, ``_scaled``, ``_list_addmul``, ``_from_ints`` and
+``_over_common_unit``, and ``frobenius`` only ``_from_ints``.
 """
 
 from __future__ import annotations

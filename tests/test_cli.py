@@ -431,6 +431,35 @@ def test_polymer_bad_solver_limit_is_usage_error(capsys, flag, value):
     assert flag in rep["error"]["message"]
 
 
+def test_polymer_precision_past_the_cap_is_usage_error(monkeypatch, capsys):
+    # refused before any solve starts, so 10^11 bits allocate nothing
+    from apparent import polymer
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(polymer, "solve_spectrum", no_solve)
+    argv = ["polymer", "--b", "2", "--W", "1/4", "--precision-bits", "100000000000",
+            "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"] == {"code": "Usage", "details": {},
+                            "message": "--precision-bits must be at most 4096, got 100000000000"}
+    argv[6] = "4096"
+    with pytest.raises(AssertionError, match="a solve started"):
+        run(argv)
+
+
+def test_polymer_overflowing_t_rel_is_a_domain_error(capsys):
+    argv = ["polymer", "--b", "2", "--W", "1/4", "--nu-min", "7", "--nu-max", "15/2",
+            "--grid-points", "2", "--tau", "1e1000", "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 1
+    assert rep["error"]["code"] == "PrecisionExhausted"
+    assert rep["error"]["message"] == "T_rel overflows a float"
+    assert set(rep["error"]["details"]) == {"nu", "bits"}
+
+
 @pytest.fixture()
 def deformed_heun_file(heun_file, tmp_path, capsys):
     code, rep = run_json(capsys, ["deform", str(heun_file), "--format", "json"])

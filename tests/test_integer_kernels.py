@@ -23,7 +23,7 @@ from apparent import (
     multi_heun,
     third_order_example,
 )
-from apparent.frobenius import _stirling_rows
+from apparent.odemodel import _stirling_rows
 
 from _gen import confluent_params, heun_params, multi_params, third_params
 from _moebius_reference import reference_moebius

@@ -24,7 +24,7 @@ from apparent import (
     solve_spectrum,
     wronskian_mismatch,
 )
-from apparent import frobenius, polymer
+from apparent import polymer
 from apparent.errors import DegenerateApparentPointError
 
 from _polymer_one_step import one_step_deformed
@@ -96,34 +96,6 @@ def test_deformed_equation_needs_an_apparent_point():
         polymer_deformed(p, nu)
 
 
-def _series_table(p, nu, at_one, x):
-    """c1, c2, c3 of _Series at this nu, read back from its integer table.
-
-    The table clears P(M) = -sign x c2(M-1), Q(M) = -sign x^2 c3(M-2)
-    and M (M + e1) = sign c1(M) to integers; its last entry is the
-    cleared 1 of M^2, so dividing by it undoes the clearing.
-    """
-    ints = polymer._Series(p.b, p.kappa, at_one, x).ints
-    p0, p0_nu, p1, p2, q0, q0_nu, q1, e1, _one = (F(i, ints[-1]) for i in ints)
-    sign = -p2 / x
-    c1 = sign * RatPoly([0, e1, 1])
-    c2 = RatPoly([p0 + p0_nu * nu, p1, p2]).shifted(1) / p2
-    c3 = RatPoly([q0 + q0_nu * nu, q1]).shifted(2) / q0_nu
-    return c1, c2, c3
-
-
-@pytest.mark.parametrize("b, W", [(F(100), F(1, 4)), (F(7), F(1, 3)), (F(1, 2), F(3, 7))])
-@pytest.mark.parametrize("nu", [F(9, 2), F(-13, 3)])
-@pytest.mark.parametrize("at_one", [False, True])
-def test_series_recurrence_is_the_frobenius_recurrence(b, W, nu, at_one):
-    # the solver's hand-derived three-term recurrence at z = e is the
-    # module recurrence of frobenius: C_j0, C_j0+1, C_j0+2 and no more
-    p = PolymerParams(b=b, W=W)
-    x = F(-1, 3) if at_one else F(1, 3)
-    local = frobenius._LocalData(polymer_ode(p, nu), F(int(at_one)))
-    assert local.cpolys == _series_table(p, nu, at_one, x)
-
-
 def test_eigenvalue_at_zero_is_a_precision_error():
     # at b = 1e-400 both bounded branches are constant to working
     # precision at nu = 0, where the raw Wronskian is exactly zero
@@ -149,6 +121,35 @@ def test_underflowing_t_rel_is_a_precision_error():
         solve_spectrum(p, F(1, 2), F(10), grid_points=16)
     assert info.value.details["nu"] > 1
     assert info.value.message == "T_rel underflows a float"
+
+
+def test_overflowing_t_rel_is_a_precision_error():
+    p = PolymerParams(b=F(2), W=F(1, 4), tau=F("1e1000"))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        solve_spectrum(p, F(7), F(15, 2), grid_points=2)
+    assert info.value.message == "T_rel overflows a float"
+    assert info.value.details == {"nu": pytest.approx(7.157674591943364, rel=1e-10), "bits": 256}
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p, bits: solve_spectrum(p, F(1), F(2), precision_bits=bits),
+    lambda p, bits: wronskian_mismatch(p, F(1), precision_bits=bits),
+    lambda p, bits: eigenfunction_samples(p, F(1), [F(1, 4)], precision_bits=bits),
+], ids=["solve_spectrum", "wronskian_mismatch", "eigenfunction_samples"])
+def test_precision_past_the_cap_is_refused_before_any_work(monkeypatch, entry):
+    # 10^11 bits would ask for a unit of 2^(10^11); the refusal comes
+    # before any work, and without it the patched table build would stop
+    # the call before anything is allocated
+    def no_work(p):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(polymer, "_recurrences", no_work)
+    p = PolymerParams(b=F(2), W=F(1, 4))
+    for bits in (10**11, polymer._BITS_CAP + 1):
+        with pytest.raises(ValueError, match="precision_bits must be at most 4096"):
+            entry(p, bits)
+    with pytest.raises(AssertionError, match="a solve started"):
+        entry(p, polymer._BITS_CAP)
 
 
 def test_vanishing_branch_at_the_matching_point_is_a_precision_error(monkeypatch):
@@ -374,22 +375,35 @@ def test_scan_point_under_the_bound_is_evaluated_in_full(small_spectrum, monkeyp
     assert abs(mismatch - wronskian_mismatch(p, target, precision_bits=128)) <= 1e-12
 
 
+NEGATIVE_FIRST = ("first eigenvalue is negative, so t_rel is not the relaxation time: "
+                  "nu_1 of T_rel is the smallest positive eigenvalue")
+
+
 @pytest.mark.parametrize(
-    "b, lo, hi, count, grid, eigenvalues",
-    [(F(2), F(-3), F(30), 3, 128, (-0.5333212109420054, 7.157674591943364, 20.090909620154598)),
-     (F(100), F(-300), F(0), 4, 256,
-      (-178.1605009047345, -121.21464190962122, -74.41880135859913, -28.671810760827146))],
-    ids=["b=2", "b=100"],
+    "b, W, lo, hi, count, grid, n, eigenvalues",
+    [(F(2), F(1, 4), F(-3), F(30), 3, 128, 64,
+      (-0.5333212109420054, 7.157674591943364, 20.090909620154598)),
+     (F(100), F(1, 4), F(-300), F(0), 4, 256, 64,
+      (-178.1605009047345, -121.21464190962122, -74.41880135859913, -28.671810760827146)),
+     (F(100), F(7, 20), F(-800), F(0), 8, 32, 128,
+      (-680.0584615616783, -554.9117468385894, -441.0949390922462, -338.3611521231952,
+       -246.7450640673425, -166.7764835739038, -99.40026672737571, -39.97066080384886)),
+     (F(100), F(9, 20), F(-1700), F(0), 12, 64, 128,
+      (-1575.3086281613794, -1369.6448615292713, -1179.260898247342, -1003.2803748938163,
+       -840.957548590429, -691.6821014782475, -554.9943642530221, -430.6195574891328,
+       -318.54257165357365, -219.18387787409748, -133.6591816236662, -60.82951115998661))],
+    ids=["b=2", "b=100", "b=100,W=7/20", "b=100,W=9/20"],
 )
-def test_spectrum_continues_below_zero(b, lo, hi, count, grid, eigenvalues):
+def test_spectrum_continues_below_zero(b, W, lo, hi, count, grid, n, eigenvalues):
     # counted from the bottom of the spectrum the k-th eigenfunction has
-    # k - 1 zeros, so nu_1 of T_rel, the smallest positive eigenvalue,
-    # is not the first: 1 eigenvalue lies below 0 at b = 2, 4 at b = 100
-    p = PolymerParams(b=b, W=F(1, 4))
+    # k - 1 zeros on the grid k/n, so nu_1 of T_rel, the smallest positive
+    # eigenvalue, is not the first: 1 eigenvalue lies below 0 at b = 2, and
+    # 4, 8 and 12 at b = 100 and W = 1/4, 7/20, 9/20; the result says so
+    p = PolymerParams(b=b, W=W)
     res = solve_spectrum(p, lo, hi, count, grid_points=grid)
     assert res.eigenvalues == pytest.approx(eigenvalues, rel=1e-10)
-    assert res.warnings == ()
-    zs = [F(k, 64) for k in range(1, 64)]
+    assert res.warnings == (NEGATIVE_FIRST,)
+    zs = [F(k, n) for k in range(1, n)]
     for zeros, nu in enumerate(res.eigenvalues):
         ws = [w for _z, w, _dw, _d2w in eigenfunction_samples(p, nu, zs)]
         assert sum(1 for u, v in zip(ws, ws[1:]) if u * v < 0) == zeros
@@ -414,6 +428,21 @@ def test_mismatch_matches_exact_series(nu):
     assert abs(wronskian_mismatch(p, nu) - exact) <= F(1, 10**15)
 
 
+def _assert_branch_is_exact_series(p, nu, at_one, x, n_terms=None):
+    """The fixed-point branch against the exact Frobenius series summed to
+    the same number of terms, to 20 digits of |w| + |w'|."""
+    br = polymer._Series(polymer._recurrences(p), int(at_one), x).branch(nu, 400, 256, False)
+    if n_terms is not None:
+        assert br.terms == n_terms
+    coeffs = frobenius_series(polymer_ode(p, nu), F(int(at_one)), F(0), br.terms).coeffs
+    w = sum(c * x**k for k, c in enumerate(coeffs))
+    dw = sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
+    got = br.values()
+    assert len(got) == 2
+    for value, want in zip(got, (w, dw)):
+        assert abs(value - want) <= F(1, 10**20) * (abs(w) + abs(dw))
+
+
 @pytest.mark.parametrize(
     "nu, terms",
     [(F(27), (261, 116)),
@@ -421,21 +450,22 @@ def test_mismatch_matches_exact_series(nu):
 )
 def test_fixed_point_branch_matches_exact_series(nu, terms):
     # b = 100 cancels by tens of digits at z = 1; the fixed-point sum of
-    # each branch must agree with the exact Frobenius series, summed to
-    # the same number of terms, to 20 digits of |w| + |w'|; the tail
+    # each branch must agree with the exact Frobenius series; the tail
     # test stops where a floating sum at the same digits stopped
     p = PolymerParams(b=F(100), W=F(1, 4))
-    ode = polymer_ode(p, nu)
-    for at_one, x, n_terms in ((False, F(1, 2), terms[0]), (True, F(-1, 2), terms[1])):
-        br = polymer._Series(p.b, p.kappa, at_one, x).branch(nu, 400, 256, False)
-        assert br.terms == n_terms
-        coeffs = frobenius_series(ode, F(int(at_one)), F(0), br.terms).coeffs
-        w = sum(c * x**k for k, c in enumerate(coeffs))
-        dw = sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
-        got = br.values()
-        assert len(got) == 2
-        for value, want in zip(got, (w, dw)):
-            assert abs(value - want) <= F(1, 10**20) * (abs(w) + abs(dw))
+    _assert_branch_is_exact_series(p, nu, False, F(1, 2), terms[0])
+    _assert_branch_is_exact_series(p, nu, True, F(-1, 2), terms[1])
+
+
+@pytest.mark.parametrize("b, W", [(F(100), F(1, 4)), (F(7), F(1, 3)), (F(1, 2), F(3, 7))])
+@pytest.mark.parametrize("nu", [F(9, 2), F(-13, 3)])
+@pytest.mark.parametrize("at_one", [False, True])
+def test_series_recurrence_is_the_frobenius_recurrence(b, W, nu, at_one):
+    # the kernel's recurrence is the equation's at nu = 0 plus nu's slope,
+    # read at M - 1 and M - 2 over the leading coefficient of C_{j0}; any
+    # slip in those shows against the exact series at either end and sign of nu
+    _assert_branch_is_exact_series(PolymerParams(b=b, W=W), nu, at_one,
+                                   F(-1, 3) if at_one else F(1, 3))
 
 
 def _exact_branch(ode, point, x, n_terms):
@@ -531,7 +561,8 @@ def test_cap_test_refuses_only_sums_that_exhaust_the_cap(monkeypatch):
     grid = itertools.product((40, 160), (F(3), F(30), F(300)), (F(1, 10), F(1, 2), F(3)),
                              (False, True))
     for cap, b, W, at_one in grid:
-        series = polymer._Series(b, b * W, at_one, F(-1, 2) if at_one else F(1, 2))
+        tables = polymer._recurrences(PolymerParams(b=b, W=W))
+        series = polymer._Series(tables, int(at_one), F(-1, 2) if at_one else F(1, 2))
         for nu in (F(1), b, 10 * b, -b):
             monkeypatch.setattr(polymer._Series, "_growing", staticmethod(recorded))
             checked = _branch_outcome(series, nu, cap)
