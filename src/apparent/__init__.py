@@ -25,23 +25,16 @@ _API = {
         "NotRemovableError", "NotSingularError", "PrecisionExhaustedError",
         "SingularMoebiusError", "ZeroPolynomialError",
     ),
-    "polyrat": (
-        "RatPoly", "as_fraction", "exact_div", "poly_derivative", "poly_gcd", "radical",
-        "rational_roots",
-    ),
+    "polyrat": ("RatPoly", "as_fraction", "exact_div", "radical", "rational_roots"),
     "odemodel": (
-        "INFINITY", "FuchsReport", "LinearODE", "PointKind", "RiemannSymbol",
-        "SingularPoint", "fuchs_check", "leading_residual", "make_ode",
-        "moebius_transform", "riemann_symbol", "singular_points",
+        "INFINITY", "FuchsReport", "LinearODE", "PointKind", "RiemannSymbol", "SingularPoint",
+        "fuchs_check", "make_ode", "moebius_transform", "riemann_symbol", "singular_points",
     ),
     "frobenius": (
         "ApparentVerdict", "FrobeniusSolution", "IndicialExponents", "classify_point",
         "frobenius_series", "indicial_exponents", "indicial_polynomial", "is_apparent",
-        "substitution_rows",
     ),
-    "transform": (
-        "DeformResult", "UndeformResult", "deform", "deform_iter", "undeform",
-    ),
+    "transform": ("DeformResult", "UndeformResult", "deform", "deform_iter", "undeform"),
     "heun": (
         "ConfluentHeunParams", "HeunParams", "MultiHeunParams", "ThirdOrderParams",
         "confluent_heun", "general_heun", "multi_heun", "third_order_example",

@@ -63,8 +63,4 @@ def nullspace_basis(matrix: list[list[Fraction]], ncols: int | None = None) -> l
 
 
 def nullity(matrix: list[list[Fraction]], ncols: int | None = None) -> int:
-    if not matrix:
-        return ncols or 0
-    n = ncols if ncols is not None else len(matrix[0])
-    _red, pivots = rref(matrix)
-    return n - len(pivots)
+    return len(nullspace_basis(matrix, ncols))

@@ -209,10 +209,21 @@ def cmd_riemann(args) -> dict:
     return report("riemann", payload)
 
 
+# The command line caps the options whose cost input length does not
+# bound; the library takes any value.  deform's coefficients keep growing
+# (32 stages take about 1 s, 80 over 90 s), undeform's slack loop grows
+# about as slack^4 (32 about 1 s, 64 about 10 s), and a polymer window
+# with no eigenvalue scans every grid point (4096 take 0.5-1 s).
+_MAX_ITERATIONS = 32
+_MAX_SLACK = 32
+_MAX_GRID_POINTS = 4096
+
+
 def cmd_deform(args) -> dict:
     from . import transform
 
-    parse_count(args.iterations, "--iterations")
+    if parse_count(args.iterations, "--iterations") > _MAX_ITERATIONS:
+        raise UsageError(f"--iterations must be at most {_MAX_ITERATIONS}, got {args.iterations}")
     ode = parse_ode(read_json_input(args.input))
     stages = [
         {
@@ -226,11 +237,6 @@ def cmd_deform(args) -> dict:
     ]
     # the last stage's fields repeat at the top level
     return report("deform", {"input": ode_json(ode), "stages": stages, **stages[-1]})
-
-
-# undeform's slack loop grows about as slack^4 (slack 32 takes about 1 s,
-# 64 about 10 s), so the command line refuses a slack past _MAX_SLACK
-_MAX_SLACK = 32
 
 
 def cmd_undeform(args) -> dict:
@@ -338,11 +344,12 @@ def cmd_polymer(args) -> dict:
     for flag, value in (("--count", args.count), ("--precision-bits", args.precision_bits),
                         ("--series-order", args.series_order)):
         parse_count(value, flag)
-    if args.precision_bits > polymer._BITS_CAP:
-        raise UsageError(f"--precision-bits must be at most {polymer._BITS_CAP}, "
-                         f"got {args.precision_bits}")
     if args.grid_points < 2:
         raise UsageError(f"--grid-points must be at least 2, got {args.grid_points}")
+    for flag, value, cap in (("--precision-bits", args.precision_bits, polymer._BITS_CAP),
+                             ("--grid-points", args.grid_points, _MAX_GRID_POINTS)):
+        if value > cap:
+            raise UsageError(f"{flag} must be at most {cap}, got {value}")
 
     def solve_for(w_value: Fraction):
         p = polymer.PolymerParams(b=b, W=w_value, tau=tau)
@@ -520,10 +527,24 @@ def run(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+def _attach_negative_values(argv) -> list[str]:
+    # argparse takes "-3" and "-0.25" for values but "-1/2" and "-1e3" for
+    # unknown options.  No option name starts with a digit or a dot, and
+    # every long option takes a value but --help and --version, the only
+    # ones that start with h or v, so such a token joins the option before it.
+    out: list[str] = []
+    for token in argv:
+        if out and re.match(r"-[\d.]", token) and re.fullmatch(r"--[^-=hv][^=]*", out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

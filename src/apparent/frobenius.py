@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import odemodel
-from ._linalg import nullity
+from ._linalg import nullspace_basis
 from .errors import (
     IrregularPointError,
     NotAnExponentError,
@@ -119,7 +119,8 @@ class _LocalData:
         # parameter opened early can cancel a later obstruction, so the
         # rows are reduced together rather than checked one by one.
         _coeffs, rows = self.series(Fraction(0), int(max(exponents)), n)
-        dim = nullity([row + [Fraction(0)] * (n - len(row)) for _m, row in rows], n)
+        padded = [row + [Fraction(0)] * (n - len(row)) for _m, row in rows]
+        dim = len(nullspace_basis(padded, n))
         if dim == n:
             return ApparentVerdict(True, exponents, None, dim)
         return ApparentVerdict(False, exponents, "nonzero log obstruction", dim)

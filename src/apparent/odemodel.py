@@ -386,7 +386,7 @@ def fuchs_check(ode: LinearODE) -> FuchsReport:
     exponents are handled exactly.
     """
     points = tuple(singular_points(ode))
-    unresolved = leading_residual(ode)
+    unresolved = _leading_roots(ode)[1]
     is_fuchsian = unresolved is None and all(
         p.kind in (PointKind.REGULAR, PointKind.APPARENT) for p in points
     )
@@ -408,7 +408,7 @@ def riemann_symbol(ode: LinearODE) -> RiemannSymbol:
     """
     from . import frobenius
 
-    residual = leading_residual(ode)
+    residual = _leading_roots(ode)[1]
     if residual is not None:
         raise NotFuchsianError(
             "leading coefficient has non-rational roots; cannot tabulate",

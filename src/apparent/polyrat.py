@@ -270,26 +270,19 @@ class RatPoly:
         return _from_ints([i * v for i, v in enumerate(ints)][1:], content)
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int arguments.
-
-        At x = u/v the integer form gives content * sum a_i u^i v^(d-i)
-        / v^d: one integer Horner pass and one Fraction.  Other argument
-        types run Horner on the coefficients.
-        """
-        if isinstance(x, (int, Fraction)):
-            ints, content = self._form
-            if not ints:
-                return Fraction(0)
-            u, v = x.numerator, x.denominator
-            acc, vpow = ints[-1], 1
-            for i in range(len(ints) - 2, -1, -1):
-                vpow *= v
-                acc = acc * u + ints[i] * vpow
-            return Fraction(content.numerator * acc, content.denominator * vpow)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at x, read with as_fraction.  At x = u/v the integer
+        form gives content * sum a_i u^i v^(d-i) / v^d: one integer Horner
+        pass and one Fraction."""
+        ints, content = self._form
+        if not ints:
+            return Fraction(0)
+        x = as_fraction(x)
+        u, v = x.numerator, x.denominator
+        acc, vpow = ints[-1], 1
+        for i in range(len(ints) - 2, -1, -1):
+            vpow *= v
+            acc = acc * u + ints[i] * vpow
+        return Fraction(content.numerator * acc, content.denominator * vpow)
 
     def shifted(self, a) -> "RatPoly":
         """Taylor shift: returns p(z + a).

@@ -240,9 +240,7 @@ def undeform(
             raise NothingToRemoveError("empty target list")
         inferred = _validate_targets(ode, targets, multiplicities)
 
-    m_star = RatPoly([1])
-    for q, m in inferred:
-        m_star = m_star * RatPoly([-q, 1]) ** m
+    m_star = RatPoly.from_roots([q for q, m in inferred for _ in range(m)])
     clearing = radical(m_star)
     s_poly = exact_div(m_star.derivative() * clearing, m_star)
     d_in = ode.coeffs
@@ -274,10 +272,7 @@ def undeform(
                 continue
             polys = [sum((c * ch[j] for c, ch in zip(vec[1:], chains)), RatPoly()) for j in range(n)]
             polys.append(vec[0] * m_star)
-            try:
-                candidate = make_ode(polys)
-            except ApparentError:
-                continue
+            candidate = make_ode(polys)
             if candidate not in solutions and deform(candidate).ode == ode:
                 solutions.append(candidate)
         if solutions:

@@ -6,7 +6,8 @@ another except exactly (``exact_div``) or with remainder (``divmod``).
 
 from fractions import Fraction
 
-from apparent import RatPoly, ZeroPolynomialError, exact_div, poly_gcd
+from apparent import RatPoly, ZeroPolynomialError, exact_div
+from apparent.polyrat import poly_gcd
 
 ONE = RatPoly([1])
 

@@ -35,11 +35,10 @@ from apparent import (
     rational_roots,
     singular_points,
     solve_spectrum,
-    substitution_rows,
     third_order_example,
     undeform,
 )
-from apparent.frobenius import FrobeniusSolution
+from apparent.frobenius import FrobeniusSolution, substitution_rows
 
 from _gen import (
     backward_third_params,

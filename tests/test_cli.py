@@ -450,6 +450,68 @@ def test_polymer_precision_past_the_cap_is_usage_error(monkeypatch, capsys):
         run(argv)
 
 
+def test_polymer_grid_past_the_cap_is_usage_error(monkeypatch, capsys):
+    # refused before any solve starts, so 10^11 grid points scan nothing
+    from apparent import polymer
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(polymer, "solve_spectrum", no_solve)
+    argv = ["polymer", "--b", "2", "--W", "1/4", "--nu-min", "0", "--nu-max", "1",
+            "--grid-points", "100000000000", "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"] == {"code": "Usage", "details": {},
+                            "message": "--grid-points must be at most 4096, got 100000000000"}
+    argv[10] = "4096"
+    with pytest.raises(AssertionError, match="a solve started"):
+        run(argv)
+
+
+def test_deform_iterations_past_the_cap_is_usage_error(heun_file, monkeypatch, capsys):
+    # refused before any stage runs
+    from apparent import transform
+
+    def no_deform(*args, **kwargs):
+        raise AssertionError("a deform started")
+
+    monkeypatch.setattr(transform, "deform_iter", no_deform)
+    argv = ["deform", str(heun_file), "--iterations", "33", "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"] == {"code": "Usage", "details": {},
+                            "message": "--iterations must be at most 32, got 33"}
+    argv[3] = "32"
+    with pytest.raises(AssertionError, match="a deform started"):
+        run(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, code, message",
+    [
+        (["polymer", "--b", "2", "--W", "1/4", "--nu-max", "30"], "--nu-min", "-1/2", 0, None),
+        (["polymer", "--b", "2", "--W", "1/4", "--nu-max", "-2e3"], "--nu-min", "-1e3", 2,
+         "need --nu-min < --nu-max, got -1000 and -2000"),
+        (["polymer", "--b", "2", "--W", "1/4"], "--tau", "-1/2", 2,
+         "--tau must be positive, got '-1/2'"),
+        (["undeform", "HEUN"], "--targets", "-1/2", 1, "no singularity at -1/2 to remove"),
+        (["undeform", "HEUN"], "--targets", "-1/2,3", 1, "no singularity at -1/2 to remove"),
+    ],
+)
+def test_negative_option_value_reads_like_the_attached_form(
+    heun_file, capsys, argv, flag, value, code, message
+):
+    # argparse alone takes "-3" and "-0.25" as values, not "-1/2" or "-1e3"
+    argv = [str(heun_file) if a == "HEUN" else a for a in argv]
+    for fmt in ("text", "json"):
+        run([*argv, f"{flag}={value}", "--format", fmt])
+        attached = capsys.readouterr()
+        assert run([*argv, flag, value, "--format", fmt]) == code
+        assert capsys.readouterr() == attached
+    assert json.loads(attached.out).get("error", {}).get("message") == message
+
+
 def test_polymer_overflowing_t_rel_is_a_domain_error(capsys):
     argv = ["polymer", "--b", "2", "--W", "1/4", "--nu-min", "7", "--nu-max", "15/2",
             "--grid-points", "2", "--tau", "1e1000", "--format", "json"]
@@ -552,6 +614,14 @@ def test_riemann_lists_apparent_point_at_infinity(tmp_path, capsys):
     code, rep = run_json(capsys, ["riemann", str(path), "--format", "json"])
     assert code == 0
     assert {"location": "inf", "role": "apparent"} in rep["extra"]
+
+
+def test_riemann_of_an_equation_without_singular_points(tmp_path, capsys):
+    # w' = 0: no finite singular point, and infinity is ordinary
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"coeffs": [["1"], ["0"]]}))
+    assert run(["riemann", str(path)]) == 0
+    assert capsys.readouterr().out == "P(  -  ; z )\n"
 
 
 def test_riemann_of_irrational_singular_points_is_domain_error(tmp_path, capsys):

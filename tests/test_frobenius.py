@@ -22,9 +22,9 @@ from apparent import (
     is_apparent,
     make_ode,
     moebius_transform,
-    substitution_rows,
     undeform,
 )
+from apparent.frobenius import substitution_rows
 
 from _gen import confluent_params, heun_params
 

@@ -22,10 +22,10 @@ from apparent import (
     exact_div,
     general_heun,
     make_ode,
-    poly_gcd,
     radical,
 )
 from apparent import odemodel, polyrat, transform
+from apparent.polyrat import poly_gcd
 
 from _euclid_gcd import euclid_gcd, euclid_int_gcd, schoolbook_exact_div
 from _gen import heun_params

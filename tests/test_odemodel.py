@@ -18,12 +18,12 @@ from apparent import (
     fuchs_check,
     general_heun,
     indicial_exponents,
-    leading_residual,
     make_ode,
     moebius_transform,
     riemann_symbol,
     singular_points,
 )
+from apparent.odemodel import leading_residual
 
 from _gen import heun_params
 

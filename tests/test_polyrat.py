@@ -13,11 +13,10 @@ from apparent import (
     RatPoly,
     ZeroPolynomialError,
     exact_div,
-    poly_gcd,
     radical,
     rational_roots,
 )
-from apparent.polyrat import root_multiplicity
+from apparent.polyrat import poly_gcd, root_multiplicity
 
 from _closed_form_roots import closed_form_rational_roots
 

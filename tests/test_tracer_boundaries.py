@@ -91,7 +91,7 @@ def test_package_namespace():
     exec("from apparent import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(apparent.__all__)
-    assert len(apparent.__all__) == 69
+    assert len(apparent.__all__) == 65
     assert set(apparent.__all__) <= set(dir(apparent))
     with pytest.raises(AttributeError):
         apparent.no_such_name
