@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import APPARENT_SCHEMA, __version__
 from . import errors as err
 from . import odemodel
-from .odemodel import INFINITY, LinearODE, make_ode
+from .odemodel import LinearODE, make_ode
 from .polyrat import RatPoly
 
 # in definition order, so the help text is the same on every run
@@ -79,10 +79,6 @@ def ode_json(ode: LinearODE) -> dict:
     return {"coeffs": [poly_json(p) for p in ode.coeffs]}
 
 
-def location_str(loc) -> str:
-    return "inf" if loc is INFINITY else str(loc)
-
-
 def parse_ode(obj) -> LinearODE:
     if isinstance(obj, dict) and "ode" in obj and "coeffs" not in obj:
         obj = obj["ode"]
@@ -116,7 +112,7 @@ def read_json_input(path: str):
 
 
 def point_json(sp) -> dict:
-    out = {"location": location_str(sp.location), "kind": str(sp.kind)}
+    out = {"location": str(sp.location), "kind": str(sp.kind)}
     if sp.exponents is not None:
         out["exponents"] = [str(e) for e in sp.exponents]
     if sp.residual is not None:
@@ -195,14 +191,14 @@ def cmd_riemann(args) -> dict:
         "ode": ode_json(ode),
         "columns": [
             {
-                "location": location_str(c.location),
+                "location": str(c.location),
                 "exponents": [str(e) for e in c.exponents],
                 "residual": None if c.residual is None else poly_json(c.residual),
             }
             for c in sym.columns
         ],
         "extra": [
-            {"location": location_str(loc), "role": role} for loc, role in sym.apparent_params
+            {"location": str(loc), "role": role} for loc, role in sym.apparent_params
         ],
         "pretty": sym.pretty(),
     }
@@ -211,7 +207,7 @@ def cmd_riemann(args) -> dict:
 
 # The command line caps the options whose cost input length does not
 # bound; the library takes any value.  deform's coefficients keep growing
-# (32 stages take about 1 s, 80 over 90 s), undeform's slack loop grows
+# (32 stages take about 0.5 s, 80 about 21 s), undeform's slack loop grows
 # about as slack^4 (32 about 1 s, 64 about 10 s), and a polymer window
 # with no eigenvalue scans every grid point (4096 take 0.5-1 s).
 _MAX_ITERATIONS = 32

@@ -16,12 +16,14 @@ The Taylor shift is the integer shift by 1 of von zur Gathen & Gerhard
 (ISSAC 1997), division is pseudo-division over Z (Knuth, TAOCP vol. 2,
 4.6.1, Algorithm R), the gcd is the heuristic GCDHEU of Char, Geddes &
 Gonnet (J. Symb. Comp. 1989), exact division divides primitive parts,
-and the rational root search is p-adic (Hensel) lifting, whose cost is
-polynomial in the bits, and not an enumeration of divisors, whose cost
-is exponential, with each root confirmed and deflated by exact integer
-division.  Of the private kernels below, ``odemodel`` uses the integer
-gcd, exact division, ``_scaled``, ``_list_addmul``, ``_from_ints`` and
-``_over_common_unit``, and ``frobenius`` only ``_from_ints``.
+and the rational root search lifts the polynomial itself p-adically
+(Hensel) past twice |lead| + max|other coefficient|, which bounds lead
+times any rational root, so its cost is polynomial in the input's bits
+(an enumeration of divisors is exponential); each root is confirmed
+and deflated by exact integer division.  Of the private kernels below,
+``odemodel`` uses the integer gcd, exact division, ``_scaled``,
+``_list_addmul``, ``_from_ints`` and ``_over_common_unit``, and
+``frobenius`` only ``_from_ints``.
 """
 
 from __future__ import annotations
@@ -564,36 +566,36 @@ def _int_eval(coeffs: list[int], y: int, modulus: int = 0) -> int:
 def _hensel_roots(g: list[int]) -> list[Fraction]:
     """Candidates that include every rational root of g, by p-adic lifting.
 
-    g is a squarefree integer polynomial of positive degree.  With
-    a = lead(g) and n = deg g, the monic h(y) = a^(n-1) g(y/a) has
-    integer coefficients, and its integer roots are a times the
-    rational roots of g.  h is squarefree, so some prime P leaves every
-    root of h mod P simple; each integer root reduces to one of them
-    and is the unique Newton lift of it.  Lifting until the modulus
-    passes twice the Cauchy bound 1 + max|h_i| recovers every integer
-    root as a symmetric residue.  Residues that are not roots come back
-    too; the caller's exact test drops them.
+    g is a squarefree integer polynomial of positive degree with
+    a = lead(g).  A rational root u/v in lowest terms has v | a, so
+    a u/v is an integer, and by Cauchy's bound |u/v| <= 1 + max|g_i/a|
+    (i < deg g) it lies within |a| + max|g_i|.  g is squarefree, so some
+    prime P with P not dividing a leaves every root of g mod P simple;
+    v is a unit mod P, so u/v reduces to one of those roots and is the
+    unique Newton lift of it.  Lifting until the modulus m passes twice
+    that bound and reading a y mod m as a symmetric residue recovers
+    a u/v exactly.  Residues that are not roots come back too; the
+    caller's exact test drops them.
     """
-    n = len(g) - 1
     a = g[-1]
-    h = [c * a ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
-    dh = [i * c for i, c in enumerate(h)][1:]
-    bound = 2 * (1 + max(abs(c) for c in h))
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 2 * (abs(a) + max(abs(c) for c in g[:-1]))
     prime = 1
     while True:
         prime += 1
-        if any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
+        if a % prime == 0 or any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
             continue
-        h_mod = [c % prime for c in h]
-        residues = [y for y in range(prime) if _int_eval(h_mod, y, prime) == 0]
-        if all(_int_eval(dh, y, prime) for y in residues):
+        g_mod = [c % prime for c in g]
+        residues = [y for y in range(prime) if _int_eval(g_mod, y, prime) == 0]
+        if all(_int_eval(dg, y, prime) for y in residues):
             break
     roots = []
     for y in residues:
         m = prime
         while m <= bound:
             m *= m
-            y = (y - _int_eval(h, y, m) * pow(_int_eval(dh, y, m), -1, m)) % m
+            y = (y - _int_eval(g, y, m) * pow(_int_eval(dg, y, m), -1, m)) % m
+        y = a * y % m
         if y > m // 2:
             y -= m
         roots.append(Fraction(y, a))
@@ -604,19 +606,21 @@ def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     """All rational roots with multiplicities, plus the root-free residual.
 
     One integer path at every degree.  The candidates come in one pass
-    from p-adic (Hensel) lifting on the squarefree part of the integer
+    from p-adic (Hensel) lifting on the squarefree part g of the integer
     primitive f of p (Loos 1983; von zur Gathen & Gerhard, Modern
     Computer Algebra, ch. 15; see _hensel_roots).  The search is
     complete: each rational root reduces to a simple root modulo the
-    chosen prime and is the unique lift of it.  Its cost is polynomial
-    in the coefficient bits: Newton steps double the p-adic precision,
-    so about log2 of the root bound's bit size of them suffice.  Each
-    candidate r = num/den is then divided out of f as (den z - num) for
-    as long as the division is exact over Z (see _deflate); that is the
-    exact root test, so nothing false gets in, and the number of
-    divisions is the multiplicity.  Irrational (and complex) roots are
-    never approximated: they stay in the residual factor, returned
-    monic.  Roots are sorted ascending.
+    chosen prime, which does not divide a = lead(g), and is the unique
+    lift of it; a times the root is an integer of absolute value at
+    most |a| + max|g_i| (Cauchy), so a modulus past twice that recovers
+    it.  The lifts carry at most twice the bits of that bound, and
+    Newton steps double the p-adic precision, so about log2 of its bit
+    size of them suffice.  Each candidate r = num/den is then divided
+    out of f as (den z - num) for as long as the division is exact over
+    Z (see _deflate); that is the exact root test, so nothing false
+    gets in, and the number of divisions is the multiplicity.
+    Irrational (and complex) roots are never approximated: they stay in
+    the residual factor, returned monic.  Roots are sorted ascending.
     """
     if p.is_zero:
         raise ZeroPolynomialError("root search on the zero polynomial")

@@ -91,6 +91,19 @@ def confluent_params(rng):
     return ConfluentHeunParams(p0=p0, p1=p1, alpha=alpha, q=q)
 
 
+def planted_roots_poly(rng, degree, lead_bits):
+    """(z - 3/7)(z + 5/2)(z - 11)(z - 1/3) f with deg f = degree.
+
+    f has its lower coefficients drawn from [-99, 99] and an odd leading
+    coefficient of lead_bits bits, so the root search meets a leading
+    coefficient far larger than the rest of the input.
+    """
+    f = RatPoly([rng.randint(-99, 99) for _ in range(degree)] + [rng.getrandbits(lead_bits) | 1])
+    for r in (Fraction(3, 7), Fraction(-5, 2), Fraction(11), Fraction(1, 3)):
+        f = f * RatPoly([-r, 1])
+    return f
+
+
 def third_params(rng):
     t = rand_frac(rng, exclude=(0, 1))
     return ThirdOrderParams(
@@ -134,6 +147,13 @@ _REST = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
 LOG_GAP_PARAMS = HeunParams(
     t=Fraction(3), theta1=Fraction(2), theta2=_REST[0], theta3=_REST[1],
     theta_inf=_REST[2], alpha=2 - Fraction(2) - sum(_REST), q=Fraction(5),
+)
+
+# the general Heun of the README quickstart; deform makes its accessory
+# root 5 apparent
+README_HEUN_PARAMS = HeunParams(
+    t=Fraction(3), theta1=Fraction(1, 2), theta2=Fraction(1, 3), theta3=Fraction(1, 5),
+    theta_inf=Fraction(1, 7), alpha=Fraction(173, 210), q=Fraction(5),
 )
 
 # hand-picked so the second-stage trailing polynomial splits rationally;

@@ -18,6 +18,7 @@ Regenerate the file (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden_dump.py --write``.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -45,10 +46,12 @@ from apparent import (
 
 from _gen import (
     LOG_GAP_PARAMS,
+    README_HEUN_PARAMS,
     TWO_STAGE_PARAMS,
     confluent_params,
     heun_params,
     multi_params,
+    planted_roots_poly,
     third_params,
 )
 
@@ -139,6 +142,33 @@ def special_undeform_cases():
     }
 
 
+ROOT_STAGES = 24
+
+
+def roots_dump(p):
+    """The rational roots of p with multiplicities, and a digest of the residual."""
+    roots, residual = rational_roots(p)
+    return {
+        "roots": [[str(r), m] for r, m in roots],
+        "residual_sha256": hashlib.sha256(" ".join(poly(residual)).encode()).hexdigest(),
+    }
+
+
+def root_search_dump():
+    """Root searches on growing coefficients: every stage of a long
+    deform chain, and one high-degree polynomial with planted roots."""
+    stages = [
+        {
+            "leading": roots_dump(res.ode.leading),
+            "trailing": roots_dump(res.ode.coeffs[-1]),
+            "new_apparent": [[str(q), gap] for q, gap in res.new_apparent],
+        }
+        for res in deform_iter(general_heun(README_HEUN_PARAMS), ROOT_STAGES)
+    ]
+    planted = roots_dump(planted_roots_poly(random.Random("golden root search"), 116, 120))
+    return {"deform_stages": stages, "planted_degree_120": planted}
+
+
 def equations():
     """(name, equation, Fuchsian?) for every pinned base equation."""
     rng = random.Random("golden local analysis")
@@ -163,6 +193,7 @@ def dump() -> str:
             "undeform": undeform_dump(d.ode),
             "undeform_stage2": undeform_dump(d2.ode, created, [1] * len(created)),
         }
+    entries["root_search"] = root_search_dump()
     entries["undeform_cases"] = special_undeform_cases()
     return json.dumps(entries, indent=1, sort_keys=True) + "\n"
 

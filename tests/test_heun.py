@@ -11,8 +11,10 @@ from apparent import (
     HeunParams,
     MultiHeunParams,
     NotConfluentClassError,
+    PointKind,
     RatPoly,
     ThirdOrderParams,
+    classify_point,
     confluent_heun,
     deform,
     fuchs_check,
@@ -23,7 +25,7 @@ from apparent import (
     third_order_example,
 )
 
-from _gen import confluent_params, heun_params, multi_params
+from _gen import confluent_params, heun_params, multi_params, rand_frac
 
 F = Fraction
 
@@ -150,6 +152,24 @@ def test_confluent_heun_rejects_wrong_pattern():
         confluent_heun(ConfluentHeunParams(p0=RatPoly([1]), p1=RatPoly([1, 1]), alpha=F(1), q=F(0)))
     with pytest.raises(NotConfluentClassError):
         confluent_heun(ConfluentHeunParams(p0=RatPoly([1]), p1=RatPoly([1, 1, 1]), alpha=F(0), q=F(0)))
+
+
+def test_confluent_pattern_is_irregular_at_infinity():
+    # deg P_1 = 2 >= deg P_0, so P_1/P_0 does not vanish at infinity;
+    # a factor (z - q) shared by all three coefficients keeps that gap
+    rng = random.Random(2967)
+    for _ in range(40):
+        ode = confluent_heun(confluent_params(rng))
+        assert classify_point(ode, INFINITY).kind is PointKind.IRREGULAR
+    for _ in range(40):
+        q = rand_frac(rng)
+        lin = RatPoly([-q, 1])
+        low = [rand_frac(rng) for _ in range(rng.randint(0, 1))]
+        p0 = lin * RatPoly(low + [rand_frac(rng, exclude=(0,))])
+        p1 = lin * RatPoly([rand_frac(rng), rand_frac(rng, exclude=(0,))])
+        ode = confluent_heun(ConfluentHeunParams(p0=p0, p1=p1, alpha=rand_frac(rng, exclude=(0,)), q=q))
+        assert ode.coeffs[1].degree == 1
+        assert classify_point(ode, INFINITY).kind is PointKind.IRREGULAR
 
 
 def test_confluent_heun_deform_is_one_step_clearing():

@@ -16,9 +16,11 @@ from apparent import (
     radical,
     rational_roots,
 )
+from apparent import polyrat
 from apparent.polyrat import poly_gcd, root_multiplicity
 
 from _closed_form_roots import closed_form_rational_roots
+from _gen import planted_roots_poly
 
 F = Fraction
 
@@ -128,6 +130,40 @@ def test_rational_roots_when_the_squarefree_certificate_is_inconclusive():
     roots = [(F(0), 1), (F(2**31 - 1), 1), (F(5, 2), 1)]
     p, want, residual = expected_factorization(F(3), roots, RatPoly([1]))
     assert rational_roots(p) == (want, residual)
+
+
+def lift_moduli(monkeypatch):
+    """The moduli of every modular evaluation the root search makes."""
+    seen = []
+    plain = polyrat._int_eval
+
+    def recording(coeffs, y, modulus=0):
+        if modulus > 0:
+            seen.append(modulus)
+        return plain(coeffs, y, modulus)
+
+    monkeypatch.setattr(polyrat, "_int_eval", recording)
+    return seen
+
+
+def test_root_lifts_carry_the_bits_of_the_input(monkeypatch):
+    # a 200-bit leading coefficient of a degree-80 polynomial: lifting
+    # a monic transform of it would carry about 80 * 200 bits
+    p = planted_roots_poly(random.Random(80), 76, 200)
+    assert radical(p).degree == 80
+    seen = lift_moduli(monkeypatch)
+    roots, _residual = rational_roots(p)
+    assert roots == [(F(-5, 2), 1), (F(1, 3), 1), (F(3, 7), 1), (F(11), 1)]
+    coefficient_bits = max(abs(c).bit_length() for c in p._form[0])
+    assert max(m.bit_length() for m in seen) <= 2 * (coefficient_bits + 2)
+
+
+def test_root_lift_stops_only_past_twice_the_bound(monkeypatch):
+    # the prime is 2 and the moduli square up to 65536, which passes the
+    # bound |1| + 40000 but not twice it: -40000 needs one more step
+    seen = lift_moduli(monkeypatch)
+    assert rational_roots(RatPoly([40000, 1])) == ([(F(-40000), 1)], RatPoly([1]))
+    assert sorted(set(seen)) == [2, 4, 16, 256, 65536, 2**32]
 
 
 big = st.integers(-(2**64), 2**64)

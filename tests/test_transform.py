@@ -6,7 +6,6 @@ import pytest
 from apparent import (
     INFINITY,
     AlreadyIntegratedError,
-    HeunParams,
     IrregularPointError,
     NothingToRemoveError,
     NotRemovableError,
@@ -22,7 +21,14 @@ from apparent import (
     undeform,
 )
 
-from _gen import LOG_GAP_PARAMS, TWO_STAGE_PARAMS, heun_params, multi_params, third_params
+from _gen import (
+    LOG_GAP_PARAMS,
+    README_HEUN_PARAMS,
+    TWO_STAGE_PARAMS,
+    heun_params,
+    multi_params,
+    third_params,
+)
 
 F = Fraction
 
@@ -122,16 +128,8 @@ def test_undeform_reads_an_iterator_of_targets_once():
         undeform(res.ode, iter([]))
 
 
-def _readme_heun():
-    # deform makes its accessory root 5 apparent
-    return general_heun(
-        HeunParams(t=F(3), theta1=F(1, 2), theta2=F(1, 3), theta3=F(1, 5),
-                   theta_inf=F(1, 7), alpha=F(173, 210), q=F(5))
-    )
-
-
 def test_undeform_rejects_a_string_of_targets():
-    ode = _readme_heun()
+    ode = general_heun(README_HEUN_PARAMS)
     deformed = deform(ode).ode
     with pytest.raises(TypeError, match="targets"):
         undeform(deformed, "15")
@@ -141,7 +139,7 @@ def test_undeform_rejects_a_string_of_targets():
 
 
 def test_undeform_rejects_a_string_of_multiplicities():
-    ode = _readme_heun()
+    ode = general_heun(README_HEUN_PARAMS)
     deformed = deform(ode).ode
     with pytest.raises(TypeError, match="multiplicities"):
         undeform(deformed, multiplicities="12")
