@@ -11,8 +11,10 @@ count of free parameters and the removed points, or the error it raises
 stage).  A few hand-picked ``undeform`` cases are pinned beside them: a
 logarithmic integer gap that is not removable, a second stage that only
 inverts with a nonconstant content multiplier, and a constant-coefficient
-equation.  Any change to the arithmetic kernels under these functions
-must leave the dump unchanged.
+equation.  The third-order family at wide exponent gaps at 1 pins the
+apparency verdict of every singular point and a digest of every
+Frobenius series there.  Any change to the arithmetic kernels under
+these functions must leave the dump unchanged.
 
 Regenerate the file (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden_dump.py --write``.
@@ -29,12 +31,16 @@ from apparent import (
     INFINITY,
     ApparentError,
     IrregularPointError,
+    ThirdOrderParams,
     classify_point,
     confluent_heun,
     deform_iter,
+    frobenius_series,
     fuchs_check,
     general_heun,
+    indicial_exponents,
     indicial_polynomial,
+    is_apparent,
     make_ode,
     moebius_transform,
     multi_heun,
@@ -169,6 +175,47 @@ def root_search_dump():
     return {"deform_stages": stages, "planted_degree_120": planted}
 
 
+WIDE_GAP_THETA2 = (49, 199, 799)
+
+
+def hexfrac(x):
+    """x in hex: these coefficients pass the int/str digit limit in decimal."""
+    return f"{x.numerator:x}/{x.denominator:x}"
+
+
+def series_digest(sol):
+    text = json.dumps([[hexfrac(c) for c in sol.coeffs],
+                       [[m, hexfrac(v)] for m, v in sol.obstructions]])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def wide_gap_dump():
+    """third_order_example with exponents {0, 1, 2 + theta2} at 1: the
+    verdict at every singular point, and a digest of the series from
+    every rational exponent, summed 3 terms past the widest integer gap
+    above it."""
+    out = {}
+    for theta2 in WIDE_GAP_THETA2:
+        ode = third_order_example(ThirdOrderParams(
+            t=3, alpha=Fraction(1, 3), beta=Fraction(2, 5), theta2=theta2,
+            theta3=Fraction(1, 7), kappa=Fraction(1, 2), q=Fraction(1, 11)))
+        points = {}
+        for point in [r for r, _m in rational_roots(ode.leading)[0]] + [INFINITY]:
+            v = is_apparent(ode, point)
+            exps = indicial_exponents(ode, point).exponents
+            series = {}
+            for rho in sorted(set(exps)):
+                reach = max(int(e - rho) for e in exps if (e - rho).denominator == 1 and e >= rho)
+                series[str(rho)] = series_digest(frobenius_series(ode, point, rho, reach + 3))
+            points[str(point)] = {
+                "verdict": [v.is_apparent, [str(e) for e in v.exponents],
+                            v.failed_condition, v.holomorphic_dim],
+                "series": series,
+            }
+        out[f"theta2={theta2}"] = points
+    return out
+
+
 def equations():
     """(name, equation, Fuchsian?) for every pinned base equation."""
     rng = random.Random("golden local analysis")
@@ -195,6 +242,8 @@ def dump() -> str:
         }
     entries["root_search"] = root_search_dump()
     entries["undeform_cases"] = special_undeform_cases()
+    # the key sorts first, so adding it added lines to the dump and changed none
+    entries["apparency_at_wide_gaps"] = wide_gap_dump()
     return json.dumps(entries, indent=1, sort_keys=True) + "\n"
 
 
