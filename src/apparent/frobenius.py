@@ -19,14 +19,24 @@ odemodel._recurrence builds the C_j, for this module and for polymer.
 The point at infinity is always handled by the pullback z = 1/zeta and
 analysis at zeta = 0; an exponent rho there describes w ~ z^(-rho).
 
-The local data of a point (shifted tables, indicial roots, apparency
+The local data of a point (indicial roots, recurrence table, apparency
 verdict) is memoized on the LinearODE instance, built on first use and
 kept as long as that equation lives; the public functions below run on
 every call and share it, so infinity is pulled back once per equation.
+
+Each point pays only for what is read of it (_LocalData): exponents in
+closed form at an ordinary point or a simple root of P_0, the kind
+deform creates; the table, n + 1 Taylor shifts, only for a series or at
+a multiple root; the series on integers, with Fractions built only for
+frobenius_series.  The verdict at a point whose exponents are distinct
+nonnegative integers sums the recurrence up to the largest, E, on
+integers of about E log E bits, so its cost grows about as E^2.3
+(third_order_example at theta2 = 799: 0.03 s; at 9999: about 4 s).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,61 +53,121 @@ from .polyrat import RatPoly, _from_ints, as_fraction, rational_roots
 
 
 class _LocalData:
-    """Tables of one finite point, cpolys[j - j0] = C_j (odemodel._recurrence); never mutated."""
+    """Local data of one finite point; never mutated.
+
+    At a simple root q of P_0 (v0 = ord_q P_0 = 1) the indicial
+    polynomial is P_0'(q) S_n + P_1(q) S_{n-1} = P_0'(q) S_{n-1}(s)
+    (s - n + 1 + P_1(q)/P_0'(q)), S_m the falling factorial
+    s(s-1)...(s-m+1), so the exponents are 0..n-2 and
+    n-1 - P_1(q)/P_0'(q) (Ince, *Ordinary Differential Equations*, 1926);
+    at an ordinary point it is P_0(q) S_n.  Both are read off P_0 and P_1
+    at q.  The recurrence table (cpolys[j - j0] = C_j,
+    odemodel._recurrence) is built on first use: by a series, or by the
+    regularity test at a multiple root.  It holds the coefficient tuple,
+    not the equation, whose memo holds this record.
+    """
 
     def __init__(self, ode: LinearODE, point: Fraction):
         self.n = ode.order
-        self.v0, self.j0, self.jmax, unit, rows = odemodel._recurrence(ode, point)
-        self.cpolys: tuple[RatPoly, ...] = tuple(_from_ints(row, unit) for row in rows)
+        self.coeffs, self.point = ode.coeffs, point
+        # head: the first Taylor coefficient of P_0 at the point while v0 <= 1
+        p0 = ode.leading
+        self.head, self.v0 = p0(point), 0
+        if not self.head:
+            self.head = p0.derivative()(point)
+            self.v0 = 1 if self.head else self._table[0]
+
+    @cached_property
+    def _table(self):
+        return odemodel._recurrence(self.coeffs, self.point)
+
+    @property
+    def j0(self) -> int:
+        return self._table[1]
+
+    @property
+    def jmax(self) -> int:
+        return self._table[2]
+
+    @cached_property
+    def cpolys(self) -> tuple[RatPoly, ...]:
+        _v0, _j0, _jmax, unit, rows = self._table
+        return tuple(_from_ints(list(row), unit) for row in rows)
 
     @property
     def is_regular(self) -> bool:
-        # covers ordinary points too: there j0 = v0 = 0
-        return self.j0 == self.v0
+        # a pole of P_k / P_0 of order at most v0 <= 1 <= k is regular (Fuchs)
+        return self.v0 <= 1 or self.j0 == self.v0
 
     @property
     def is_ordinary(self) -> bool:
         return self.v0 == 0
 
-    @property
+    @cached_property
     def indicial(self) -> RatPoly:
-        return self.cpolys[0]
+        if self.v0 > 1:
+            return self.cpolys[0]
+        return RatPoly.from_roots(self.exponents[0], self.head)
 
     @cached_property
     def exponents(self) -> tuple[tuple[Fraction, ...], RatPoly | None]:
         """Rational indicial roots, ascending and repeated per
         multiplicity, and the monic factor holding the others (None
         when there are none)."""
+        if self.v0 <= 1:
+            ladder = [Fraction(i) for i in range(self.n - self.v0)]
+            if self.v0:
+                ladder.append(self.n - 1 - self.coeffs[1](self.point) / self.head)
+            return tuple(sorted(ladder)), None
         roots, residual = rational_roots(self.indicial)
         return (tuple(r for r, m in roots for _ in range(m)),
                 residual if residual.degree > 0 else None)
 
-    def series(self, rho: Fraction, top: int, cap: int) -> tuple[list, list]:
-        """a_0..a_top of zeta^rho sum a_M zeta^M by the module's recurrence,
-        each a_M a vector over the first `cap` free parameters opened up
-        to offset M; later parameters are set to zero.
+    def series(self, rho: Fraction, top: int, cap: int):
+        """Steps M = 0..top of the module's recurrence from zeta^rho,
+        fraction-free: yields (a, d, blocked) with a_M = a / d, a an
+        integer vector over the first `cap` free parameters opened up to
+        offset M (later parameters are set to zero).
 
-        A parameter opens wherever C_{j0}(rho+M) = 0, and the right-hand
-        side there is recorded as the obstruction row (M, row) that must
-        vanish for a log-free continuation (empty at M = 0).
+        A parameter opens wherever C_{j0}(rho+M) = 0, and blocked is then
+        (row, weight): the right-hand side there is row * weight, an
+        obstruction that must vanish for a log-free continuation (empty
+        at M = 0); else blocked is None.  Every C_j shares the table's
+        unit and, at rho + m = (u + m v) / v, the factor v^-n, so the
+        steps read the integers h_j(m) = v^n C_j(rho + m) / unit.  The
+        running denominator d_M is the product of the nonzero h_{j0}(m),
+        m <= M; a_m, kept over d_m, reaches d_{M-1} through the product of
+        those between m and M, a short integer.  A step multiplies long
+        integers by short ones only and takes no gcd.
         """
-        width = self.jmax - self.j0
-        coeffs, obstructions = [], []
+        _v0, _j0, _jmax, unit, rows = self._table
+        n, width = self.n, len(rows) - 1
+        u, v = rho.numerator, rho.denominator
+        vpow = [v ** (n - i) for i in range(n + 1)]
+        d, window, opened = 1, [], 0  # window: (a_m over d_m, h(m)) for the last `width` m
         for m_idx in range(top + 1):
-            rhs = [Fraction(0)] * min(len(obstructions), cap)
-            for m in range(max(0, m_idx - width), m_idx):
-                value = self.cpolys[m_idx - m](rho + m)
+            x = u + m_idx * v
+            xpow = [vp * x**i for i, vp in enumerate(vpow)]
+            h = [sum(c * p for c, p in zip(row, xpow) if c) for row in rows]
+            acc, between = [0] * opened, 1
+            for back, (a, hm) in enumerate(reversed(window), 1):
+                value = hm[back] * between
                 if value:
-                    for i, a in enumerate(coeffs[m]):
-                        rhs[i] -= a * value
-            denom = self.indicial(rho + m_idx)
-            if denom:
-                coeffs.append([r / denom for r in rhs])
+                    for i, ai in enumerate(a):
+                        acc[i] -= ai * value
+                between *= hm[0] or 1
+            if h[0]:
+                d *= h[0]
+                blocked = None
             else:
-                obstructions.append((m_idx, rhs))
-                opened = [Fraction(1)] if len(rhs) < cap else []
-                coeffs.append([Fraction(0)] * len(rhs) + opened)
-        return coeffs, obstructions
+                blocked = acc, Fraction(unit.numerator, unit.denominator * vpow[0] * d)
+                # a_M is free: 1 in a newly opened parameter, 0 in the others
+                acc = [0] * opened + ([d] if opened < cap else [])
+                opened = len(acc)
+            yield acc, d, blocked
+            window.append((acc, h))
+            if len(window) > width:
+                del window[0]
 
     @cached_property
     def verdict(self) -> ApparentVerdict:
@@ -117,10 +187,16 @@ class _LocalData:
         # jet a_0..a_E (E = max exponent), and the recurrence run from 0
         # opens one parameter and one obstruction row per exponent.  A
         # parameter opened early can cancel a later obstruction, so the
-        # rows are reduced together rather than checked one by one.
-        _coeffs, rows = self.series(Fraction(0), int(max(exponents)), n)
-        padded = [row + [Fraction(0)] * (n - len(row)) for _m, row in rows]
-        dim = len(nullspace_basis(padded, n))
+        # rows are reduced together rather than checked one by one; a
+        # row's scale leaves the nullspace unchanged, so each is divided
+        # by its content.
+        rows = []
+        for _a, _d, blocked in self.series(Fraction(0), int(max(exponents)), n):
+            if blocked:
+                row = blocked[0] + [0] * (n - len(blocked[0]))
+                g = math.gcd(*row) or 1
+                rows.append([Fraction(c // g) for c in row])
+        dim = len(nullspace_basis(rows, n))
         if dim == n:
             return ApparentVerdict(True, exponents, None, dim)
         return ApparentVerdict(False, exponents, "nonzero log obstruction", dim)
@@ -239,13 +315,17 @@ def frobenius_series(ode: LinearODE, point, exponent, n_terms: int) -> Frobenius
             indicial=ind.pretty("s"),
         )
     # carry only the a_0 = 1 parameter: later free coefficients are zero
-    vectors, rows = data.series(exponent, n_terms, 1)
+    coeffs, obstructions = [], []
+    for m, (a, d, blocked) in enumerate(data.series(exponent, n_terms, 1)):
+        coeffs.append(Fraction(a[0], d))
+        if blocked and m:
+            obstructions.append((m, blocked[0][0] * blocked[1]))
     return FrobeniusSolution(
         point=point,
         exponent=exponent,
-        coeffs=tuple(v[0] for v in vectors),
+        coeffs=tuple(coeffs),
         truncation=n_terms,
-        obstructions=tuple((m, row[0]) for m, row in rows if m),
+        obstructions=tuple(obstructions),
     )
 
 

@@ -329,16 +329,17 @@ def _stirling_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def _recurrence(ode: LinearODE, point: Fraction):
-    """The coefficient recurrence at a finite point (conventions in frobenius).
+def _recurrence(coeffs: tuple[RatPoly, ...], point: Fraction):
+    """The coefficient recurrence of the equation with coefficients
+    (P_0, ..., P_n) at a finite point (conventions in frobenius).
 
     Returns v0 = ord T_0, j0, jmax and unit, rows: C_j(s) = unit * rows[j - j0],
     each row n + 1 integers ascending in s.  C_j = sum_k t_{k,j-k} S_{n-k} is
     built on integer lists: S_m is row m of the Stirling table, and the T_k
     are put over the common unit of their contents.
     """
-    n = ode.order
-    shifted = [p.shifted(point) for p in ode.coeffs]
+    n = len(coeffs) - 1
+    shifted = [p.shifted(point) for p in coeffs]
     spans = [(t.valuation() + k, t.degree + k) for k, t in enumerate(shifted) if not t.is_zero]
     j0, jmax = min(lo for lo, _hi in spans), max(hi for _lo, hi in spans)
     stirling = _stirling_rows(n)

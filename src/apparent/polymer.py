@@ -215,7 +215,7 @@ def _recurrences(p: PolymerParams) -> tuple[list[int], list[int]]:
     ode = polymer_ode(p, 0)
     tables = []
     for e in (0, 1):
-        _v0, _j0, _jmax, unit, (first, second, third) = _recurrence(ode, e)
+        _v0, _j0, _jmax, unit, (first, second, third) = _recurrence(ode.coeffs, e)
         # v C_j = u row_j + nu v slope_j for unit = u / v > 0, slope = z - 1
         # in powers of z - e; of the lead u first[2] / v only its sign is left
         sign, slope = 1 if first[2] > 0 else -1, (e - 1, 1)

@@ -6,14 +6,16 @@ run from exponent 0 into an exact (E+1)-square lower-triangular system
 over the jet a_0..a_E (E = max exponent) and takes its nullity, and the
 series runs the recurrence as a scalar loop with a_0 = 1 and every later
 free coefficient set to zero.  They are kept only as oracles for the
-differential test in ``test_local_reference.py``; the shifted tables
-and the indicial roots are shared with the package, the solves are not.
-The system has (E+1)^2 entries, so keep E small here.
+differential tests in ``test_local_reference.py``.  The shifted
+tables are shared with the package; the exponents are the rational
+roots of the table's C_{j0}, not the package's closed form at a simple
+root, and the solves are not shared either.  The system has (E+1)^2
+entries, so keep E small here.
 """
 
 from fractions import Fraction
 
-from apparent import RatPoly, as_fraction
+from apparent import RatPoly, as_fraction, rational_roots
 from apparent._linalg import nullity
 from apparent.frobenius import ApparentVerdict, FrobeniusSolution, _local
 
@@ -23,10 +25,19 @@ def _c(data, j):
     return data.cpolys[j - data.j0] if data.j0 <= j <= data.jmax else RatPoly()
 
 
+def table_exponents(data):
+    """Rational roots of the table's C_{j0}, ascending and repeated per
+    multiplicity, and the monic factor holding the others (None when
+    there are none)."""
+    roots, residual = rational_roots(data.cpolys[0])
+    return (tuple(r for r, m in roots for _ in range(m)),
+            residual if residual.degree > 0 else None)
+
+
 def dense_verdict(ode, point):
     data, _loc = _local(ode, point)
     n = data.n
-    exponents, residual = data.exponents
+    exponents, residual = table_exponents(data)
     if residual is not None:
         return ApparentVerdict(False, exponents, "non-rational exponent", None)
     if any(e.denominator != 1 for e in exponents):
@@ -54,7 +65,7 @@ def scalar_series(ode, point, exponent, n_terms):
     point = as_fraction(point)
     exponent = as_fraction(exponent)
     data, _loc = _local(ode, point)
-    ind = data.indicial
+    ind = data.cpolys[0]
     assert ind(exponent) == 0
     width = data.jmax - data.j0
     coeffs = [Fraction(1)]

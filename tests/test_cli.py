@@ -6,10 +6,11 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from apparent import __version__, third_order_example
+from apparent import ThirdOrderParams, __version__, third_order_example
 from apparent.cli import ode_json, run
 
 from _gen import third_params
@@ -690,3 +691,50 @@ def test_heun_bad_list_parameter_is_usage_error(tmp_path, capsys, family, name, 
     assert code == 2
     assert rep["error"]["code"] == "Usage"
     assert repr(name) in rep["error"]["message"]
+
+
+# third_order_example has exponents {0, 1, 2 + theta2} at 1
+WIDE_THIRD = {"t": "3", "alpha": "1/3", "beta": "2/5", "theta3": "1/7", "kappa": "1/2",
+              "q": "1/11"}
+
+
+def wide_gap_argv(tmp_path, command, theta2):
+    params = {**WIDE_THIRD, "theta2": theta2}
+    if command == "heun":
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        return ["heun", "--family", "third", "--params", str(path), "--format", "json"]
+    ode = third_order_example(ThirdOrderParams(**{k: Fraction(v) for k, v in params.items()}))
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps({"coeffs": ode_json(ode)["coeffs"]}))
+    return [command, str(path), "--format", "json"]
+
+
+@pytest.mark.parametrize("command", ["heun", "analyze", "riemann", "undeform"])
+def test_integer_exponent_past_the_cap_is_usage_error(command, tmp_path, monkeypatch, capsys):
+    # theta2 = 1e30 ran until killed: the verdict sums 10^30 + 3 terms.
+    # Refused before any verdict runs; E = 4000 is accepted
+    from apparent import frobenius
+
+    def no_verdict(self):
+        raise AssertionError("a verdict started")
+
+    monkeypatch.setattr(frobenius._LocalData, "verdict", property(no_verdict))
+    code, rep = run_json(capsys, wide_gap_argv(tmp_path, command, "1e30"))
+    assert code == 2
+    assert rep["error"] == {
+        "code": "Usage", "details": {},
+        "message": "an integer exponent at 1 exceeds 4000; "
+                   "the command line decides apparency only up to that exponent",
+    }
+    code, rep = run_json(capsys, wide_gap_argv(tmp_path, command, "3999"))
+    assert code == 2 and "exceeds 4000" in rep["error"]["message"]
+    with pytest.raises(AssertionError, match="a verdict started"):
+        run(wide_gap_argv(tmp_path, command, "3998"))
+
+
+def test_largest_accepted_integer_exponent_is_decided(tmp_path, capsys):
+    code, rep = run_json(capsys, wide_gap_argv(tmp_path, "heun", "3998"))
+    assert code == 0
+    at_one = rep["singular_points"][1]
+    assert at_one == {"location": "1", "kind": "RegularSingular", "exponents": ["0", "1", "4000"]}

@@ -1,8 +1,9 @@
-"""Local analysis runs once per equation instance and point.
+"""Local analysis runs once per equation instance and point, and a
+point builds its recurrence table only when it needs one.
 
 The memo sits under the public functions: the counters below patch the
-local-data constructor and the Moebius pullback to see how often the
-work behind them runs.
+local-data constructor, the table builder and the Moebius pullback to
+see how often the work behind them runs.
 """
 
 import copy
@@ -26,7 +27,7 @@ from apparent import (
 )
 from apparent import frobenius, odemodel
 
-from _gen import heun_params
+from _gen import README_HEUN_PARAMS, heun_params
 
 
 def certify(ode, planted):
@@ -114,3 +115,24 @@ def test_equation_with_a_filled_memo_pickles_and_copies():
     for clone in (pickle.loads(pickle.dumps(ode)), copy.copy(ode), copy.deepcopy(ode)):
         assert clone == ode and hash(clone) == hash(ode)
         assert fuchs_check(clone) == report
+
+
+def test_tables_are_built_only_where_a_series_runs(monkeypatch):
+    # the simple roots 0, 1, 3 have non-integer exponents, read off P_0 and
+    # P_1; the planted point's verdict sums a series, and infinity is a
+    # double root of the pullback's P_0
+    built = []
+    recurrence = odemodel._recurrence
+
+    def counting_recurrence(coeffs, point):
+        built.append(point)
+        return recurrence(coeffs, point)
+
+    monkeypatch.setattr(odemodel, "_recurrence", counting_recurrence)
+    res = deform(general_heun(README_HEUN_PARAMS))
+    report = fuchs_check(res.ode)
+    assert [str(p.location) for p in report.points] == ["0", "1", "3", "5", "inf"]
+    assert res.new_apparent == ((5, 2),)
+    assert built == [5, 0]  # 5, then zeta = 0 of the pullback to infinity
+    riemann_symbol(res.ode)
+    assert len(built) == 2

@@ -8,6 +8,11 @@ scalar loop.  Both must agree on every regular singular point below:
 the verdict (apparency, failed condition, holomorphic dimension) and,
 at finite points, the series from every rational exponent with its
 obstruction values.
+
+At a simple root of P_0 and at an ordinary point the package reads the
+indicial polynomial and the exponents off P_0 and P_1 at the point; the
+references read them off the recurrence table's C_{j0} and its
+rational roots, and the closed form must agree with the table there.
 """
 
 import random
@@ -33,8 +38,18 @@ from apparent import (
     third_order_example,
 )
 
-from _dense_local import dense_verdict, scalar_series
-from _gen import LOG_GAP_PARAMS, confluent_params, heun_params, multi_params, third_params
+from apparent.frobenius import _local
+
+from _dense_local import dense_verdict, scalar_series, table_exponents
+from _gen import (
+    LOG_GAP_PARAMS,
+    confluent_params,
+    heun_params,
+    multi_params,
+    rand_frac,
+    rand_nonint,
+    third_params,
+)
 
 F = Fraction
 
@@ -123,3 +138,63 @@ def test_heun_with_a_logarithm():
     # theta1 = 2: exponents {0, 2} at the origin, blocked by a logarithm
     for ode in (general_heun(LOG_GAP_PARAMS), deform_iter(general_heun(LOG_GAP_PARAMS), 1)[0].ode):
         assert tally(compare(ode))["nonzero log obstruction"] >= 1
+
+
+def prescribed_exponents(rng, n, double=None):
+    """Order-n equation with three simple roots of P_0, each given a top
+    exponent e = n - 1 - P_1(r)/P_0'(r) by interpolating P_1: a repeated
+    one (0..n-2), a nonnegative integer gap, a negative integer or a
+    fraction.  double = "regular" or "irregular" adds a double root of
+    P_0, where P_1 vanishes or not."""
+    roots = []
+    while len(roots) < 3 + bool(double):
+        r = rand_frac(rng, span=4, dmax=3)
+        if r not in roots:
+            roots.append(r)
+    simple, p0 = roots[:3], RatPoly.from_roots(roots + roots[3:])
+    # P_1 = factor * (interpolant of the values over factor)
+    factor = RatPoly.from_roots(roots[3:]) if double == "regular" else RatPoly([1])
+    dp0 = p0.derivative()
+    choices = [F(rng.randint(n - 1, n + 4)), F(-rng.randint(1, 3)), rand_nonint(rng)]
+    if n > 1:
+        choices.append(F(rng.randint(0, n - 2)))
+    p1 = RatPoly.from_roots(simple) * RatPoly([rand_frac(rng)])
+    for i, r in enumerate(simple):
+        others = simple[:i] + simple[i + 1:]
+        basis = RatPoly.from_roots(others) / RatPoly.from_roots(others)(r)
+        p1 = p1 + (n - 1 - rng.choice(choices)) * dp0(r) / factor(r) * basis
+    rest = [RatPoly([rand_frac(rng) for _ in range(rng.randint(1, 3))]) for _ in range(n - 1)]
+    return make_ode([p0, factor * p1, *rest])
+
+
+def test_closed_form_read_off_matches_the_table():
+    rng = random.Random("closed form read-off")
+    seen = Counter()
+    for n in (1, 2, 3):
+        for draw in range(12):
+            ode = prescribed_exponents(rng, n, (None, "regular", "irregular")[draw % 3])
+            for point in [q for q, _m in rational_roots(ode.leading)[0]] + [INFINITY]:
+                data, _loc = _local(ode, point)
+                closed = data.v0 <= 1
+                regular, exponents = data.is_regular, data.is_regular and data.exponents
+                indicial = data.indicial if regular else None
+                verdict = is_apparent(ode, point) if regular and data.v0 else None
+                # the table, built after every closed-form answer was read
+                v0, j0 = data._table[0], data.j0
+                assert data.v0 == v0
+                assert regular == (j0 == v0), (ode, point)
+                if not regular:
+                    seen["irregular"] += 1
+                    continue
+                assert indicial == data.cpolys[0]
+                assert exponents == table_exponents(data)
+                if verdict is not None:
+                    assert verdict == dense_verdict(ode, point), (ode, point)
+                    if closed and point is not INFINITY:
+                        seen[n, verdict.failed_condition or "apparent"] += 1
+                seen["closed" if closed else "table"] += 1
+    for n in (1, 2, 3):
+        assert seen[n, "apparent"] + seen[n, "nonzero log obstruction"] >= 1, (n, seen)
+        assert seen[n, "negative exponent"] >= 1 and seen[n, "non-integer exponent"] >= 1, seen
+    assert seen[2, "repeated exponents"] >= 1 and seen[3, "repeated exponents"] >= 1, seen
+    assert seen["irregular"] >= 1 and seen["table"] >= 10 and seen["closed"] >= 50, seen
