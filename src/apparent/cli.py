@@ -137,7 +137,7 @@ def fuchs_json(rep) -> dict:
 # The apparency verdict at a point sums its Frobenius series up to the
 # largest exponent E there when every exponent is a nonnegative integer,
 # and that cost grows with E, not with the length of the input: about as
-# E^2.3, with E = 4,000 about 0.6 s and E = 10,000 about 4.5 s on the
+# E^2.3, with E = 4,000 about 0.6 s and E = 10,000 about 4 s on the
 # third-order family.  The command line refuses a larger integer exponent
 # before any verdict runs; the library takes any.
 _MAX_INTEGER_EXPONENT = 4000
@@ -159,12 +159,13 @@ def _check_exponents(ode: LinearODE, points) -> None:
             )
 
 
-def _leading_roots(ode: LinearODE) -> list[Fraction]:
+def _finite_candidates(ode: LinearODE) -> list[Fraction]:
+    """The rational roots of P_0: the finite points that can be singular."""
     return [r for r, _m in odemodel._leading_roots(ode)[0]]
 
 
 def analysis_payload(ode: LinearODE) -> dict:
-    _check_exponents(ode, [*_leading_roots(ode), odemodel.INFINITY])
+    _check_exponents(ode, [*_finite_candidates(ode), odemodel.INFINITY])
     rep = odemodel.fuchs_check(ode)
     return {
         "ode": ode_json(ode),
@@ -216,7 +217,7 @@ def cmd_analyze(args) -> dict:
 
 def cmd_riemann(args) -> dict:
     ode = parse_ode(read_json_input(args.input))
-    _check_exponents(ode, [*_leading_roots(ode), odemodel.INFINITY])
+    _check_exponents(ode, [*_finite_candidates(ode), odemodel.INFINITY])
     sym = odemodel.riemann_symbol(ode)
     payload = {
         "ode": ode_json(ode),
@@ -290,7 +291,7 @@ def cmd_undeform(args) -> dict:
     if ode.order < 2:
         raise UsageError(f"undeform needs an equation of order at least 2, got {ode.order}")
     # undeform classifies its targets, or every root of P_0 to find them
-    _check_exponents(ode, targets or _leading_roots(ode))
+    _check_exponents(ode, targets or _finite_candidates(ode))
     if mults and not targets:
         # undeform repeats this inference from the equation's memo
         inferred = transform._infer_targets(ode)

@@ -49,7 +49,7 @@ from .errors import (
     NotSingularError,
 )
 from .odemodel import INFINITY, LinearODE, PointKind, SingularPoint, _InfinityType
-from .polyrat import RatPoly, _from_ints, as_fraction, rational_roots
+from .polyrat import RatPoly, _from_ints, _list_addmul, as_fraction, rational_roots
 
 
 class _LocalData:
@@ -76,6 +76,7 @@ class _LocalData:
         if not self.head:
             self.head = p0.derivative()(point)
             self.v0 = 1 if self.head else self._table[0]
+        self.tail = ode.coeffs[1](point) if self.v0 == 1 else Fraction(0)  # P_1(q)
 
     @cached_property
     def _table(self):
@@ -107,7 +108,11 @@ class _LocalData:
     def indicial(self) -> RatPoly:
         if self.v0 > 1:
             return self.cpolys[0]
-        return RatPoly.from_roots(self.exponents[0], self.head)
+        # head S_n + tail S_{n-1}, on the integer Stirling rows of S_m
+        a, b, falling = self.head, self.tail, odemodel._stirling_rows(self.n)
+        ints = [a.numerator * b.denominator * c for c in falling[self.n]]
+        _list_addmul(ints, b.numerator * a.denominator, falling[self.n - 1])
+        return _from_ints(ints, Fraction(1, a.denominator * b.denominator))
 
     @cached_property
     def exponents(self) -> tuple[tuple[Fraction, ...], RatPoly | None]:
@@ -117,7 +122,7 @@ class _LocalData:
         if self.v0 <= 1:
             ladder = [Fraction(i) for i in range(self.n - self.v0)]
             if self.v0:
-                ladder.append(self.n - 1 - self.coeffs[1](self.point) / self.head)
+                ladder.append(self.n - 1 - self.tail / self.head)
             return tuple(sorted(ladder)), None
         roots, residual = rational_roots(self.indicial)
         return (tuple(r for r, m in roots for _ in range(m)),
@@ -319,7 +324,8 @@ def frobenius_series(ode: LinearODE, point, exponent, n_terms: int) -> Frobenius
     for m, (a, d, blocked) in enumerate(data.series(exponent, n_terms, 1)):
         coeffs.append(Fraction(a[0], d))
         if blocked and m:
-            obstructions.append((m, blocked[0][0] * blocked[1]))
+            row, weight = blocked
+            obstructions.append((m, row[0] * weight))
     return FrobeniusSolution(
         point=point,
         exponent=exponent,

@@ -23,7 +23,7 @@ times any rational root, so its cost is polynomial in the input's bits
 and deflated by exact integer division.  Of the private kernels below,
 ``odemodel`` uses the integer gcd, exact division, ``_scaled``,
 ``_list_addmul``, ``_from_ints`` and ``_over_common_unit``, and
-``frobenius`` only ``_from_ints``.
+``frobenius`` ``_from_ints`` and ``_list_addmul``.
 """
 
 from __future__ import annotations
