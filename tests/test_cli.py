@@ -712,8 +712,8 @@ def wide_gap_argv(tmp_path, command, theta2):
 
 @pytest.mark.parametrize("command", ["heun", "analyze", "riemann", "undeform"])
 def test_integer_exponent_past_the_cap_is_usage_error(command, tmp_path, monkeypatch, capsys):
-    # theta2 = 1e30 ran until killed: the verdict sums 10^30 + 3 terms.
-    # Refused before any verdict runs; E = 4000 is accepted
+    # at theta2 = 1e30 the verdict at 1 would sum 10^30 + 3 terms: refused
+    # before any verdict runs, while E = 4000 reaches the verdict
     from apparent import frobenius
 
     def no_verdict(self):
