@@ -13,6 +13,7 @@ At a simple root of P_0 and at an ordinary point the package reads the
 indicial polynomial and the exponents off P_0 and P_1 at the point; the
 references read them off the recurrence table's C_{j0} and its
 rational roots, and the closed form must agree with the table there.
+The series at an ordinary point must agree with the scalar loop too.
 """
 
 import random
@@ -173,7 +174,9 @@ def test_closed_form_read_off_matches_the_table():
     for n in (1, 2, 3):
         for draw in range(12):
             ode = prescribed_exponents(rng, n, (None, "regular", "irregular")[draw % 3])
-            for point in [q for q, _m in rational_roots(ode.leading)[0]] + [INFINITY]:
+            roots = [q for q, _m in rational_roots(ode.leading)[0]]
+            # 7/2 is no root: rand_frac(span=4, dmax=3) never draws it
+            for point in roots + [INFINITY, F(7, 2)]:
                 data, _loc = _local(ode, point)
                 closed = data.v0 <= 1
                 regular, exponents = data.is_regular, data.is_regular and data.exponents
@@ -188,6 +191,9 @@ def test_closed_form_read_off_matches_the_table():
                     continue
                 assert indicial == data.cpolys[0]
                 assert exponents == table_exponents(data)
+                if not data.v0 and point is not INFINITY:
+                    assert frobenius_series(ode, point, 0, 6) == scalar_series(ode, point, 0, 6)
+                    seen["ordinary"] += 1
                 if verdict is not None:
                     assert verdict == dense_verdict(ode, point), (ode, point)
                     if closed and point is not INFINITY:
@@ -197,4 +203,5 @@ def test_closed_form_read_off_matches_the_table():
         assert seen[n, "apparent"] + seen[n, "nonzero log obstruction"] >= 1, (n, seen)
         assert seen[n, "negative exponent"] >= 1 and seen[n, "non-integer exponent"] >= 1, seen
     assert seen[2, "repeated exponents"] >= 1 and seen[3, "repeated exponents"] >= 1, seen
-    assert seen["irregular"] >= 1 and seen["table"] >= 10 and seen["closed"] >= 50, seen
+    assert seen["irregular"] >= 1 and seen["table"] >= 10 and seen["closed"] >= 80, seen
+    assert seen["ordinary"] == 36, seen
