@@ -137,7 +137,7 @@ def fuchs_json(rep) -> dict:
 # The apparency verdict at a point sums its Frobenius series up to the
 # largest exponent E there when every exponent is a nonnegative integer,
 # and that cost grows with E, not with the length of the input: about as
-# E^2.3, with E = 4,000 about 0.6 s and E = 10,000 about 4 s on the
+# E^2, with E = 4,000 about 0.35 s and E = 10,000 about 2.4 s on the
 # third-order family.  The command line refuses a larger integer exponent
 # before any verdict runs; the library takes any.
 _MAX_INTEGER_EXPONENT = 4000
@@ -240,7 +240,7 @@ def cmd_riemann(args) -> dict:
 # The command line caps the options whose cost input length does not
 # bound; the library takes any value.  deform's coefficients keep growing
 # (32 stages take about 0.5 s, 80 about 21 s), undeform's slack loop grows
-# about as slack^4 (32 about 1 s, 64 about 10 s), and a polymer window
+# about as slack^3 (32 about 0.06 s, 64 about 0.6 s), and a polymer window
 # with no eigenvalue scans every grid point (4096 take 0.5-1 s).
 _MAX_ITERATIONS = 32
 _MAX_SLACK = 32

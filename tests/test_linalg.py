@@ -1,28 +1,47 @@
+"""Exact elimination in ``apparent._linalg``: known cases, and a property
+against the plain ``Fraction`` Gauss-Jordan of ``_fraction_linalg``."""
+
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from apparent._linalg import nullity, nullspace_basis, rref
 
+import _fraction_linalg as oracle
+
 F = Fraction
+BIG = 1 << 100
 
 
 def mat_vec(matrix, vec):
     return [sum(a * x for a, x in zip(row, vec)) for row in matrix]
 
 
+def types(matrix):
+    return [[type(v) for v in row] for row in matrix]
+
+
 def test_rref_known_matrix():
-    m = [[F(1), F(2), F(3)], [F(2), F(4), F(7)]]
-    reduced, pivots = rref(m)
-    assert pivots == [0, 2]
-    assert reduced[0] == [F(1), F(2), F(0)]
-    assert reduced[1] == [F(0), F(0), F(1)]
+    for entry in (F, int):  # integer input is reduced exactly too
+        m = [[entry(v) for v in row] for row in [[1, 2, 3], [2, 4, 7]]]
+        reduced, pivots = rref(m)
+        assert pivots == [0, 2]
+        assert reduced[0] == [F(1), F(2), F(0)]
+        assert reduced[1] == [F(0), F(0), F(1)]
+        assert types(reduced) == [[F] * 3] * 2
 
 
 def test_nullspace_of_rank_one_row():
-    basis = nullspace_basis([[F(1), F(2), F(3)]])
-    assert len(basis) == 2
-    for vec in basis:
-        assert mat_vec([[F(1), F(2), F(3)]], vec) == [F(0)]
+    for row, expected in (
+        ([F(1), F(2), F(3)], [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]),
+        ([2, 3], [[F(-3, 2), F(1)]]),
+    ):
+        basis = nullspace_basis([row])
+        assert basis == expected and types(basis) == types(expected)
+        for vec in basis:
+            assert mat_vec([row], vec) == [F(0)]
 
 
 def test_nullspace_empty_for_full_rank():
@@ -50,3 +69,47 @@ def test_random_kernel_vectors_annihilate():
         reduced, pivots = rref(m)
         assert len(pivots) + len(basis) == cols  # rank-nullity
         assert nullity(m) == len(basis)
+
+
+ENTRIES = {
+    "int": st.one_of(st.integers(-6, 6), st.integers(-BIG, BIG)),
+    "fraction": st.one_of(
+        st.fractions(min_value=-6, max_value=6, max_denominator=7),
+        st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    ),
+}
+ENTRIES["mixed"] = st.one_of(ENTRIES["int"], ENTRIES["fraction"])
+
+
+@st.composite
+def matrices(draw):
+    """Up to 6 x 6, wide or tall, with zero entries likely; then up to two
+    rows inserted that keep the rank: a zero row, a copy, a sum of two."""
+    entry = st.one_of(st.just(0), ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))])
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for kind in draw(st.lists(st.sampled_from(["zero", "copy", "sum"]), max_size=2)) if m else ():
+        i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+        extra = {"zero": [0] * cols, "copy": list(m[i]), "sum": [a + b for a, b in zip(m[i], m[j])]}
+        m.insert(draw(st.integers(0, len(m))), extra[kind])
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrices(), st.booleans(), st.integers(0, 4))
+@example([[2, 3]], False, 0)
+@example([], True, 3)
+@example([[F(1, 2), 0, F(-3, 4)], [1, 0, F(-3, 2)], [0, 0, 0]], True, 0)
+def test_fraction_free_elimination_matches_the_fraction_oracle(m, pass_ncols, empty_ncols):
+    """Same values and types as Gauss-Jordan over Fraction, input untouched."""
+    before = [row[:] for row in m]
+    ncols = (len(m[0]) if m else empty_ncols) if pass_ncols else None
+    reduced, pivots = rref(m)
+    want, want_pivots = oracle.rref(m)
+    assert pivots == want_pivots
+    assert reduced == want and types(reduced) == types(want)
+    basis = nullspace_basis(m, ncols)
+    want = oracle.nullspace_basis(m, ncols)
+    assert basis == want and types(basis) == types(want)
+    assert nullity(m, ncols) == len(want)
+    assert m == before and types(m) == types(before)

@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -378,3 +379,18 @@ def test_constants_hash_like_their_values():
     assert hash(ZERO) == hash(0) and len({0, ZERO, RatPoly([0, 0])}) == 1
     assert hash(RatPoly([F(1, 2), 1])) == hash(RatPoly([F(2, 4), F(3, 3)]))
     assert len({LINEAR, RatPoly([1, 1]), 1}) == 2
+
+
+@pytest.mark.parametrize("other", ["z", None])
+@pytest.mark.parametrize("op", [
+    operator.add, operator.sub, lambda p, other: other - p, operator.mul, divmod,
+    operator.truediv,
+], ids=["add", "sub", "rsub", "mul", "divmod", "truediv"])
+def test_foreign_operand_is_a_type_error(op, other):
+    with pytest.raises(TypeError):
+        op(RatPoly([1, 2]), other)
+
+
+@pytest.mark.parametrize("other", ["z", None])
+def test_foreign_operand_is_unequal(other):
+    assert (RatPoly([1, 2]) == other) is False

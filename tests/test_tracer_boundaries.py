@@ -5,6 +5,11 @@ to install when one is missing, so a refactor that inlines or renames
 a traced function would otherwise only show up in a traced benchmark
 run.  The tracer is loaded from its file without writing bytecode.
 
+A traced benchmark run also stops when a boundary its workload expects
+never fires, so one traced pass of each in-process workload runs here,
+through the benchmark's own run loop and check; nothing under perfbench/
+is edited.
+
 The package namespace the tracer patches is checked here too: `import
 apparent` loads no submodule, one public lookup loads the whole API,
 and installing then uninstalling the tracer restores every binding.
@@ -21,7 +26,8 @@ import pytest
 
 import apparent
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer(monkeypatch):
@@ -47,6 +53,22 @@ def test_every_boundary_resolves(monkeypatch):
             if not found:
                 missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["family_roundtrip", "deform_ladder", "polymer_spectrum"])
+def test_traced_pass_fires_every_expected_boundary(name, monkeypatch, tmp_path):
+    tracer = load_tracer(monkeypatch).Tracer()
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    run = importlib.import_module("run")
+    work = importlib.import_module("workloads").build(name, 1, tmp_path, ROOT)
+    phase = run.Phase()
+    tracer.install()
+    try:
+        run.run_passes(work, phase, run.speed.SpeedProbe(), passes=1, tracer=tracer)
+    finally:
+        tracer.uninstall()
+    assert phase.failures == []
+    assert run.silent_boundaries(work.expected, tracer.metrics()) == []
 
 
 API_MODULES = ("errors", "polyrat", "odemodel", "frobenius", "transform", "heun", "polymer")
