@@ -4,8 +4,8 @@ Reports are deterministic: identical inputs give byte-identical JSON
 (no timestamps).  Exact rationals are serialized as strings ("3/16"),
 never as floats, so values survive pipe chains unchanged.  Exit codes:
 0 success, 1 domain error (with a stable machine-readable code), 2
-usage or input-format error (code "Usage").  Under --format json both
-errors print an error body on stdout.
+usage or input-format error (code "Usage"), argparse's own included.
+Under --format json both errors print an error body on stdout.
 """
 
 from __future__ import annotations
@@ -31,7 +31,23 @@ _ERROR_CODES = [cls.code for cls in err.ApparentError.__subclasses__()]
 
 
 class UsageError(Exception):
-    """Bad input shape or unreadable file: exit code 2."""
+    """Bad command line, input shape or unreadable file: exit code 2.
+
+    prefix leads the message on stderr: argparse's errors name the
+    program there.
+    """
+
+    def __init__(self, message: str, prefix: str = "error"):
+        super().__init__(message)
+        self.prefix = prefix
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors as UsageError, after the usage line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message, f"{self.prog}: error")
 
 
 # ---------------------------------------------------------------- JSON forms
@@ -61,13 +77,16 @@ def parse_frac(text, what: str) -> Fraction:
         raise UsageError(f"bad rational for {what}: {text!r}") from exc
 
 
-def parse_count(text, what: str) -> int:
+def parse_int(text, flag: str, low: int, high: int | None = None) -> int:
+    """The integer text spells; UsageError unless low <= it <= high."""
     try:
         value = int(text)
     except ValueError as exc:
-        raise UsageError(f"bad integer for {what}: {text!r}") from exc
-    if value < 1:
-        raise UsageError(f"{what} must be at least 1, got {text!r}")
+        raise UsageError(f"bad integer for {flag}: {text!r}") from exc
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise UsageError(f"{flag} must be at most {high}, got {value}")
     return value
 
 
@@ -250,8 +269,7 @@ _MAX_GRID_POINTS = 4096
 def cmd_deform(args) -> dict:
     from . import transform
 
-    if parse_count(args.iterations, "--iterations") > _MAX_ITERATIONS:
-        raise UsageError(f"--iterations must be at most {_MAX_ITERATIONS}, got {args.iterations}")
+    iterations = parse_int(args.iterations, "--iterations", 1, _MAX_ITERATIONS)
     ode = parse_ode(read_json_input(args.input))
     stages = [
         {
@@ -261,7 +279,7 @@ def cmd_deform(args) -> dict:
             ],
             "clearing_factor": poly_json(res.clearing_factor),
         }
-        for res in transform.deform_iter(ode, args.iterations)
+        for res in transform.deform_iter(ode, iterations)
     ]
     # the last stage's fields repeat at the top level
     return report("deform", {"input": ode_json(ode), "stages": stages, **stages[-1]})
@@ -277,16 +295,13 @@ def cmd_undeform(args) -> dict:
             raise UsageError(f"--targets must be distinct locations, got {args.targets!r}")
     mults = None
     if args.multiplicities:
-        mults = [parse_count(m, "--multiplicities") for m in args.multiplicities.split(",")]
+        mults = [parse_int(m, "--multiplicities", 1) for m in args.multiplicities.split(",")]
     if targets and mults and len(targets) != len(mults):
         raise UsageError(
             f"--multiplicities needs one value per target: {len(targets)} targets, "
             f"{len(mults)} multiplicities"
         )
-    if not 0 <= args.max_slack <= _MAX_SLACK:
-        raise UsageError(
-            f"--max-slack must be between 0 and {_MAX_SLACK}, got {args.max_slack}"
-        )
+    max_slack = parse_int(args.max_slack, "--max-slack", 0, _MAX_SLACK)
     ode = parse_ode(read_json_input(args.input))
     if ode.order < 2:
         raise UsageError(f"undeform needs an equation of order at least 2, got {ode.order}")
@@ -300,7 +315,7 @@ def cmd_undeform(args) -> dict:
                 f"--multiplicities needs one value per inferred target: {len(inferred)} "
                 f"apparent points found, {len(mults)} multiplicities"
             )
-    res = transform.undeform(ode, targets, multiplicities=mults, max_slack=args.max_slack)
+    res = transform.undeform(ode, targets, multiplicities=mults, max_slack=max_slack)
     payload = {
         "input": ode_json(ode),
         "ode": ode_json(res.ode),
@@ -371,15 +386,10 @@ def cmd_polymer(args) -> dict:
     nu_max = parse_frac(args.nu_max, "--nu-max") if args.nu_max is not None else 10 * b
     if not nu_min < nu_max:
         raise UsageError(f"need --nu-min < --nu-max, got {nu_min} and {nu_max}")
-    for flag, value in (("--count", args.count), ("--precision-bits", args.precision_bits),
-                        ("--series-order", args.series_order)):
-        parse_count(value, flag)
-    if args.grid_points < 2:
-        raise UsageError(f"--grid-points must be at least 2, got {args.grid_points}")
-    for flag, value, cap in (("--precision-bits", args.precision_bits, polymer._BITS_CAP),
-                             ("--grid-points", args.grid_points, _MAX_GRID_POINTS)):
-        if value > cap:
-            raise UsageError(f"{flag} must be at most {cap}, got {value}")
+    count = parse_int(args.count, "--count", 1)
+    bits = parse_int(args.precision_bits, "--precision-bits", 1, polymer._BITS_CAP)
+    parse_int(args.series_order, "--series-order", 1)
+    grid_points = parse_int(args.grid_points, "--grid-points", 2, _MAX_GRID_POINTS)
 
     def solve_for(w_value: Fraction):
         p = polymer.PolymerParams(b=b, W=w_value, tau=tau)
@@ -387,16 +397,16 @@ def cmd_polymer(args) -> dict:
             p,
             nu_min,
             nu_max,
-            args.count,
-            precision_bits=args.precision_bits,
-            grid_points=args.grid_points,
+            count,
+            precision_bits=bits,
+            grid_points=grid_points,
         )
         return p, res
 
     p_main, res_main = solve_for(w_main)
     nu1 = res_main.eigenvalues[0]
     try:
-        q = float(polymer.apparent_location(float(p_main.b), float(p_main.kappa), nu1))
+        q = float(polymer.apparent_location(p_main.b, p_main.kappa, nu1))
     except err.DegenerateApparentPointError:
         q = None
     payload = {
@@ -483,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"('3/16', '-0.25', '1e-400') with a decimal exponent of at most {_MAX_EXPONENT} "
         "in magnitude."
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apparent",
         description="Exact analysis of apparent singularities in linear ODEs "
         "with polynomial coefficients.",
@@ -508,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("deform", help="generate apparent singularities by differentiation")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
-    sp.add_argument("--iterations", type=int, default=1, help="number of stages (default 1)")
+    sp.add_argument("--iterations", default=1, help="number of stages (default 1)")
     finish(sp, cmd_deform, _text_deform)
 
     sp = sub.add_parser("undeform", help="remove apparent singularities by inverse differentiation")
     sp.add_argument("input", help="ODE JSON path, or - for stdin")
     sp.add_argument("--targets", help="comma-separated locations (default: all apparent points)")
     sp.add_argument("--multiplicities", help="comma-separated multiplicities for the targets")
-    sp.add_argument("--max-slack", type=int, default=1, help="extra ansatz degree slack (default 1)")
+    sp.add_argument("--max-slack", default=1, help="extra ansatz degree slack (default 1)")
     finish(sp, cmd_undeform, _text_undeform)
 
     sp = sub.add_parser("heun", help="build an equation family instance and analyze it")
@@ -529,12 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", default="1", help="equilibrium relaxation time (default 1)")
     sp.add_argument("--nu-min", default="0", help="window lower end (default 0)")
     sp.add_argument("--nu-max", default=None, help="window upper end (default 10*b)")
-    sp.add_argument("--count", type=int, default=1, help="eigenvalues to return (default 1)")
-    sp.add_argument("--precision-bits", type=int, default=256)
-    sp.add_argument("--series-order", type=int, default=200,
+    sp.add_argument("--count", default=1, help="eigenvalues to return (default 1)")
+    sp.add_argument("--precision-bits", default=256)
+    sp.add_argument("--series-order", default=200,
                     help="has no effect here (default 200): each series runs until "
                     "its tail is negligible, however many terms that takes")
-    sp.add_argument("--grid-points", type=int, default=64)
+    sp.add_argument("--grid-points", default=64)
     sp.add_argument("--sweep", help="comma-separated extra W values to sweep")
     sp.add_argument("--csv", help="write (W, nu_1, T_rel) rows to this CSV file")
     finish(sp, cmd_polymer, _text_polymer)
@@ -571,17 +581,28 @@ def _attach_negative_values(argv) -> list[str]:
     return out
 
 
+def _asks_for_json(argv: list[str]) -> bool:
+    """Whether argv selects --format json, read by argparse's own rules
+    (prefixes, the '=' form, the last one counts), other tokens aside."""
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--format")
+    try:
+        return probe.parse_known_args(argv)[0].format == "json"
+    except argparse.ArgumentError:  # --format without a value
+        return False
+
+
 def _run(argv) -> int:
-    parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         rep = args.fn(args)
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.format == "json":
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        # argparse's errors leave no namespace to read --format from
+        if _asks_for_json(argv):
             print(json.dumps(error_body("Usage", str(exc), {}), indent=2))
         return 2
     except err.ApparentError as exc:

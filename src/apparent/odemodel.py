@@ -77,14 +77,9 @@ class LinearODE:
 
     coeffs: (P_0, ..., P_n) with P_0 nonzero and monic, no common
     polynomial factor among all coefficients.
-    degree_convention: True when deg P_0 is maximal among the P_k and
-    exceeds the order n (the regularity-at-infinity degree pattern of
-    the all-singularities-regular families; confluent equations break
-    it and are still accepted).
     """
 
     coeffs: tuple[RatPoly, ...]
-    degree_convention: bool = field(compare=False, default=False)
     # point (Fraction or INFINITY) -> frobenius._LocalData; _LEADING_ROOTS -> roots of P_0
     _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
@@ -95,6 +90,15 @@ class LinearODE:
     @property
     def leading(self) -> RatPoly:
         return self.coeffs[0]
+
+    @property
+    def degree_convention(self) -> bool:
+        """True when deg P_0 is maximal among the P_k and exceeds the
+        order n (the regularity-at-infinity degree pattern of the
+        all-singularities-regular families; confluent equations break
+        it and are still accepted)."""
+        d0 = self.leading.degree
+        return d0 > self.order and all(p.degree <= d0 for p in self.coeffs)
 
     def __repr__(self):
         inner = ", ".join(p.pretty() for p in self.coeffs)
@@ -198,8 +202,7 @@ def make_ode(coeffs) -> LinearODE:
     """Validate and canonicalize a coefficient list [P_0 .. P_n].
 
     Canonical form: divide out the common polynomial factor of all
-    coefficients, then scale so P_0 is monic.  The degree-convention
-    flag records whether deg P_0 is maximal and exceeds the order.
+    coefficients, then scale so P_0 is monic.
     """
     polys = [c if isinstance(c, RatPoly) else RatPoly(c) for c in coeffs]
     if len(polys) < 2:
@@ -219,11 +222,7 @@ def make_ode(coeffs) -> LinearODE:
     if len(g) > 1:
         prims = [(_int_divexact(ints, g), scale) for ints, scale in prims]
     lead = prims[0][1] * prims[0][0][-1]
-    polys = [_scaled(ints, scale / lead) for ints, scale in prims]
-    n = len(polys) - 1
-    d0 = polys[0].degree
-    convention = d0 > n and all(p.degree <= d0 for p in polys)
-    return LinearODE(tuple(polys), convention)
+    return LinearODE(tuple(_scaled(ints, scale / lead) for ints, scale in prims))
 
 
 _LEADING_ROOTS = "leading roots"

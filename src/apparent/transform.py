@@ -36,12 +36,19 @@ canonical form of deform's output has its common content divided out
 Its degree is the slack, tried from 0 up.  Everything is linear in c,
 so the substitution runs once per basis multiplier z^i, and the only
 unknowns left are the coefficients of c and the scale a: every division
-by R must be exact and the last quotient must equal a M.  Each
-nullspace vector of that small exact system (slack + 2 columns) combines
-the substituted coefficients into a candidate.  Canonicalizing a
-candidate may divide out content of its own, which deform does not
-commute with, so a candidate is kept only if its deform gives back the
-input.
+by R must be exact and the last quotient must equal a M.  A nullspace
+vector of that small exact system (slack + 2 columns) combines the
+substituted coefficients into a candidate.  Canonicalizing a candidate
+may divide out content of its own, which deform does not commute with,
+so a candidate is accepted only if its deform gives back the input.
+
+Raising the slack by one appends one column, for the new coefficient of
+c, and rows that are zero in every earlier column.  The reduced echelon
+form of a column prefix is the prefix of the full one, so the basis at
+slack s is the basis at s - 1 padded with a zero, plus at most one
+vector for the new column (the column of a is never free: M is
+nonzero).  Only that vector is new, and deform runs at most once per
+slack level; the search returns the first antecedent it finds.
 """
 
 from __future__ import annotations
@@ -80,12 +87,14 @@ class DeformResult:
 
 @dataclass(frozen=True)
 class UndeformResult:
-    """Antecedent equation(s) whose deform reproduces the input.
+    """Antecedent equation whose deform reproduces the input.
 
-    ode: the primary antecedent (first basis solution, canonicalized).
-    free_parameters: solution-space dimensions beyond overall scaling;
-    0 means the antecedent is unique up to a constant.  solutions: all
-    basis antecedents, ode first.
+    ode: the antecedent, canonicalized.
+    free_parameters: always 0, and solutions: always (ode,).  The search
+    tries only nullspace basis vectors, at most one new one per slack
+    level (see the module docstring), and stops at the first that
+    deforms back to the input, so neither field measures the dimension
+    of the solution space; both stay for the report schema.
     """
 
     ode: LinearODE
@@ -241,16 +250,15 @@ def undeform(
         inferred = _validate_targets(ode, targets, multiplicities)
 
     m_star = RatPoly.from_roots([q for q, m in inferred for _ in range(m)])
-    clearing = radical(m_star)
+    clearing = RatPoly.from_roots([q for q, _m in inferred])
     s_poly = exact_div(m_star.derivative() * clearing, m_star)
     d_in = ode.coeffs
 
     # back-substitute once per basis multiplier c = z^slack, kept for the
     # larger slacks: chains[i][j] is P_j for c = z^i, and column 1 + i
     # lists the conditions on it (P_n, then every remainder).  Column 0
-    # is the scalar a on M; the column order fixes the nullspace basis,
-    # so the order of the solutions.
-    chains, columns = [], [[-m_star] + [RatPoly()] * (n + 1)]
+    # is the scalar a on M; each slack level appends its column last.
+    chains, columns, tried = [], [[-m_star] + [RatPoly()] * (n + 1)], 0
     for slack in range(max_slack + 1):
         chain, rems, prev = [], [], RatPoly()
         for j in range(n + 1):
@@ -266,22 +274,23 @@ def undeform(
             for r in range(max(col[k].degree for col in columns) + 1)
         ]
 
-        solutions = []
-        for vec in nullspace_basis(rows, slack + 2):
+        # the previous level's vectors come back zero-padded and were
+        # tried there (see the module docstring): try what this level adds
+        basis = nullspace_basis(rows, slack + 2)
+        for vec in basis[tried:]:
             if vec[0] == 0:  # a = 0 zeroes the trailing coefficient: no antecedent
                 continue
             polys = [sum((c * ch[j] for c, ch in zip(vec[1:], chains)), RatPoly()) for j in range(n)]
             polys.append(vec[0] * m_star)
             candidate = make_ode(polys)
-            if candidate not in solutions and deform(candidate).ode == ode:
-                solutions.append(candidate)
-        if solutions:
-            return UndeformResult(
-                ode=solutions[0],
-                removed_points=tuple(sorted(q for q, _m in inferred)),
-                free_parameters=len(solutions) - 1,
-                solutions=tuple(solutions),
-            )
+            if deform(candidate).ode == ode:
+                return UndeformResult(
+                    ode=candidate,
+                    removed_points=tuple(sorted(q for q, _m in inferred)),
+                    free_parameters=0,
+                    solutions=(candidate,),
+                )
+        tried = len(basis)
     raise NotRemovableError(
         "no antecedent within the degree bounds; removal may require "
         "specifying some parameters of the equation, and that search is "

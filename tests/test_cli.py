@@ -738,3 +738,39 @@ def test_largest_accepted_integer_exponent_is_decided(tmp_path, capsys):
     assert code == 0
     at_one = rep["singular_points"][1]
     assert at_one == {"location": "1", "kind": "RegularSingular", "exponents": ["0", "1", "4000"]}
+
+
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--format=json"], ["--form", "json"],
+                                 ["--fo=json"], ["--format", "text"], []])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polymer", "--b", "2", "--W", "1/4", "--count", "x"],  # argparse's int type once
+        ["deform", "HEUN", "--bogus", "1"],
+        ["heun", "--family", "nope", "--params", "-"],
+        ["polymer", "--W", "1/4"],
+        ["undeform", "HEUN", "--max-slack"],
+        ["deform", "HEUN", "--iterations", "0"],
+    ],
+)
+def test_every_usage_error_prints_its_json_body(heun_file, capsys, argv, fmt):
+    argv = [str(heun_file) if a == "HEUN" else a for a in argv]
+    assert run([*argv, *fmt]) == 2
+    out, err = capsys.readouterr()
+    if "json" not in "".join(fmt):
+        assert out == ""
+        return
+    body = json.loads(out)
+    assert body["error"]["code"] == "Usage" and body["error"]["details"] == {}
+    assert err.endswith(f"error: {body['error']['message']}\n")
+
+
+def test_polymer_q_uses_the_exact_parameters(capsys):
+    # kappa = 3/5 has no exact float: rounding it first moved q's last digit
+    from apparent.polymer import apparent_location
+
+    argv = ["polymer", "--b", "2", "--W", "3/10", "--nu-min", "1/10", "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["params"]["kappa"] == "3/5"
+    nu1 = rep["eigenvalues"][0]
+    assert rep["q"] == float(apparent_location(Fraction(2), Fraction(3, 5), nu1))

@@ -113,3 +113,34 @@ def test_fraction_free_elimination_matches_the_fraction_oracle(m, pass_ncols, em
     assert basis == want and types(basis) == types(want)
     assert nullity(m, ncols) == len(want)
     assert m == before and types(m) == types(before)
+
+
+@st.composite
+def prefix_extensions(draw):
+    """A matrix, a column count p <= its width, and the matrix with rows
+    that vanish on its first p columns inserted anywhere."""
+    m = draw(matrices())
+    width = len(m[0]) if m else draw(st.integers(0, 4))
+    p = draw(st.integers(0, width))
+    entry = st.one_of(st.just(0), ENTRIES["mixed"])
+    full = [row[:] for row in m]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = [0] * p + [draw(entry) for _ in range(width - p)]
+        full.insert(draw(st.integers(0, len(full))), extra)
+    return m, p, full
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(prefix_extensions())
+@example(([[1, 0], [0, 0]], 1, [[0, 1], [1, 0], [0, 0]]))
+@example(([], 0, [[0, 0, 5]]))
+def test_nullspace_of_a_column_prefix_heads_the_full_basis(case):
+    """The reduced form of a column prefix is the prefix of the full
+    reduced form, so each prefix basis vector, zero-padded, is a full
+    basis vector, in the same order; the rest are free past the prefix."""
+    m, p, full = case
+    width = len(full[0]) if full else p
+    head = [v + [F(0)] * (width - p) for v in nullspace_basis([row[:p] for row in m], p)]
+    basis = nullspace_basis(full, width)
+    assert basis[:len(head)] == head
+    assert all(any(v[p:]) for v in basis[len(head):])

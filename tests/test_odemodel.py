@@ -8,6 +8,7 @@ from apparent import (
     ConfluentHeunParams,
     DegenerateLeadingError,
     HeunParams,
+    LinearODE,
     NotAnODEError,
     NotFuchsianError,
     PointKind,
@@ -70,6 +71,14 @@ def test_degree_convention_flag():
     assert sample_heun().degree_convention
     # constant-coefficient equation: deg P_0 = 0 never exceeds the order
     assert not make_ode([[2], [0], [2]]).degree_convention
+
+
+def test_degree_convention_is_read_off_the_coefficients():
+    # a directly built equation reports it too, not only make_ode's output
+    assert LinearODE(sample_heun().coeffs).degree_convention
+    assert not LinearODE(make_ode([[2], [0], [2]]).coeffs).degree_convention
+    # deg P_1 = 4 above deg P_0 = 3 breaks the pattern
+    assert not make_ode([[0, 3, -4, 1], [0, 0, 0, 0, 1], [1]]).degree_convention
 
 
 def test_heun_singular_set():

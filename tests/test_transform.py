@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from apparent import transform
 from apparent import (
     INFINITY,
     AlreadyIntegratedError,
@@ -269,3 +270,48 @@ def test_undeform_target_with_irrational_exponents_is_not_removable():
 def test_transforms_refuse_what_they_cannot_do(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def _readme_heun_deformed():
+    return deform(general_heun(README_HEUN_PARAMS)).ode
+
+
+def _two_stage(stage):
+    return deform_iter(general_heun(TWO_STAGE_PARAMS), 2)[stage].ode
+
+
+@pytest.mark.parametrize(
+    "build, targets, mults, levels",
+    [
+        pytest.param(_readme_heun_deformed, None, None, 1, id="heun-one-stage"),
+        pytest.param(lambda: _two_stage(0), None, None, 1, id="two-stage-first"),
+        # the second stage inverts only with a content multiplier of degree 1
+        pytest.param(lambda: _two_stage(1), None, None, 2, id="two-stage-second"),
+        # w'' + w = 0 with a target at 0 needs c = z^2
+        pytest.param(lambda: make_ode([[1], [0], [1]]), [0], [1], 3, id="w''+w"),
+        # from slack 1 on, one nullspace vector, with a = 0: no antecedent
+        pytest.param(lambda: make_ode([[0, 0, 1], [0, 1], [-4]]), [0], None, 4, id="a=0"),
+        pytest.param(lambda: general_heun(LOG_GAP_PARAMS), [0], None, 4, id="log-gap"),
+    ],
+)
+def test_undeform_deforms_at_most_once_per_slack_level(monkeypatch, build, targets, mults, levels):
+    ode = build()
+    counts = {"nullspace_basis": 0, "deform": 0}
+    for name in counts:
+        real = getattr(transform, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(transform, name, counted)
+    try:
+        res = undeform(ode, targets, multiplicities=mults, max_slack=3)
+    except NotRemovableError:
+        res = None
+    assert counts["nullspace_basis"] == levels  # one system per slack level tried
+    assert counts["deform"] <= levels
+    assert counts["deform"] == (res is not None)  # no case here rejects a candidate
+    if res is not None:
+        assert deform(res.ode).ode == ode
+        assert res.free_parameters == 0 and res.solutions == (res.ode,)
