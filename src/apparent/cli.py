@@ -77,16 +77,27 @@ def parse_frac(text, what: str) -> Fraction:
         raise UsageError(f"bad rational for {what}: {text!r}") from exc
 
 
+# option texts up to this length are echoed in error messages; a longer
+# one is named by its length, so the message stays short
+_MAX_ECHO = 40
+
+
 def parse_int(text, flag: str, low: int, high: int | None = None) -> int:
     """The integer text spells; UsageError unless low <= it <= high."""
+    size = len(str(text))
     try:
         value = int(text)
     except ValueError as exc:
+        if size > _MAX_ECHO:
+            bounds = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise UsageError(f"bad integer for {flag}: a text of {size} characters;"
+                             f" it takes an integer {bounds}") from exc
         raise UsageError(f"bad integer for {flag}: {text!r}") from exc
+    shown = value if size <= _MAX_ECHO else f"an integer of {size} characters"
     if value < low:
-        raise UsageError(f"{flag} must be at least {low}, got {value}")
+        raise UsageError(f"{flag} must be at least {low}, got {shown}")
     if high is not None and value > high:
-        raise UsageError(f"{flag} must be at most {high}, got {value}")
+        raise UsageError(f"{flag} must be at most {high}, got {shown}")
     return value
 
 
@@ -258,9 +269,10 @@ def cmd_riemann(args) -> dict:
 
 # The command line caps the options whose cost input length does not
 # bound; the library takes any value.  deform's coefficients keep growing
-# (32 stages take about 0.5 s, 80 about 21 s), undeform's slack loop grows
-# about as slack^3 (32 about 0.06 s, 64 about 0.6 s), and a polymer window
-# with no eigenvalue scans every grid point (4096 take 0.5-1 s).
+# (on 2 cores, 32 stages take about 0.2 s, 40 about 0.3 s, 64 about 1.6 s
+# and 80 about 4.4 s), undeform's slack loop grows about as slack^3 (32
+# about 0.06 s, 64 about 0.6 s), and a polymer window with no eigenvalue
+# scans every grid point (4096 take 0.5-1 s).
 _MAX_ITERATIONS = 32
 _MAX_SLACK = 32
 _MAX_GRID_POINTS = 4096

@@ -13,6 +13,9 @@ Local analysis is memoized per equation instance: the local data of
 each point (INFINITY included) and the rational roots of P_0 are
 computed on first use and kept on the LinearODE for its lifetime, never
 shared between instances and ignored by equality, hashing and repr.
+An equation made by transform.deform also keeps that stage's clearing
+factor there (_CLEARING), which the next deform of it divides out
+first.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .polyrat import (
     _int_gcd,
     _list_addmul,
     _over_common_unit,
+    _rational_roots,
     _scaled,
     as_fraction,
     rational_roots,
@@ -80,7 +84,8 @@ class LinearODE:
     """
 
     coeffs: tuple[RatPoly, ...]
-    # point (Fraction or INFINITY) -> frobenius._LocalData; _LEADING_ROOTS -> roots of P_0
+    # point (Fraction or INFINITY) -> frobenius._LocalData; _LEADING_ROOTS -> roots of P_0;
+    # _CLEARING -> the clearing factor of the deform that made this equation
     _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     @property
@@ -226,6 +231,7 @@ def make_ode(coeffs) -> LinearODE:
 
 
 _LEADING_ROOTS = "leading roots"
+_CLEARING = "clearing factor"
 
 
 def _leading_roots(ode: LinearODE) -> tuple[tuple[tuple[Fraction, int], ...], RatPoly | None]:
@@ -239,17 +245,22 @@ def _leading_roots(ode: LinearODE) -> tuple[tuple[tuple[Fraction, int], ...], Ra
     return found
 
 
-def _accessory_roots(ode: LinearODE) -> list[tuple[Fraction, int]]:
+def _accessory_roots(ode: LinearODE, squarefree: RatPoly | None = None) -> list[tuple[Fraction, int]]:
     """Rational roots (with multiplicities) of P_n at which P_0 does not vanish.
 
     These ordinary points become apparent under differentiation (see
-    transform.deform).
+    transform.deform).  squarefree, when given, is radical(P_n), and the
+    root search starts from it instead of computing it again.
     """
     trailing = ode.coeffs[-1]
-    if trailing.is_zero:
+    if trailing.degree <= 0:
         return []
+    if squarefree is None:
+        roots = rational_roots(trailing)[0]
+    else:
+        roots = _rational_roots(trailing._form[0], squarefree._form[0])[0]
     p0 = ode.leading
-    return [(r, m) for r, m in rational_roots(trailing)[0] if p0(r) != 0]
+    return [(r, m) for r, m in roots if p0(r) != 0]
 
 
 def leading_residual(ode: LinearODE) -> RatPoly | None:

@@ -22,8 +22,11 @@ times any rational root, so its cost is polynomial in the input's bits
 (an enumeration of divisors is exponential); each root is confirmed
 and deflated by exact integer division.  Of the private kernels below,
 ``odemodel`` uses the integer gcd, exact division, ``_scaled``,
-``_list_addmul``, ``_from_ints`` and ``_over_common_unit``, and
-``frobenius`` ``_from_ints`` and ``_list_addmul``.
+``_list_addmul``, ``_from_ints``, ``_over_common_unit`` and
+``_rational_roots`` (the root search from a known squarefree part),
+``transform`` exact division, ``_list_mul``, ``_list_addmul``,
+``_from_ints`` and ``_over_common_unit``, and ``frobenius``
+``_from_ints`` and ``_list_addmul``.
 """
 
 from __future__ import annotations
@@ -627,8 +630,16 @@ def rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     if p.degree <= 0:
         return [], ONE
     f = p._form[0]
+    return _rational_roots(f, _int_squarefree(f))
+
+
+def _rational_roots(f: list[int], g: list[int]) -> tuple[list[tuple[Fraction, int]], RatPoly]:
+    """rational_roots of the nonconstant integer list f, given a
+    squarefree integer list g with the same roots (the primitive part
+    of radical(f), for one): the Hensel candidates of g, each deflated
+    out of f."""
     roots: list[tuple[Fraction, int]] = []
-    for r in sorted(_hensel_roots(_int_squarefree(f))):
+    for r in sorted(_hensel_roots(g)):
         f, m = _deflate(f, r)
         if m:
             roots.append((r, m))

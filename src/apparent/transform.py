@@ -21,6 +21,22 @@ to the order n - 1 + m.  The exponents at q are the derivative ladder
 {0, 1, ..., n-2, n-1+m}, gap n - 1 + m (order 2: simple roots give
 {0, 2}, double roots {0, 3}).
 
+Stage after stage.  The O_j are built on integer lists over one unit.
+When an earlier deform made the input, the common factor make_ode
+divides out of them is usually that stage's clearing factor H: a simple
+root q of the earlier P_n became an apparent point with exponents
+{0, ..., n-2, n}, one more differentiation makes it ordinary (a gap-2
+point of an earlier stage dies that way), and z - q becomes content.
+So deform keeps its clearing factor in the memo of its output
+(odemodel._CLEARING), and the next deform divides every O_j by it
+exactly before make_ode takes the gcd of the quotients, which is cheap
+when they are coprime.  The result is exact on either path: when H
+divides every O_j, gcd(O) = H gcd(O/H), and make_ode(O/H) is
+make_ode(O).  When no factor is stored or H fails to divide one of
+them, make_ode takes the gcd of the O_j themselves.  H fails where a
+point survives: the point of a multiple root of the earlier P_n (gap
+n - 1 + m > n), or one at which the input's own P_n vanishes too.
+
 Inverse direction (undeform).  Reconstruct an antecedent P whose deform
 equals the input D up to content.  Its trailing coefficient is forced
 to P_n = a M, M = prod (z - q_j)^{m_j} over the removal targets, so R =
@@ -47,8 +63,11 @@ c, and rows that are zero in every earlier column.  The reduced echelon
 form of a column prefix is the prefix of the full one, so the basis at
 slack s is the basis at s - 1 padded with a zero, plus at most one
 vector for the new column (the column of a is never free: M is
-nonzero).  Only that vector is new, and deform runs at most once per
-slack level; the search returns the first antecedent it finds.
+nonzero).  Only that vector is new, and the check runs at most once
+per slack level; the search returns the first antecedent it finds.  The
+check is deform's predicate: the cleared coefficients of the candidate,
+canonicalized, must equal the input; deform's root search for the new
+apparent points is skipped.
 """
 
 from __future__ import annotations
@@ -65,8 +84,28 @@ from .errors import (
     NothingToRemoveError,
     NotRemovableError,
 )
-from .odemodel import LinearODE, PointKind, _accessory_roots, _leading_roots, make_ode
-from .polyrat import RatPoly, as_fraction, exact_div, radical
+from .odemodel import (
+    _CLEARING,
+    LinearODE,
+    PointKind,
+    _accessory_roots,
+    _leading_roots,
+    make_ode,
+)
+from .polyrat import (
+    RatPoly,
+    _from_ints,
+    _int_divexact,
+    _list_addmul,
+    _list_mul,
+    _over_common_unit,
+    _scaled,
+    as_fraction,
+    exact_div,
+    radical,
+)
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -104,22 +143,65 @@ class UndeformResult:
 
 
 def deform(ode: LinearODE) -> DeformResult:
-    """Differentiate, eliminate the undifferentiated unknown, clear."""
-    coeffs = ode.coeffs
-    n = ode.order
-    trailing = coeffs[-1]
-    if trailing.is_zero:
+    """Differentiate, eliminate the undifferentiated unknown, clear.
+
+    When ode came from an earlier deform, that stage's clearing factor
+    is tried as the common factor first (see the module docstring).
+    """
+    if ode.coeffs[-1].is_zero:
         raise AlreadyIntegratedError(
             "coefficient of the undifferentiated unknown is zero; "
             "the equation is already a derivative"
         )
+    polys, clearing = _cleared(ode)
+    quotients = _quotients(polys, ode._memo.get(_CLEARING))
+    out = make_ode(polys if quotients is None else quotients)
+    out._memo[_CLEARING] = clearing
+    n = ode.order
+    created = tuple((q, n - 1 + m) for q, m in _accessory_roots(ode, clearing))
+    return DeformResult(ode=out, new_apparent=created, clearing_factor=clearing)
+
+
+def _cleared(ode: LinearODE) -> tuple[list[RatPoly], RatPoly]:
+    """O_0, ..., O_n up to one nonzero constant, and R = radical(P_n).
+
+    The P_j are put over the common unit of their contents and R, S
+    over theirs, so O_0 = R P_0 and O_j = R (P_j + P_{j-1}') - S P_{j-1}
+    are built by integer list products.  The dropped constant is one
+    for all O_j, which make_ode's canonical form does not see.
+    """
+    coeffs = ode.coeffs
+    trailing = coeffs[-1]
     clearing = radical(trailing)
     s_poly = exact_div(trailing.derivative() * clearing, trailing)
-    out = [clearing * coeffs[0]]
-    for j in range(1, n + 1):
-        out.append(clearing * (coeffs[j] + coeffs[j - 1].derivative()) - s_poly * coeffs[j - 1])
-    created = tuple((q, n - 1 + m) for q, m in _accessory_roots(ode))
-    return DeformResult(ode=make_ode(out), new_apparent=created, clearing_factor=clearing)
+    _, mults = _over_common_unit([p._form[1] for p in coeffs])
+    p_ints = [[v * m for v in p._form[0]] for p, m in zip(coeffs, mults)]
+    _, (mr, ms) = _over_common_unit([clearing._form[1], s_poly._form[1]])
+    r_ints = [v * mr for v in clearing._form[0]]
+    s_ints = [v * ms for v in s_poly._form[0]]
+    lists = [_list_mul(r_ints, p_ints[0])]
+    for prev, cur in zip(p_ints, p_ints[1:]):
+        acc = list(cur)
+        _list_addmul(acc, 1, [i * v for i, v in enumerate(prev)][1:])
+        out = _list_mul(r_ints, acc)
+        _list_addmul(out, -1, _list_mul(s_ints, prev))
+        lists.append(out)
+    return [_from_ints(o, _ONE) for o in lists], clearing
+
+
+def _quotients(polys: list[RatPoly], factor: RatPoly | None) -> list[RatPoly] | None:
+    """Each polynomial divided by factor, None when factor is None or
+    constant or fails to divide one of them exactly."""
+    if factor is None or factor.degree < 1:
+        return None
+    quotients = []
+    for p in polys:
+        ints, content = p._form
+        q = _int_divexact(ints, factor._form[0])
+        if q is None:
+            return None
+        quotients.append(_scaled(q, content))
+    return quotients
 
 
 def deform_iter(ode: LinearODE, k: int) -> list[DeformResult]:
@@ -210,9 +292,9 @@ def undeform(
     the module docstring), so the only unknowns are the scale a of its
     trailing coefficient a M and the content multiplier c.  c is a
     polynomial because the input's canonical form may have lost content
-    that deform produced.  Each candidate is still deformed and compared
-    with the input, because canonicalizing it may strip content of its
-    own.
+    that deform produced.  Each candidate is still checked against the
+    input through deform's construction, because canonicalizing it may
+    strip content of its own.
 
     targets: distinct locations to remove; default is every finite apparent
     point whose exponents fit the derivative ladder {0..n-2, n-1+m}.
@@ -283,7 +365,8 @@ def undeform(
             polys = [sum((c * ch[j] for c, ch in zip(vec[1:], chains)), RatPoly()) for j in range(n)]
             polys.append(vec[0] * m_star)
             candidate = make_ode(polys)
-            if deform(candidate).ode == ode:
+            # deform's predicate without its root search for new_apparent
+            if make_ode(_cleared(candidate)[0]) == ode:
                 return UndeformResult(
                     ode=candidate,
                     removed_points=tuple(sorted(q for q, _m in inferred)),

@@ -488,6 +488,18 @@ def test_deform_iterations_past_the_cap_is_usage_error(heun_file, monkeypatch, c
         run(argv)
 
 
+@pytest.mark.parametrize("text", ["9" * 100_000, "x" * 100_000, "-" + "9" * 4_000],
+                         ids=["digits", "letters", "negative"])
+def test_long_integer_option_is_named_by_its_length(heun_file, capsys, text):
+    # echoing the text would print it twice: on stderr and in the JSON body
+    code = run(["deform", str(heun_file), "--iterations", text, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert len(out.encode()) < 1000 and len(err.encode()) < 1000
+    assert json.loads(out)["error"]["code"] == "Usage"
+    assert f"{len(text)} characters" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag, value, code, message",
     [
