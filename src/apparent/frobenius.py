@@ -36,9 +36,9 @@ integers of about E log E bits, so its cost grows about as E^2
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import odemodel
 from ._linalg import nullspace_basis
@@ -227,8 +227,7 @@ def _regular(ode: LinearODE, point) -> tuple[_LocalData, object]:
     return data, loc
 
 
-@dataclass(frozen=True)
-class IndicialExponents:
+class IndicialExponents(NamedTuple):
     """Roots of the indicial polynomial at one point: one column of the
     generalized Riemann symbol.
 
@@ -248,8 +247,7 @@ class IndicialExponents:
         return self.residual is None
 
 
-@dataclass(frozen=True)
-class FrobeniusSolution:
+class FrobeniusSolution(NamedTuple):
     """Truncated local series solution zeta^rho sum a_M zeta^M.
 
     a_0 = 1.  obstructions lists (offset, value) for every resonance
@@ -271,8 +269,7 @@ class FrobeniusSolution:
         return all(v == 0 for _off, v in self.obstructions)
 
 
-@dataclass(frozen=True)
-class ApparentVerdict:
+class ApparentVerdict(NamedTuple):
     """Outcome of the apparency test at a singular point.
 
     holomorphic_dim is the dimension of the space of holomorphic local

@@ -10,8 +10,8 @@ family and to m - 1 for the m-point family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DegenerateGeometryError,
@@ -22,14 +22,12 @@ from .odemodel import LinearODE, make_ode
 from .polyrat import RatPoly, as_fraction, exact_div
 
 
-@dataclass(frozen=True)
-class HeunParams:
-    """Four regular points 0, 1, t, infinity; accessory location q.
+# NamedTuple forbids __new__ in its own body, so each record's fields sit
+# on a private base and the public class converts its inputs in __new__;
+# cli.cmd_heun reads a record's fields from the base's annotations
 
-    Exponents are {0, theta_k} at the finite points and {alpha,
-    theta_inf} at infinity, tied by sum(theta) + theta_inf + alpha = 2.
-    """
 
+class _HeunFields(NamedTuple):
     t: Fraction
     theta1: Fraction
     theta2: Fraction
@@ -38,50 +36,59 @@ class HeunParams:
     alpha: Fraction
     q: Fraction
 
-    def __post_init__(self):
-        for name in ("t", "theta1", "theta2", "theta3", "theta_inf", "alpha", "q"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
 
+class HeunParams(_HeunFields):
+    """Four regular points 0, 1, t, infinity; accessory location q.
 
-@dataclass(frozen=True)
-class MultiHeunParams:
-    """m distinct finite regular points and m - 2 accessory locations.
-
-    The list lengths are checked here (ValueError); multi_heun checks
-    that there are at least three distinct points.
+    Exponents are {0, theta_k} at the finite points and {alpha,
+    theta_inf} at infinity, tied by sum(theta) + theta_inf + alpha = 2.
     """
 
+    __slots__ = ()
+
+    def __new__(cls, t, theta1, theta2, theta3, theta_inf, alpha, q):
+        values = (t, theta1, theta2, theta3, theta_inf, alpha, q)
+        return super().__new__(cls, *map(as_fraction, values))
+
+
+class _MultiHeunFields(NamedTuple):
     zs: tuple[Fraction, ...]
     thetas: tuple[Fraction, ...]
     theta_inf: Fraction
     alpha: Fraction
     qs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "zs", tuple(as_fraction(z) for z in self.zs))
-        object.__setattr__(self, "thetas", tuple(as_fraction(v) for v in self.thetas))
-        object.__setattr__(self, "theta_inf", as_fraction(self.theta_inf))
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "qs", tuple(as_fraction(v) for v in self.qs))
-        m = len(self.zs)
-        if len(self.thetas) != m:
+
+class MultiHeunParams(_MultiHeunFields):
+    """m distinct finite regular points and m - 2 accessory locations.
+
+    The list lengths are checked here (ValueError); multi_heun checks
+    that there are at least three distinct points.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, zs, thetas, theta_inf, alpha, qs):
+        zs = tuple(map(as_fraction, zs))
+        thetas = tuple(map(as_fraction, thetas))
+        qs = tuple(map(as_fraction, qs))
+        m = len(zs)
+        if len(thetas) != m:
             raise ValueError(
-                f"'thetas' needs one entry per point of 'zs': {m} points, {len(self.thetas)} thetas"
+                f"'thetas' needs one entry per point of 'zs': {m} points, {len(thetas)} thetas"
             )
-        if m >= 3 and len(self.qs) != m - 2:
+        if m >= 3 and len(qs) != m - 2:
             raise ValueError(
-                f"'qs' needs len(zs) - 2 = {m - 2} accessory locations, got {len(self.qs)}"
+                f"'qs' needs len(zs) - 2 = {m - 2} accessory locations, got {len(qs)}"
             )
+        return super().__new__(cls, zs, thetas, as_fraction(theta_inf), as_fraction(alpha), qs)
 
     @property
     def m(self) -> int:
         return len(self.zs)
 
 
-@dataclass(frozen=True)
-class ThirdOrderParams:
-    """Parameters of the order-3 four-point equation with accessory q."""
-
+class _ThirdOrderFields(NamedTuple):
     t: Fraction
     alpha: Fraction
     beta: Fraction
@@ -90,13 +97,25 @@ class ThirdOrderParams:
     kappa: Fraction
     q: Fraction
 
-    def __post_init__(self):
-        for name in ("t", "alpha", "beta", "theta2", "theta3", "kappa", "q"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+
+class ThirdOrderParams(_ThirdOrderFields):
+    """Parameters of the order-3 four-point equation with accessory q."""
+
+    __slots__ = ()
+
+    def __new__(cls, t, alpha, beta, theta2, theta3, kappa, q):
+        values = (t, alpha, beta, theta2, theta3, kappa, q)
+        return super().__new__(cls, *map(as_fraction, values))
 
 
-@dataclass(frozen=True)
-class ConfluentHeunParams:
+class _ConfluentHeunFields(NamedTuple):
+    p0: RatPoly
+    p1: RatPoly
+    alpha: Fraction
+    q: Fraction
+
+
+class ConfluentHeunParams(_ConfluentHeunFields):
     """Raw coefficients for the confluent degree pattern.
 
     The pattern is deg P_0 <= 2, deg P_1 = 2, deg P_2 = 1; the trailing
@@ -104,16 +123,12 @@ class ConfluentHeunParams:
     these equations are not modeled; the pattern is taken as given.
     """
 
-    p0: RatPoly
-    p1: RatPoly
-    alpha: Fraction
-    q: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p0", self.p0 if isinstance(self.p0, RatPoly) else RatPoly(self.p0))
-        object.__setattr__(self, "p1", self.p1 if isinstance(self.p1, RatPoly) else RatPoly(self.p1))
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "q", as_fraction(self.q))
+    def __new__(cls, p0, p1, alpha, q):
+        p0 = p0 if isinstance(p0, RatPoly) else RatPoly(p0)
+        p1 = p1 if isinstance(p1, RatPoly) else RatPoly(p1)
+        return super().__new__(cls, p0, p1, as_fraction(alpha), as_fraction(q))
 
 
 def _sum_check(observed: Fraction, expected: Fraction):

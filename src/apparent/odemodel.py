@@ -21,9 +21,9 @@ first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DegenerateLeadingError,
@@ -75,18 +75,33 @@ class PointKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class LinearODE:
     """Canonical-form linear ODE sum P_k(z) w^{(n-k)} = 0.
 
     coeffs: (P_0, ..., P_n) with P_0 nonzero and monic, no common
-    polynomial factor among all coefficients.
+    polynomial factor among all coefficients.  Immutable: equality and
+    hashing go by coeffs alone.
     """
 
-    coeffs: tuple[RatPoly, ...]
-    # point (Fraction or INFINITY) -> frobenius._LocalData; _LEADING_ROOTS -> roots of P_0;
-    # _CLEARING -> the clearing factor of the deform that made this equation
-    _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    def __init__(self, coeffs: tuple[RatPoly, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        # point (Fraction or INFINITY) -> frobenius._LocalData; _LEADING_ROOTS -> roots of P_0;
+        # _CLEARING -> the clearing factor of the deform that made this equation
+        object.__setattr__(self, "_memo", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def order(self) -> int:
@@ -110,8 +125,7 @@ class LinearODE:
         return f"LinearODE([{inner}])"
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """Classified point: location, kind, and exponents when defined.
 
     exponents are present exactly for the regular-singular and apparent
@@ -125,8 +139,7 @@ class SingularPoint:
     residual: RatPoly | None = None
 
 
-@dataclass(frozen=True)
-class RiemannSymbol:
+class RiemannSymbol(NamedTuple):
     """Singular points with exponents, plus the extra-location column.
 
     columns holds one frobenius.IndicialExponents per singular point:
@@ -169,8 +182,7 @@ class RiemannSymbol:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class FuchsReport:
+class FuchsReport(NamedTuple):
     """Outcome of the global regularity and exponent-sum checks.
 
     exponent_sum is the sum of all characteristic exponents over the s

@@ -38,9 +38,9 @@ edges: for nu on the scan and in the refinement, and for digit counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DegenerateApparentPointError,
@@ -71,8 +71,14 @@ _LOG10_2 = math.log10(2)
 _Z_MATCH = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class PolymerParams:
+# NamedTuple forbids __new__ in its own body: the fields sit on a base
+class _PolymerFields(NamedTuple):
+    b: Fraction
+    W: Fraction
+    tau: Fraction
+
+
+class PolymerParams(_PolymerFields):
     """Model parameters: flexibility b, stretching W, base time tau.
 
     kappa = b W is always derived, never stored.  Pass Fractions,
@@ -80,23 +86,20 @@ class PolymerParams:
     floats are converted via their exact binary value.
     """
 
-    b: Fraction
-    W: Fraction
-    tau: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("b", "W", "tau"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if self.b <= 0 or self.W <= 0 or self.tau <= 0:
+    def __new__(cls, b, W, tau=Fraction(1)):
+        b, W, tau = as_fraction(b), as_fraction(W), as_fraction(tau)
+        if b <= 0 or W <= 0 or tau <= 0:
             raise ValueError("b, W, tau must all be positive")
+        return super().__new__(cls, b, W, tau)
 
     @property
     def kappa(self) -> Fraction:
         return self.b * self.W
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Eigenvalues and diagnostics of one spectral solve.
 
     eigenvalues: strictly increasing; t_rel = b tau / eigenvalues[0],
@@ -184,8 +187,7 @@ def _round_div(n: int, d: int) -> int:
     return (n + (d >> 1)) // d
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(NamedTuple):
     """One exponent-0 branch at one point: values and the work they took.
 
     w, dw are fixed-point integers: the branch value and its derivative

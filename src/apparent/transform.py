@@ -72,8 +72,8 @@ apparent points is skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import frobenius
 from ._linalg import nullspace_basis
@@ -108,8 +108,7 @@ from .polyrat import (
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class DeformResult:
+class DeformResult(NamedTuple):
     """Deformed equation plus bookkeeping.
 
     new_apparent: (location, exponent gap) for each rational root of
@@ -124,8 +123,7 @@ class DeformResult:
     clearing_factor: RatPoly
 
 
-@dataclass(frozen=True)
-class UndeformResult:
+class UndeformResult(NamedTuple):
     """Antecedent equation whose deform reproduces the input.
 
     ode: the antecedent, canonicalized.

@@ -8,7 +8,6 @@ and within 1.3e-7 of its own value on a grid half as fine, so the
 bound keeps a margin of 7 over the oracle's own error estimate.
 """
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -268,7 +267,7 @@ def test_criterion_10_degenerate_trailing_creates_nothing():
     # accessory location on a root of P_0: no new singular location
     for i in range(15):
         base = heun_params(rng)
-        p = dataclasses.replace(base, q=(F(0), F(1), base.t)[i % 3])
+        p = base._replace(q=(F(0), F(1), base.t)[i % 3])
         ode = general_heun(p)
         res = deform(ode)
         assert res.new_apparent == ()

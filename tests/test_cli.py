@@ -381,6 +381,28 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
         assert loaded & NEVER_IMPORTED[name] == set(), name
 
 
+# dataclasses pulls in inspect (and with it ast, dis, tokenize): several
+# milliseconds of start-up in every CLI child
+HEAVY_STDLIB = {"dataclasses", "inspect"}
+API_IMPORTS = "import apparent.cli, " + ", ".join(
+    f"apparent.{m}" for m in ("errors", "polyrat", "odemodel", "frobenius", "transform", "heun",
+                              "polymer")
+)
+
+
+def test_package_imports_neither_dataclasses_nor_inspect():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def heavy_loaded(code: str) -> set[str]:
+        probe = f"{code}\nimport sys\nprint(*sorted({HEAVY_STDLIB!r} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, check=True)
+        return set(proc.stdout.split())
+
+    assert heavy_loaded(API_IMPORTS) <= heavy_loaded("pass")
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

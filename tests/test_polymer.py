@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from decimal import Decimal
@@ -157,7 +156,7 @@ def test_vanishing_branch_at_the_matching_point_is_a_precision_error(monkeypatch
 
     def zero_at_one(self, nu, cap, bits, grow, digits):
         br = branch(self, nu, cap, bits, grow, digits)
-        return dataclasses.replace(br, w=0) if self.endpoint == 1 else br
+        return br._replace(w=0) if self.endpoint == 1 else br
 
     monkeypatch.setattr(polymer._Series, "branch", zero_at_one)
     p = PolymerParams(b=F(2), W=F(1, 4))
@@ -356,7 +355,7 @@ def test_scan_point_under_the_bound_is_evaluated_in_full(small_spectrum, monkeyp
         if self.endpoint == 0:
             left[digits] = br
         elif digits == polymer._SIGN_DIGITS:
-            return dataclasses.replace(br, w=left[digits].w, dw=left[digits].dw)
+            return br._replace(w=left[digits].w, dw=left[digits].dw)
         return br
 
     monkeypatch.setattr(polymer._Series, "branch", cancelling)
