@@ -75,7 +75,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import frobenius
 from ._linalg import nullspace_basis
 from .errors import (
     AlreadyIntegratedError,
@@ -228,6 +227,8 @@ def _infer_targets(ode: LinearODE) -> list[tuple[Fraction, int]]:
     exponent pattern are skipped; remove those with explicit targets
     and multiplicities.
     """
+    from . import frobenius
+
     n = ode.order
     ladder = [Fraction(i) for i in range(n - 1)]
     found = []
@@ -256,6 +257,8 @@ def _validate_targets(ode: LinearODE, targets, multiplicities) -> list[tuple[Fra
         if any(m < 1 for m in mults):
             raise ValueError("multiplicities must be positive")
         return [(q, int(m)) for q, m in zip(locs, mults)]
+    from . import frobenius
+
     resolved = []
     for q in locs:
         sp = frobenius.classify_point(ode, q)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -14,6 +15,8 @@ from apparent import ThirdOrderParams, __version__, third_order_example
 from apparent.cli import ode_json, run
 
 from _gen import third_params
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 HEUN_PARAMS = {
     "t": "3",
@@ -337,26 +340,73 @@ def test_closed_stdout_exits_without_traceback(heun_file):
     assert proc.stderr == ""
 
 
-# runs the CLI in a fresh process, then lists the apparent modules it loaded
-MODULE_PROBE = """
+@pytest.mark.parametrize("argv, code, error", [(["analyze", "missing.json"], 2, "Usage"),
+                                               (["undeform", "heun.json"], 1, "NothingToRemove")])
+def test_error_exits_through_the_module_entry_point(heun_file, monkeypatch, capsys,
+                                                    argv, code, error):
+    # under -m the entry module runs as __main__: the handlers must raise
+    # the UsageError class that the dispatcher catches, not a second copy
+    monkeypatch.chdir(heun_file.parent)
+    argv = [*argv, "--format", "json"]
+    assert run(argv) == code
+    expected = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "apparent.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert (proc.stdout, proc.stderr) == (expected.out, expected.err)
+    assert json.loads(proc.stdout)["error"]["code"] == error
+
+
+def test_console_script_target_is_callable(monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"apparent": "apparent.cli:main"}
+    module, attr = scripts["apparent"].split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["apparent", "--version"])
+    assert entry() == 0
+    assert capsys.readouterr().out == f"apparent {__version__}\n"
+
+
+# standard-library modules a happy-path child leaves unloaded: argparse
+# (with gettext and locale) is for help and errors, csv for --csv
+LAZY_STDLIB = {"argparse", "gettext", "locale", "csv"}
+# runs the CLI in a fresh process, then lists the apparent modules and
+# the LAZY_STDLIB modules it loaded
+MODULE_PROBE = f"""
 import sys
 from apparent.cli import main
 code = main()
-print(*(m for m in sys.modules if m.startswith("apparent.")), file=sys.stderr)
+print(*(m for m in sys.modules if m.startswith("apparent.") or m in {LAZY_STDLIB!r}),
+      file=sys.stderr)
 sys.exit(code)
 """
 NEVER_IMPORTED = {
     "heun": {"polymer", "transform"},
-    "deform": {"polymer", "heun"},
+    "deform": {"polymer", "heun", "frobenius"},
     "analyze": {"polymer", "heun", "transform"},
     "riemann": {"polymer", "heun", "transform"},
     "undeform": {"polymer", "heun"},
-    "deform3": {"polymer", "heun"},
+    "deform3": {"polymer", "heun", "frobenius"},
     "polymer": {"heun", "transform", "frobenius", "_linalg"},
 }
 
 
+def loaded_in_child(code: str, names) -> set[str]:
+    """Those of names that a fresh interpreter has loaded after running code."""
+    probe = f"{code}\nimport sys\nprint(*sorted({set(names)!r} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    return set(proc.stdout.split())
+
+
 def test_each_subcommand_imports_only_what_it_runs(tmp_path):
+    from apparent.cli import COMMANDS
+
+    handlers = {f"cli.{command.module}" for command in COMMANDS.values()}
+    bare = loaded_in_child("pass", LAZY_STDLIB)
     params, heun_out, deform_out = (tmp_path / n for n in ("p.json", "heun.json", "deform.json"))
     params.write_text(json.dumps(HEUN_PARAMS))
     steps = [
@@ -379,6 +429,9 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path):
             out.write_text(proc.stdout)
         loaded = {m.removeprefix("apparent.") for m in proc.stderr.split()}
         assert loaded & NEVER_IMPORTED[name] == set(), name
+        own = f"cli.{COMMANDS[argv[0]].module}"
+        assert own in loaded and loaded & handlers == {own}, name
+        assert loaded & LAZY_STDLIB <= bare, name
 
 
 # dataclasses pulls in inspect (and with it ast, dis, tokenize): several
@@ -391,16 +444,7 @@ API_IMPORTS = "import apparent.cli, " + ", ".join(
 
 
 def test_package_imports_neither_dataclasses_nor_inspect():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
-
-    def heavy_loaded(code: str) -> set[str]:
-        probe = f"{code}\nimport sys\nprint(*sorted({HEAVY_STDLIB!r} & set(sys.modules)))"
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=env, check=True)
-        return set(proc.stdout.split())
-
-    assert heavy_loaded(API_IMPORTS) <= heavy_loaded("pass")
+    assert loaded_in_child(API_IMPORTS, HEAVY_STDLIB) <= loaded_in_child("pass", HEAVY_STDLIB)
 
 
 @pytest.mark.parametrize(
