@@ -9,12 +9,12 @@ and solve the polymer coil-stretch spectral problem numerically.
 pays only for the modules that `<sub>` runs: the `cli` dispatcher, the
 handler module of `<sub>` and the API modules it calls.  argparse loads
 only for help, errors and lines that are not plain (see `cli`),
-`frobenius` not for `deform`, and `csv` only for `polymer --csv`.  A
-child's start-up is then the interpreter with `site`, plus loading
-those modules, which means compiling them from source when bytecode is
-not written (PYTHONDONTWRITEBYTECODE=1).  The records are
-`typing.NamedTuple`s and the dispatcher imports `typing` anyway, so
-they add no standard-library import to a child.  The first lookup of a
+`frobenius` and `_linalg` not for `deform`, and `csv` only for
+`polymer --csv`.  A child's start-up is then the interpreter with
+`site`, plus loading those modules, which means compiling them from
+source when bytecode is not written (PYTHONDONTWRITEBYTECODE=1).  The
+records are `typing.NamedTuple`s and the dispatcher imports `typing`
+anyway, so they add no standard-library import to a child.  The first lookup of a
 name in `__all__` imports all seven API modules at once and binds every
 public name here.  The load is all-at-once rather than per name because
 code that patches the package from outside, such as the benchmark's

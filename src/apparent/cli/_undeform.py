@@ -7,8 +7,9 @@ from . import UsageError, ode_json, parse_frac, parse_int, parse_ode, read_json_
 from ._analysis import check_exponents, finite_candidates
 
 # The command line caps the slack, whose cost input length does not
-# bound; the library takes any.  The slack loop grows about as slack^3:
-# on 2 cores, 32 take about 0.06 s and 64 about 0.6 s.
+# bound; the library takes any.  The slack loop grows a little faster
+# than slack^3, mostly in the elimination: on 2 cores, 16 take about
+# 0.007 s, 32 0.03-0.06 s, 48 0.13-0.25 s and 64 0.4-0.7 s.
 _MAX_SLACK = 32
 
 

@@ -24,9 +24,9 @@ and deflated by exact integer division.  Of the private kernels below,
 ``odemodel`` uses the integer gcd, exact division, ``_scaled``,
 ``_list_addmul``, ``_from_ints``, ``_over_common_unit`` and
 ``_rational_roots`` (the root search from a known squarefree part),
-``transform`` exact division, ``_list_mul``, ``_list_addmul``,
-``_from_ints`` and ``_over_common_unit``, and ``frobenius``
-``_from_ints`` and ``_list_addmul``.
+``transform`` exact division, pseudo-division, ``_list_mul``,
+``_list_addmul``, ``_from_ints`` and ``_over_common_unit``, and
+``frobenius`` ``_from_ints`` and ``_list_addmul``.
 """
 
 from __future__ import annotations
@@ -241,19 +241,10 @@ class RatPoly:
             return NotImplemented
         if q.is_zero:
             raise ZeroPolynomialError("polynomial division by zero")
-        # pseudo-division over Z (Knuth, TAOCP 4.6.1, Algorithm R):
-        # lead^k a = quot b + rem on the primitive parts, k = deg a - deg b + 1
+        # lead^k a = quot b + rem on the primitive parts
         (a, ca), (b, cb) = self._form, q._form
-        db, lead = len(b) - 1, b[-1]
-        k = max(len(a) - db, 0)
-        rem, quot = list(a), [0] * k
-        for i in range(len(a) - 1, db - 1, -1):
-            c = rem.pop()
-            quot[i - db] = c * lead ** (i - db)
-            rem = [lead * v for v in rem]
-            for j in range(db):
-                rem[i - db + j] -= c * b[j]
-        scale = Fraction(1, lead**k)
+        k, quot, rem = _pseudo_divmod(a, b)
+        scale = Fraction(1, b[-1] ** k)
         return _from_ints(quot, ca / cb * scale), _from_ints(rem, ca * scale)
 
     def __mod__(self, other):
@@ -447,6 +438,25 @@ def _int_divexact(a: list[int], b: list[int]) -> list[int] | None:
             for j in range(db):
                 rem[i - db + j] -= c * b[j]
     return None if any(rem[:db]) else quot
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """k, q, r with lead(b)^k a = q b + r over Z, deg r < deg b and
+    k = max(len(a) - deg b, 0), which is deg a - deg b + 1 for a trimmed
+    a: pseudo-division (Knuth, TAOCP vol. 2, 4.6.1).  q is integral, so
+    after scaling a by lead(b)^k each leading quotient divides exactly."""
+    db, lead = len(b) - 1, b[-1]
+    k = max(len(a) - db, 0)
+    scale = lead**k
+    rem = [v * scale for v in a]
+    quot = [0] * k
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i] // lead
+        if c:
+            quot[i - db] = c
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+    return k, quot, rem[:db]
 
 
 # GCDHEU evaluation points tried before the Euclidean fallback

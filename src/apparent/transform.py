@@ -45,37 +45,36 @@ triangular in P:
 
     R P_0 = c D_0,    R P_j = c D_j + S P_{j-1} - R P_{j-1}'  (j = 1..n).
 
-Given c, back-substitution yields P_0, ..., P_n one at a time, each by a
-division by R.  The multiplier c is a polynomial, not a scalar: the
-canonical form of deform's output has its common content divided out
-(a gap-2 point of an earlier stage dies that way), and c puts it back.
-Its degree is the slack, tried from 0 up.  Everything is linear in c,
-so the substitution runs once per basis multiplier z^i, and the only
-unknowns left are the coefficients of c and the scale a: every division
-by R must be exact and the last quotient must equal a M.  A nullspace
-vector of that small exact system (slack + 2 columns) combines the
-substituted coefficients into a candidate.  Canonicalizing a candidate
-may divide out content of its own, which deform does not commute with,
-so a candidate is accepted only if its deform gives back the input.
+The multiplier c puts back the content that canonicalizing deform's
+output divided out (a gap-2 point of an earlier stage dies that way);
+its degree is the slack, tried from 0 up.  Everything is linear in c, so
+back-substitution, one division by R per P_j, runs once per multiplier
+z^i, and what is left is a small exact system for a and the
+coefficients of c (slack + 2 columns): every division must be exact and
+P_n must equal a M.  It runs on integer lists: R, M and S are products
+of the factors v z - u of the targets q = u/v, the D_j share one unit,
+and each division is a pseudo-division, so each chain (one column) is
+off by a constant, which the nullspace basis scales back.  A level
+appends one column and rows zero in every earlier column; the reduced
+form of a column prefix is the prefix of the full one, so a level adds
+at most one basis vector (a's column is never free: M is nonzero), and
+only that one combines the chains into a candidate.
 
-Raising the slack by one appends one column, for the new coefficient of
-c, and rows that are zero in every earlier column.  The reduced echelon
-form of a column prefix is the prefix of the full one, so the basis at
-slack s is the basis at s - 1 padded with a zero, plus at most one
-vector for the new column (the column of a is never free: M is
-nonzero).  Only that vector is new, and the check runs at most once
-per slack level; the search returns the first antecedent it finds.  The
-check is deform's predicate: the cleared coefficients of the candidate,
-canonicalized, must equal the input; deform's root search for the new
-apparent points is skipped.
+No candidate has to be deformed to be checked.  deform's output is the
+canonical form of the raw coefficients Q(P), and Q(g P) = g Q(P) for
+every nonzero polynomial g, so deform ignores a polynomial factor of its
+input, such as the content make_ode divides out of a candidate.  As
+R Q(P) = c D for the assembled P, every candidate deforms to
+make_ode(D): it is an antecedent exactly when the input is canonical,
+which is tested once per call.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._linalg import nullspace_basis
 from .errors import (
     AlreadyIntegratedError,
     ApparentError,
@@ -98,6 +97,7 @@ from .polyrat import (
     _list_addmul,
     _list_mul,
     _over_common_unit,
+    _pseudo_divmod,
     _scaled,
     as_fraction,
     exact_div,
@@ -125,7 +125,8 @@ class DeformResult(NamedTuple):
 class UndeformResult(NamedTuple):
     """Antecedent equation whose deform reproduces the input.
 
-    ode: the antecedent, canonicalized.
+    ode: the antecedent, canonicalized.  Its deform is the input by
+    deform's identities, without deforming it (see the module docstring).
     free_parameters: always 0, and solutions: always (ode,).  The search
     tries only nullspace basis vectors, at most one new one per slack
     level (see the module docstring), and stops at the first that
@@ -289,13 +290,11 @@ def undeform(
 ) -> UndeformResult:
     """Remove apparent singularities by inverse differentiation.
 
-    The antecedent is back-substituted through deform's identities (see
-    the module docstring), so the only unknowns are the scale a of its
-    trailing coefficient a M and the content multiplier c.  c is a
-    polynomial because the input's canonical form may have lost content
-    that deform produced.  Each candidate is still checked against the
-    input through deform's construction, because canonicalizing it may
-    strip content of its own.
+    The antecedent is back-substituted through deform's identities, and
+    only the scale a of its trailing coefficient a M and the content
+    multiplier c are solved for (see the module docstring).  Every
+    candidate deforms to make_ode(ode), so none is deformed: the first
+    is accepted when the input is canonical, and none when it is not.
 
     targets: distinct locations to remove; default is every finite apparent
     point whose exponents fit the derivative ladder {0..n-2, n-1+m}.
@@ -332,42 +331,59 @@ def undeform(
             raise NothingToRemoveError("empty target list")
         inferred = _validate_targets(ode, targets, multiplicities)
 
-    m_star = RatPoly.from_roots([q for q, m in inferred for _ in range(m)])
-    clearing = RatPoly.from_roots([q for q, _m in inferred])
-    s_poly = exact_div(m_star.derivative() * clearing, m_star)
-    d_in = ode.coeffs
+    # integer lists (see the module docstring): with q = u/v, R = prod
+    # (v z - u), M = prod (v z - u)^m and S = M' R / M
+    r_ints, m_ints = [1], [1]
+    for q, m in inferred:
+        lin = [-q.numerator, q.denominator]
+        r_ints = _list_mul(r_ints, lin)
+        for _ in range(m):
+            m_ints = _list_mul(m_ints, lin)
+    s_ints = _int_divexact(_list_mul([i * v for i, v in enumerate(m_ints)][1:], r_ints), m_ints)
+    _, units = _over_common_unit([c._form[1] for c in ode.coeffs])
+    d_ints = [[v * u for v in c._form[0]] for c, u in zip(ode.coeffs, units)]
+    from . import _linalg
 
-    # back-substitute once per basis multiplier c = z^slack, kept for the
-    # larger slacks: chains[i][j] is P_j for c = z^i, and column 1 + i
-    # lists the conditions on it (P_n, then every remainder).  Column 0
-    # is the scalar a on M; each slack level appends its column last.
-    chains, columns, tried = [], [[-m_star] + [RatPoly()] * (n + 1)], 0
+    # chains[i][j] is P_j for c = z^i, over the scale of the last
+    # pseudo-division; column 1 + i lists the conditions on it (P_n, then
+    # every remainder), column 0 is a on M; rows[k][r] is coefficient r of
+    # condition k, and each slack level appends one entry to every row
+    chains, tried, canonical, lead = [], 0, None, r_ints[-1]
+    rows = [[[-v] for v in m_ints]] + [[] for _ in range(n + 1)]
     for slack in range(max_slack + 1):
-        chain, rems, prev = [], [], RatPoly()
-        for j in range(n + 1):
-            quot, rem = divmod(RatPoly.monomial(slack) * d_in[j] + s_poly * prev, clearing)
-            prev = quot - prev.derivative()
-            chain.append(prev)
-            rems.append(rem)
-        chains.append(chain)
-        columns.append([prev] + rems)
-        rows = [
-            [col[k].coeff(r) for col in columns]
-            for k in range(n + 2)
-            for r in range(max(col[k].degree for col in columns) + 1)
-        ]
+        steps, p, scale = [], [], 1
+        for d in d_ints:
+            t = [0] * slack + [scale * v for v in d]
+            _list_addmul(t, 1, _list_mul(s_ints, p))
+            k, quot, rem = _pseudo_divmod(t, r_ints)
+            _list_addmul(quot, -lead**k, [i * v for i, v in enumerate(p)][1:])
+            p, scale = quot, scale * lead**k
+            steps.append((p, rem, scale))
+        chains.append([[v * (scale // s) for v in ints] for ints, _rem, s in steps])
+        column = [chains[-1][-1]] + [[v * (scale // s) for v in rem] for _p, rem, s in steps]
+        for group, entries in zip(rows, column):
+            while entries and not entries[-1]:
+                entries.pop()
+            for r, row in enumerate(group):
+                row.append(entries[r] if r < len(entries) else 0)
+            group.extend([0] * (slack + 1) + [v] for v in entries[len(group):])
 
-        # the previous level's vectors come back zero-padded and were
-        # tried there (see the module docstring): try what this level adds
-        basis = nullspace_basis(rows, slack + 2)
+        # earlier levels' vectors come back zero-padded: try what this one adds
+        basis = _linalg.nullspace_basis([row for group in rows for row in group], slack + 2)
         for vec in basis[tried:]:
             if vec[0] == 0:  # a = 0 zeroes the trailing coefficient: no antecedent
                 continue
-            polys = [sum((c * ch[j] for c, ch in zip(vec[1:], chains)), RatPoly()) for j in range(n)]
-            polys.append(vec[0] * m_star)
-            candidate = make_ode(polys)
-            # deform's predicate without its root search for new_apparent
-            if make_ode(_cleared(candidate)[0]) == ode:
+            den = math.lcm(*[v.denominator for v in vec])
+            w = [v.numerator * (den // v.denominator) for v in vec]
+            accs = [[] for _ in range(n + 1)]  # P_n sums to w[0] M
+            for wi, chain in zip(w[1:], chains):
+                for acc, ints in zip(accs, chain):
+                    _list_addmul(acc, wi, ints)
+            candidate = make_ode([_from_ints(acc, _ONE) for acc in accs])
+            # every candidate deforms to make_ode(ode) (see the module docstring)
+            if canonical is None:
+                canonical = make_ode(ode.coeffs) == ode
+            if canonical:
                 return UndeformResult(
                     ode=candidate,
                     removed_points=tuple(sorted(q for q, _m in inferred)),

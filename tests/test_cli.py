@@ -385,11 +385,11 @@ sys.exit(code)
 """
 NEVER_IMPORTED = {
     "heun": {"polymer", "transform"},
-    "deform": {"polymer", "heun", "frobenius"},
+    "deform": {"polymer", "heun", "frobenius", "_linalg"},
     "analyze": {"polymer", "heun", "transform"},
     "riemann": {"polymer", "heun", "transform"},
     "undeform": {"polymer", "heun"},
-    "deform3": {"polymer", "heun", "frobenius"},
+    "deform3": {"polymer", "heun", "frobenius", "_linalg"},
     "polymer": {"heun", "transform", "frobenius", "_linalg"},
 }
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apparent import (
+    LinearODE,
     PointKind,
     RatPoly,
     classify_point,
@@ -91,6 +92,11 @@ def test_canonical_form_ignores_scale_and_common_factor(family, seed, deformed, 
     assert make_ode([scale * p for p in ode.coeffs]) == ode
     assert make_ode([factor * p for p in ode.coeffs]) == ode
     assert make_ode([scale * factor * p for p in ode.coeffs]) == ode
+    # so is deform's output: the raw coefficients of g P are g times
+    # those of P, also where g shares roots with the trailing coefficient
+    # (this is why undeform need not deform a candidate that lost content)
+    for g in (scale * factor, factor * ode.coeffs[-1]):
+        assert deform(LinearODE(tuple(g * p for p in ode.coeffs))).ode == deform(ode).ode
 
 
 def assert_created_points_on_ladder(ode, stages=2):

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from apparent import transform
+from apparent import _linalg, transform
 from apparent import (
     INFINITY,
     AlreadyIntegratedError,
     IrregularPointError,
+    LinearODE,
     NothingToRemoveError,
     NotRemovableError,
     PointKind,
+    RatPoly,
     classify_point,
     deform,
     deform_iter,
@@ -287,7 +289,8 @@ def _two_stage(stage):
         pytest.param(lambda: _two_stage(0), None, None, 1, id="two-stage-first"),
         # the second stage inverts only with a content multiplier of degree 1
         pytest.param(lambda: _two_stage(1), None, None, 2, id="two-stage-second"),
-        # w'' + w = 0 with a target at 0 needs c = z^2
+        # w'' + w = 0 with a target at 0 needs c = z^2, and the candidate
+        # z (w'' + w) loses the content z
         pytest.param(lambda: make_ode([[1], [0], [1]]), [0], [1], 3, id="w''+w"),
         # from slack 1 on, one nullspace vector, with a = 0: no antecedent
         pytest.param(lambda: make_ode([[0, 0, 1], [0, 1], [-4]]), [0], None, 4, id="a=0"),
@@ -295,24 +298,46 @@ def _two_stage(stage):
     ],
 )
 def test_undeform_deforms_at_most_once_per_slack_level(monkeypatch, build, targets, mults, levels):
-    # the check runs deform's kernel, _cleared, without deform's root search
+    # no candidate is deformed, not even one that lost content: deform's
+    # output ignores a polynomial factor of its input
     ode = build()
     counts = {"nullspace_basis": 0, "_cleared": 0}
-    for name in counts:
-        real = getattr(transform, name)
+    for owner, name in ((_linalg, "nullspace_basis"), (transform, "_cleared")):
+        real = getattr(owner, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(transform, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     try:
         res = undeform(ode, targets, multiplicities=mults, max_slack=3)
     except NotRemovableError:
         res = None
     assert counts["nullspace_basis"] == levels  # one system per slack level tried
-    assert counts["_cleared"] <= levels
-    assert counts["_cleared"] == (res is not None)  # no case here rejects a candidate
+    assert counts["_cleared"] == 0
     if res is not None:
         assert deform(res.ode).ode == ode
         assert res.free_parameters == 0 and res.solutions == (res.ode,)
+
+
+def test_undeform_accepts_a_candidate_that_lost_content():
+    # the assembled antecedent is z (w'' + w), with trailing coefficient
+    # a M = a z; canonicalizing it divides out z, and its deform is still
+    # the input, as deform ignores a polynomial factor
+    ode = make_ode([[1], [0], [1]])
+    res = undeform(ode, [0], multiplicities=[1], max_slack=2)
+    assert res.ode == ode and res.ode.coeffs[-1].degree == 0
+    assert deform(res.ode).ode == ode
+
+
+def test_undeform_refuses_an_input_out_of_canonical_form():
+    # no antecedent deforms to an equation out of canonical form, even
+    # one whose canonical form inverts
+    d = deform(general_heun(heun_params(random.Random(1)))).ode
+    assert deform(undeform(d).ode).ode == d
+    for factor in (RatPoly([2]), RatPoly([-5, 1])):
+        scaled = LinearODE(tuple(factor * p for p in d.coeffs))
+        assert make_ode(scaled.coeffs) == d
+        with pytest.raises(NotRemovableError):
+            undeform(scaled)
