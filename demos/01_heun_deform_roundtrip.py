@@ -59,7 +59,6 @@ def main():
     back = undeform(res.ode)
     print(f"inverse transform removed {[str(p) for p in back.removed_points]}")
     print(f"recovered the input exactly: {back.ode == ode}")
-    print(f"solution-space freedom beyond scaling: {back.free_parameters}")
 
 
 if __name__ == "__main__":

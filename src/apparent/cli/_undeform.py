@@ -34,9 +34,8 @@ def cmd_undeform(args) -> dict:
     # undeform classifies its targets, or every root of P_0 to find them
     check_exponents(ode, targets or finite_candidates(ode))
     if mults and not targets:
-        # undeform repeats this inference from the equation's memo
-        inferred = transform._infer_targets(ode)
-        if inferred and len(inferred) != len(mults):
+        inferred = transform._targets(ode, None, None)
+        if len(inferred) != len(mults):
             raise UsageError(
                 f"--multiplicities needs one value per inferred target: {len(inferred)} "
                 f"apparent points found, {len(mults)} multiplicities"
@@ -46,7 +45,7 @@ def cmd_undeform(args) -> dict:
         "input": ode_json(ode),
         "ode": ode_json(res.ode),
         "removed_points": [str(q) for q in res.removed_points],
-        "free_parameters": res.free_parameters,
+        "free_parameters": 0,  # the apparent/v1 report keeps the field
     }
     return report("undeform", payload)
 

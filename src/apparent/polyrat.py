@@ -20,13 +20,7 @@ and the rational root search lifts the polynomial itself p-adically
 (Hensel) past twice |lead| + max|other coefficient|, which bounds lead
 times any rational root, so its cost is polynomial in the input's bits
 (an enumeration of divisors is exponential); each root is confirmed
-and deflated by exact integer division.  Of the private kernels below,
-``odemodel`` uses the integer gcd, exact division, ``_scaled``,
-``_list_addmul``, ``_from_ints``, ``_over_common_unit`` and
-``_rational_roots`` (the root search from a known squarefree part),
-``transform`` exact division, pseudo-division, ``_list_mul``,
-``_list_addmul``, ``_from_ints`` and ``_over_common_unit``, and
-``frobenius`` ``_from_ints`` and ``_list_addmul``.
+and deflated by exact integer division.
 """
 
 from __future__ import annotations

@@ -65,8 +65,10 @@ canonical form of the raw coefficients Q(P), and Q(g P) = g Q(P) for
 every nonzero polynomial g, so deform ignores a polynomial factor of its
 input, such as the content make_ode divides out of a candidate.  As
 R Q(P) = c D for the assembled P, every candidate deforms to
-make_ode(D): it is an antecedent exactly when the input is canonical,
-which is tested once per call.
+make_ode(D): it is an antecedent exactly when the input is canonical.
+So undeform tests that once, before the search, and refuses an input
+out of canonical form; within the search the first candidate is the
+antecedent.
 """
 
 from __future__ import annotations
@@ -127,17 +129,11 @@ class UndeformResult(NamedTuple):
 
     ode: the antecedent, canonicalized.  Its deform is the input by
     deform's identities, without deforming it (see the module docstring).
-    free_parameters: always 0, and solutions: always (ode,).  The search
-    tries only nullspace basis vectors, at most one new one per slack
-    level (see the module docstring), and stops at the first that
-    deforms back to the input, so neither field measures the dimension
-    of the solution space; both stay for the report schema.
+    removed_points: the targets, sorted.
     """
 
     ode: LinearODE
     removed_points: tuple[Fraction, ...]
-    free_parameters: int
-    solutions: tuple[LinearODE, ...]
 
 
 def deform(ode: LinearODE) -> DeformResult:
@@ -219,36 +215,36 @@ def deform_iter(ode: LinearODE, k: int) -> list[DeformResult]:
     return chain
 
 
-def _infer_targets(ode: LinearODE) -> list[tuple[Fraction, int]]:
-    """Finite apparent points whose exponents fit the derivative ladder.
+def _targets(ode: LinearODE, targets, multiplicities) -> list[tuple[Fraction, int]]:
+    """Pair each removal target with its multiplicity m, the order of its
+    root in the antecedent's trailing coefficient.
 
-    A point created by differentiation carries exponents
-    {0, 1, ..., n-2, n-1+m} with m the trailing-root multiplicity, so
-    m is read off the top exponent.  Apparent points with any other
-    exponent pattern are skipped; remove those with explicit targets
-    and multiplicities.
+    targets default to every finite apparent point whose exponents fit
+    the derivative ladder {0, 1, ..., n-2, n-1+m}; apparent points with
+    any other exponent pattern need explicit targets and multiplicities.
+    A multiplicity not given is read off the exponent gap as
+    m = gap - (n - 1), the ladder's top exponent for a ladder point.
     """
     from . import frobenius
 
     n = ode.order
-    ladder = [Fraction(i) for i in range(n - 1)]
-    found = []
-    for root, _m in _leading_roots(ode)[0]:
-        sp = frobenius.classify_point(ode, root)
-        if sp.kind is not PointKind.APPARENT:
-            continue
-        exps = sorted(sp.exponents)
-        if exps[:-1] == ladder and exps[-1] >= n:
-            found.append((root, int(exps[-1]) - (n - 1)))
-    return found
-
-
-def _validate_targets(ode: LinearODE, targets, multiplicities) -> list[tuple[Fraction, int]]:
-    """Pair each target with its multiplicity m, read as gap - (n-1) when not given."""
-    n = ode.order
-    locs = [as_fraction(q) for q in targets]
-    if len(set(locs)) != len(locs):
-        raise ValueError("targets must be distinct")
+    if targets is None:
+        ladder = [Fraction(i) for i in range(n - 1)]
+        locs = []
+        for root, _m in _leading_roots(ode)[0]:
+            sp = frobenius.classify_point(ode, root)
+            if sp.kind is PointKind.APPARENT:
+                exps = sorted(sp.exponents)
+                if exps[:-1] == ladder and exps[-1] >= n:
+                    locs.append(root)
+        if not locs:
+            raise NothingToRemoveError("no apparent singular points found")
+    else:
+        locs = [as_fraction(q) for q in targets]
+        if not locs:
+            raise NothingToRemoveError("empty target list")
+        if len(set(locs)) != len(locs):
+            raise ValueError("targets must be distinct")
     if multiplicities is not None:
         mults = [Fraction(m) for m in multiplicities]
         if len(mults) != len(locs):
@@ -258,8 +254,6 @@ def _validate_targets(ode: LinearODE, targets, multiplicities) -> list[tuple[Fra
         if any(m < 1 for m in mults):
             raise ValueError("multiplicities must be positive")
         return [(q, int(m)) for q, m in zip(locs, mults)]
-    from . import frobenius
-
     resolved = []
     for q in locs:
         sp = frobenius.classify_point(ode, q)
@@ -293,15 +287,15 @@ def undeform(
     The antecedent is back-substituted through deform's identities, and
     only the scale a of its trailing coefficient a M and the content
     multiplier c are solved for (see the module docstring).  Every
-    candidate deforms to make_ode(ode), so none is deformed: the first
-    is accepted when the input is canonical, and none when it is not.
+    candidate deforms to make_ode(ode), so none is deformed: an input
+    out of canonical form is refused with NotRemovable before the
+    search, and otherwise the first candidate is the antecedent.
 
     targets: distinct locations to remove; default is every finite apparent
     point whose exponents fit the derivative ladder {0..n-2, n-1+m}.
     multiplicities: positive integer root multiplicities of the
-    antecedent's trailing coefficient at the targets; for explicit
-    targets each defaults to the ladder's reading of the exponent gap,
-    m = gap - (n - 1).
+    antecedent's trailing coefficient at the targets; each defaults to
+    the ladder's reading of the exponent gap, m = gap - (n - 1).
     max_slack: highest degree tried for the content multiplier c (see
     the module docstring), lowest first; at least 0.
 
@@ -319,22 +313,20 @@ def undeform(
             raise TypeError(f"{name} must be a collection, not the string {value!r}")
     if max_slack < 0:
         raise ValueError(f"max_slack must be at least 0, got {max_slack}")
-    if targets is None:
-        inferred = _infer_targets(ode)
-        if not inferred:
-            raise NothingToRemoveError("no apparent singular points found")
-        if multiplicities is not None:
-            inferred = _validate_targets(ode, [q for q, _ in inferred], multiplicities)
-    else:
-        targets = list(targets)
-        if not targets:
-            raise NothingToRemoveError("empty target list")
-        inferred = _validate_targets(ode, targets, multiplicities)
+    resolved = _targets(ode, targets, multiplicities)
+    details = {"targets": ",".join(str(q) for q, _m in resolved), "max_slack": max_slack}
+    # every candidate deforms to make_ode(ode) (see the module docstring)
+    if make_ode(ode.coeffs) != ode:
+        raise NotRemovableError(
+            "the equation is not in canonical form, so no antecedent deforms "
+            "to it; canonicalize it with make_ode first",
+            **details,
+        )
 
     # integer lists (see the module docstring): with q = u/v, R = prod
     # (v z - u), M = prod (v z - u)^m and S = M' R / M
     r_ints, m_ints = [1], [1]
-    for q, m in inferred:
+    for q, m in resolved:
         lin = [-q.numerator, q.denominator]
         r_ints = _list_mul(r_ints, lin)
         for _ in range(m):
@@ -348,7 +340,7 @@ def undeform(
     # pseudo-division; column 1 + i lists the conditions on it (P_n, then
     # every remainder), column 0 is a on M; rows[k][r] is coefficient r of
     # condition k, and each slack level appends one entry to every row
-    chains, tried, canonical, lead = [], 0, None, r_ints[-1]
+    chains, tried, lead = [], 0, r_ints[-1]
     rows = [[[-v] for v in m_ints]] + [[] for _ in range(n + 1)]
     for slack in range(max_slack + 1):
         steps, p, scale = [], [], 1
@@ -368,33 +360,25 @@ def undeform(
                 row.append(entries[r] if r < len(entries) else 0)
             group.extend([0] * (slack + 1) + [v] for v in entries[len(group):])
 
-        # earlier levels' vectors come back zero-padded: try what this one adds
+        # earlier levels' vectors come back zero-padded, and a level adds at
+        # most one; a = 0 zeroes the trailing coefficient: no antecedent
         basis = _linalg.nullspace_basis([row for group in rows for row in group], slack + 2)
-        for vec in basis[tried:]:
-            if vec[0] == 0:  # a = 0 zeroes the trailing coefficient: no antecedent
-                continue
+        if len(basis) > tried and basis[-1][0] != 0:
+            vec = basis[-1]
             den = math.lcm(*[v.denominator for v in vec])
             w = [v.numerator * (den // v.denominator) for v in vec]
             accs = [[] for _ in range(n + 1)]  # P_n sums to w[0] M
             for wi, chain in zip(w[1:], chains):
                 for acc, ints in zip(accs, chain):
                     _list_addmul(acc, wi, ints)
-            candidate = make_ode([_from_ints(acc, _ONE) for acc in accs])
-            # every candidate deforms to make_ode(ode) (see the module docstring)
-            if canonical is None:
-                canonical = make_ode(ode.coeffs) == ode
-            if canonical:
-                return UndeformResult(
-                    ode=candidate,
-                    removed_points=tuple(sorted(q for q, _m in inferred)),
-                    free_parameters=0,
-                    solutions=(candidate,),
-                )
+            return UndeformResult(
+                ode=make_ode([_from_ints(acc, _ONE) for acc in accs]),
+                removed_points=tuple(sorted(q for q, _m in resolved)),
+            )
         tried = len(basis)
     raise NotRemovableError(
         "no antecedent within the degree bounds; removal may require "
         "specifying some parameters of the equation, and that search is "
         "not attempted",
-        targets=",".join(str(q) for q, _m in inferred),
-        max_slack=max_slack,
+        **details,
     )

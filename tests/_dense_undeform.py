@@ -5,26 +5,26 @@ the antecedent's P_0..P_{n-1} is an unknown (degree bounds read off the
 deform shape plus the slack), together with the scalar on
 M = prod (z - q)^m and the content multiplier c of degree <= slack.
 Equating deform-of-ansatz to c * input coefficient by coefficient gives
-one dense linear system per slack value.  It is kept only as an oracle
-for the differential test in ``test_undeform_reference.py``; target
-resolution is shared with the package, the solve is not.
+one dense linear system per slack value.  It returns every antecedent
+found at the lowest slack that has one, with the removed points.  It is
+kept only as an oracle for the differential test in
+``test_undeform_reference.py``; target resolution is shared with the
+package, the solve is not.
 """
 
 from fractions import Fraction
 
 from apparent import (
     ApparentError,
-    NothingToRemoveError,
     NotRemovableError,
     RatPoly,
-    UndeformResult,
     deform,
     exact_div,
     make_ode,
     radical,
 )
 from apparent._linalg import nullspace_basis
-from apparent.transform import _infer_targets, _validate_targets
+from apparent.transform import _targets
 
 
 def dense_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
@@ -33,19 +33,10 @@ def dense_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
         raise ValueError("inverse differentiation needs order >= 2")
     if max_slack < 0:
         raise ValueError(f"max_slack must be at least 0, got {max_slack}")
-    if targets is None:
-        inferred = _infer_targets(ode)
-        if not inferred:
-            raise NothingToRemoveError("no apparent singular points found")
-        if multiplicities is not None:
-            inferred = _validate_targets(ode, [q for q, _ in inferred], multiplicities)
-    else:
-        if not list(targets):
-            raise NothingToRemoveError("empty target list")
-        inferred = _validate_targets(ode, targets, multiplicities)
+    resolved = _targets(ode, targets, multiplicities)
 
     m_star = RatPoly([1])
-    for q, m in inferred:
+    for q, m in resolved:
         m_star = m_star * RatPoly([-q, 1]) ** m
     clearing = radical(m_star)
     s_poly = exact_div(m_star.derivative() * clearing, m_star)
@@ -107,16 +98,11 @@ def dense_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
             if candidate not in solutions and deform(candidate).ode == ode:
                 solutions.append(candidate)
         if solutions:
-            return UndeformResult(
-                ode=solutions[0],
-                removed_points=tuple(sorted(q for q, _m in inferred)),
-                free_parameters=len(solutions) - 1,
-                solutions=tuple(solutions),
-            )
+            return tuple(solutions), tuple(sorted(q for q, _m in resolved))
     raise NotRemovableError(
         "no antecedent within the degree bounds; removal may require "
         "specifying some parameters of the equation, and that search is "
         "not attempted",
-        targets=",".join(str(q) for q, _m in inferred),
+        targets=",".join(str(q) for q, _m in resolved),
         max_slack=max_slack,
     )

@@ -12,7 +12,6 @@ resolution is shared with the package, the slack loop is not.
 """
 
 from apparent import (
-    NothingToRemoveError,
     NotRemovableError,
     RatPoly,
     UndeformResult,
@@ -20,7 +19,7 @@ from apparent import (
     make_ode,
 )
 from apparent._linalg import nullspace_basis
-from apparent.transform import _cleared, _infer_targets, _validate_targets
+from apparent.transform import _cleared, _targets
 
 from _fraction_poly import divmod_
 
@@ -31,20 +30,10 @@ def ratpoly_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
         raise ValueError("inverse differentiation needs order >= 2")
     if max_slack < 0:
         raise ValueError(f"max_slack must be at least 0, got {max_slack}")
-    if targets is None:
-        inferred = _infer_targets(ode)
-        if not inferred:
-            raise NothingToRemoveError("no apparent singular points found")
-        if multiplicities is not None:
-            inferred = _validate_targets(ode, [q for q, _ in inferred], multiplicities)
-    else:
-        targets = list(targets)
-        if not targets:
-            raise NothingToRemoveError("empty target list")
-        inferred = _validate_targets(ode, targets, multiplicities)
+    resolved = _targets(ode, targets, multiplicities)
 
-    m_star = RatPoly.from_roots([q for q, m in inferred for _ in range(m)])
-    clearing = RatPoly.from_roots([q for q, _m in inferred])
+    m_star = RatPoly.from_roots([q for q, m in resolved for _ in range(m)])
+    clearing = RatPoly.from_roots([q for q, _m in resolved])
     s_poly = exact_div(m_star.derivative() * clearing, m_star)
     d_in = ode.coeffs
 
@@ -75,15 +64,10 @@ def ratpoly_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
             polys.append(vec[0] * m_star)
             candidate = make_ode(polys)
             if make_ode(_cleared(candidate)[0]) == ode:
-                return UndeformResult(
-                    ode=candidate,
-                    removed_points=tuple(sorted(q for q, _m in inferred)),
-                    free_parameters=0,
-                    solutions=(candidate,),
-                )
+                return UndeformResult(candidate, tuple(sorted(q for q, _m in resolved)))
         tried = len(basis)
     raise NotRemovableError(
         "no antecedent within the degree bounds",
-        targets=",".join(str(q) for q, _m in inferred),
+        targets=",".join(str(q) for q, _m in resolved),
         max_slack=max_slack,
     )

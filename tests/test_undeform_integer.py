@@ -3,8 +3,9 @@
 ``_ratpoly_undeform`` keeps the former loop: back-substitution by
 ``divmod`` over Q, the rows rebuilt at every slack level, and each
 candidate deformed to check it.  The package pseudo-divides integer
-lists, appends each level's column to the rows, and checks a candidate
-by asking once whether the input is canonical.  Both must agree on
+lists, appends each level's column to the rows, deforms no candidate,
+and refuses an input out of canonical form before the search.  Both
+must agree on
 every case: the antecedent and the removed points, or the class and
 details of the error.  Hypothesis draws the family, the seed handed to
 ``_gen``, the deform stage, how the targets are given, the slack and
@@ -61,7 +62,7 @@ def outcome(solve, ode, targets, multiplicities, max_slack):
         res = solve(ode, targets, multiplicities=multiplicities, max_slack=max_slack)
     except (ApparentError, ValueError) as exc:
         return type(exc), getattr(exc, "details", None)
-    return res.ode, res.removed_points, res.free_parameters, res.solutions
+    return res.ode, res.removed_points
 
 
 def assert_same(ode, targets=None, multiplicities=None, max_slack=1):
