@@ -24,7 +24,7 @@ from .polyrat import RatPoly, as_fraction, exact_div
 
 # NamedTuple forbids __new__ in its own body, so each record's fields sit
 # on a private base and the public class converts its inputs in __new__;
-# cli.cmd_heun reads a record's fields from the base's annotations
+# cli._heun.cmd_heun reads a record's fields from the base's annotations
 
 
 class _HeunFields(NamedTuple):

@@ -1,9 +1,10 @@
 """Equation data model and global singularity analysis.
 
 A LinearODE is the operator sum_{k=0..n} P_k(z) w^{(n-k)} applied to w,
-held in canonical form so that "equal up to a nonzero constant factor"
-collapses to plain equality: the coefficients share no common polynomial
-factor and the leading coefficient polynomial P_0 is monic.
+canonical by construction: its constructor divides out the common
+polynomial factor of the coefficients and scales the leading coefficient
+polynomial P_0 monic, so no equation out of canonical form exists and
+"equal up to a nonzero constant or polynomial factor" is plain equality.
 
 The point at infinity is always analyzed through the pullback z = 1/zeta
 rather than by separate degree-counting rules: one code path, one set of
@@ -76,14 +77,35 @@ class PointKind(str, Enum):
 
 
 class LinearODE:
-    """Canonical-form linear ODE sum P_k(z) w^{(n-k)} = 0.
+    """Linear ODE sum P_k(z) w^{(n-k)} = 0, canonical by construction.
 
-    coeffs: (P_0, ..., P_n) with P_0 nonzero and monic, no common
-    polynomial factor among all coefficients.  Immutable: equality and
-    hashing go by coeffs alone.
+    LinearODE(coeffs) takes P_0, ..., P_n (RatPolys or coefficient
+    lists; n >= 1, P_0 nonzero) and keeps them as coeffs in canonical
+    form: their common polynomial factor divided out, then scaled so
+    that P_0 is monic.  Immutable: equality and hashing go by coeffs
+    alone.
     """
 
-    def __init__(self, coeffs: tuple[RatPoly, ...]):
+    def __init__(self, coeffs):
+        polys = [c if isinstance(c, RatPoly) else RatPoly(c) for c in coeffs]
+        if len(polys) < 2:
+            raise NotAnODEError("an ODE needs at least two coefficient polynomials")
+        if polys[0].is_zero:
+            raise DegenerateLeadingError("leading coefficient polynomial is zero")
+        # P_k = s_k I_k with I_k integer and primitive; the gcd G of the
+        # I_k is the common factor, and P_k / G over the leading coefficient
+        # of P_0 / G is s_k (I_k / G) / (s_0 lead(I_0 / G))
+        prims = [p._form for p in polys]
+        g = prims[0][0]
+        for ints, _scale in prims[1:]:
+            if len(g) == 1:
+                break
+            if ints:
+                g = _int_gcd(g, ints)
+        if len(g) > 1:
+            prims = [(_int_divexact(ints, g), scale) for ints, scale in prims]
+        lead = prims[0][1] * prims[0][0][-1]
+        coeffs = tuple(_scaled(ints, scale / lead) for ints, scale in prims)
         object.__setattr__(self, "coeffs", coeffs)
         # point (Fraction or INFINITY) -> frobenius._LocalData; _LEADING_ROOTS -> roots of P_0;
         # _CLEARING -> the clearing factor of the deform that made this equation
@@ -216,30 +238,11 @@ class FuchsReport(NamedTuple):
 
 
 def make_ode(coeffs) -> LinearODE:
-    """Validate and canonicalize a coefficient list [P_0 .. P_n].
+    """The canonical equation of a coefficient list [P_0 .. P_n].
 
-    Canonical form: divide out the common polynomial factor of all
-    coefficients, then scale so P_0 is monic.
+    The same as LinearODE(coeffs), which validates and canonicalizes.
     """
-    polys = [c if isinstance(c, RatPoly) else RatPoly(c) for c in coeffs]
-    if len(polys) < 2:
-        raise NotAnODEError("an ODE needs at least two coefficient polynomials")
-    if polys[0].is_zero:
-        raise DegenerateLeadingError("leading coefficient polynomial is zero")
-    # P_k = s_k I_k with I_k integer and primitive; the gcd G of the
-    # I_k is the common factor, and P_k / G over the leading coefficient
-    # of P_0 / G is s_k (I_k / G) / (s_0 lead(I_0 / G))
-    prims = [p._form for p in polys]
-    g = prims[0][0]
-    for ints, _scale in prims[1:]:
-        if len(g) == 1:
-            break
-        if ints:
-            g = _int_gcd(g, ints)
-    if len(g) > 1:
-        prims = [(_int_divexact(ints, g), scale) for ints, scale in prims]
-    lead = prims[0][1] * prims[0][0][-1]
-    return LinearODE(tuple(_scaled(ints, scale / lead) for ints, scale in prims))
+    return LinearODE(coeffs)
 
 
 _LEADING_ROOTS = "leading roots"

@@ -65,10 +65,8 @@ canonical form of the raw coefficients Q(P), and Q(g P) = g Q(P) for
 every nonzero polynomial g, so deform ignores a polynomial factor of its
 input, such as the content make_ode divides out of a candidate.  As
 R Q(P) = c D for the assembled P, every candidate deforms to
-make_ode(D): it is an antecedent exactly when the input is canonical.
-So undeform tests that once, before the search, and refuses an input
-out of canonical form; within the search the first candidate is the
-antecedent.
+make_ode(D), which is D, as every equation is canonical: the first
+candidate is the antecedent.
 """
 
 from __future__ import annotations
@@ -147,7 +145,7 @@ def deform(ode: LinearODE) -> DeformResult:
             "coefficient of the undifferentiated unknown is zero; "
             "the equation is already a derivative"
         )
-    polys, clearing = _cleared(ode)
+    polys, clearing = _cleared(ode.coeffs)
     quotients = _quotients(polys, ode._memo.get(_CLEARING))
     out = make_ode(polys if quotients is None else quotients)
     out._memo[_CLEARING] = clearing
@@ -156,15 +154,15 @@ def deform(ode: LinearODE) -> DeformResult:
     return DeformResult(ode=out, new_apparent=created, clearing_factor=clearing)
 
 
-def _cleared(ode: LinearODE) -> tuple[list[RatPoly], RatPoly]:
-    """O_0, ..., O_n up to one nonzero constant, and R = radical(P_n).
+def _cleared(coeffs: tuple[RatPoly, ...]) -> tuple[list[RatPoly], RatPoly]:
+    """O_0, ..., O_n of the coefficients P_0, ..., P_n up to one nonzero
+    constant, and R = radical(P_n).
 
     The P_j are put over the common unit of their contents and R, S
     over theirs, so O_0 = R P_0 and O_j = R (P_j + P_{j-1}') - S P_{j-1}
     are built by integer list products.  The dropped constant is one
     for all O_j, which make_ode's canonical form does not see.
     """
-    coeffs = ode.coeffs
     trailing = coeffs[-1]
     clearing = radical(trailing)
     s_poly = exact_div(trailing.derivative() * clearing, trailing)
@@ -287,9 +285,8 @@ def undeform(
     The antecedent is back-substituted through deform's identities, and
     only the scale a of its trailing coefficient a M and the content
     multiplier c are solved for (see the module docstring).  Every
-    candidate deforms to make_ode(ode), so none is deformed: an input
-    out of canonical form is refused with NotRemovable before the
-    search, and otherwise the first candidate is the antecedent.
+    candidate deforms to ode, which is canonical, so none is deformed:
+    the first candidate is the antecedent.
 
     targets: distinct locations to remove; default is every finite apparent
     point whose exponents fit the derivative ladder {0..n-2, n-1+m}.
@@ -314,14 +311,6 @@ def undeform(
     if max_slack < 0:
         raise ValueError(f"max_slack must be at least 0, got {max_slack}")
     resolved = _targets(ode, targets, multiplicities)
-    details = {"targets": ",".join(str(q) for q, _m in resolved), "max_slack": max_slack}
-    # every candidate deforms to make_ode(ode) (see the module docstring)
-    if make_ode(ode.coeffs) != ode:
-        raise NotRemovableError(
-            "the equation is not in canonical form, so no antecedent deforms "
-            "to it; canonicalize it with make_ode first",
-            **details,
-        )
 
     # integer lists (see the module docstring): with q = u/v, R = prod
     # (v z - u), M = prod (v z - u)^m and S = M' R / M
@@ -380,5 +369,6 @@ def undeform(
         "no antecedent within the degree bounds; removal may require "
         "specifying some parameters of the equation, and that search is "
         "not attempted",
-        **details,
+        targets=",".join(str(q) for q, _m in resolved),
+        max_slack=max_slack,
     )

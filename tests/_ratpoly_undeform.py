@@ -63,7 +63,7 @@ def ratpoly_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
             polys = [sum((c * ch[j] for c, ch in zip(vec[1:], chains)), RatPoly()) for j in range(n)]
             polys.append(vec[0] * m_star)
             candidate = make_ode(polys)
-            if make_ode(_cleared(candidate)[0]) == ode:
+            if make_ode(_cleared(candidate.coeffs)[0]) == ode:
                 return UndeformResult(candidate, tuple(sorted(q for q, _m in resolved)))
         tried = len(basis)
     raise NotRemovableError(

@@ -59,11 +59,29 @@ def test_canonical_form_strips_common_factor():
     assert ode.coeffs == (a, b, c)
 
 
-def test_make_ode_rejects_degenerate_input():
+@pytest.mark.parametrize("build", [make_ode, LinearODE], ids=["make_ode", "LinearODE"])
+def test_make_ode_rejects_degenerate_input(build):
     with pytest.raises(DegenerateLeadingError):
-        make_ode([[0], [1]])
+        build([[0], [1]])
+    with pytest.raises(DegenerateLeadingError):
+        build((RatPoly(), RatPoly([1]), RatPoly([0, 1])))
     with pytest.raises(NotAnODEError):
-        make_ode([[1]])
+        build([[1]])
+    with pytest.raises(NotAnODEError):
+        build(())
+
+
+def test_constructor_canonicalizes_like_make_ode():
+    # no LinearODE out of canonical form exists: the constructor divides
+    # out a constant and a common polynomial factor as make_ode does
+    coeffs = [[0, -1, 1], [3, 2], [7]]
+    ode = make_ode(coeffs)
+    assert LinearODE(coeffs) == ode
+    for factor in (RatPoly([2]), RatPoly([-5, 1])):
+        scaled = tuple(factor * RatPoly(c) for c in coeffs)
+        assert LinearODE(scaled) == make_ode(scaled) == ode
+    assert LinearODE([[2], [0], [2]]) == make_ode([[1], [0], [1]])
+    assert not LinearODE([[1], [0], [1]]).degree_convention
 
 
 def test_degree_convention_flag():

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apparent import (
-    LinearODE,
     PointKind,
     RatPoly,
     classify_point,
@@ -29,6 +28,7 @@ from apparent import (
     third_order_example,
     undeform,
 )
+from apparent.transform import _cleared
 
 from _gen import (
     TWO_STAGE_PARAMS,
@@ -94,9 +94,10 @@ def test_canonical_form_ignores_scale_and_common_factor(family, seed, deformed, 
     assert make_ode([scale * factor * p for p in ode.coeffs]) == ode
     # so is deform's output: the raw coefficients of g P are g times
     # those of P, also where g shares roots with the trailing coefficient
-    # (this is why undeform need not deform a candidate that lost content)
+    # (this is why undeform need not deform a candidate that lost content);
+    # _cleared takes the coefficients, since a LinearODE strips g
     for g in (scale * factor, factor * ode.coeffs[-1]):
-        assert deform(LinearODE(tuple(g * p for p in ode.coeffs))).ode == deform(ode).ode
+        assert make_ode(_cleared(tuple(g * p for p in ode.coeffs))[0]) == deform(ode).ode
 
 
 def assert_created_points_on_ladder(ode, stages=2):

@@ -281,6 +281,19 @@ def _two_stage(stage):
     return deform_iter(general_heun(TWO_STAGE_PARAMS), 2)[stage].ode
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name in the returned one-entry list."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "build, targets, mults, levels",
     [
@@ -300,21 +313,14 @@ def test_undeform_deforms_at_most_once_per_slack_level(monkeypatch, build, targe
     # no candidate is deformed, not even one that lost content: deform's
     # output ignores a polynomial factor of its input
     ode = build()
-    counts = {"nullspace_basis": 0, "_cleared": 0}
-    for owner, name in ((_linalg, "nullspace_basis"), (transform, "_cleared")):
-        real = getattr(owner, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
+    solves = _count_calls(monkeypatch, _linalg, "nullspace_basis")
+    deforms = _count_calls(monkeypatch, transform, "_cleared")
     try:
         res = undeform(ode, targets, multiplicities=mults, max_slack=3)
     except NotRemovableError:
         res = None
-    assert counts["nullspace_basis"] == levels  # one system per slack level tried
-    assert counts["_cleared"] == 0
+    assert solves == [levels]  # one system per slack level tried
+    assert deforms == [0]
     if res is not None:
         assert deform(res.ode).ode == ode
 
@@ -329,24 +335,26 @@ def test_undeform_accepts_a_candidate_that_lost_content():
     assert deform(res.ode).ode == ode
 
 
-def test_undeform_refuses_an_input_out_of_canonical_form(monkeypatch):
-    # no antecedent deforms to an equation out of canonical form, even
-    # one whose canonical form inverts, so no slack level is solved
+def test_undeform_of_a_scaled_input_is_undeform_of_the_input(monkeypatch):
+    # LinearODE canonicalizes: the coefficients times a constant or a
+    # polynomial build the input itself, which inverts at the same level
     d = deform(general_heun(heun_params(random.Random(1)))).ode
-    assert deform(undeform(d).ode).ode == d
-    calls = 0
-    real = _linalg.nullspace_basis
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(_linalg, "nullspace_basis", counted)
+    calls = _count_calls(monkeypatch, _linalg, "nullspace_basis")
+    expected = undeform(d, max_slack=3)
+    assert deform(expected.ode).ode == d
+    levels = calls[0]
     for factor in (RatPoly([2]), RatPoly([-5, 1])):
         scaled = LinearODE(tuple(factor * p for p in d.coeffs))
-        assert make_ode(scaled.coeffs) == d
-        with pytest.raises(NotRemovableError, match="not in canonical form") as exc:
-            undeform(scaled, max_slack=3)
-        assert set(exc.value.details) == {"targets", "max_slack"}
-    assert calls == 0
+        assert scaled == d
+        calls[0] = 0
+        assert undeform(scaled, max_slack=3) == expected
+        assert calls[0] == levels
+
+
+def test_undeform_makes_only_the_antecedent(monkeypatch):
+    # the input is canonical by construction, so undeform does not take
+    # the gcd of its coefficients again: make_ode runs once, on the result
+    d = deform(general_heun(heun_params(random.Random(1)))).ode
+    calls = _count_calls(monkeypatch, transform, "make_ode")
+    undeform(d)
+    assert calls == [1]
