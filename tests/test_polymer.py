@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -503,7 +505,7 @@ def test_sampled_second_derivative_matches_exact_series(b, nu, n_terms):
 
 def test_refinement_on_the_raw_wronskian():
     # the raw Wronskian is nearly linear in nu where the normalized one
-    # saturates, so Illinois needs few steps; eigenvalues as before
+    # saturates, so the refinement needs few steps; eigenvalues as before
     p = PolymerParams(b=F(100), W=F(1, 4))
     res = solve_spectrum(p, F(1), F(60))
     assert res.evaluations <= 36
@@ -516,6 +518,89 @@ def test_refinement_on_the_raw_wronskian():
         precision_bits=128, series_order=120, grid_points=48,
     )
     assert res.eigenvalues == pytest.approx((7.157674591943363, 20.090909620154598), rel=1e-10)
+
+
+# the bench solves of perfbench/workloads.py and five wider windows:
+# samples and eigenvalues as the Illinois refinement left them, which
+# the scan must reproduce byte for byte and the refinement to 1e-12,
+# and the most evaluations each solve may take
+PINNED_SOLVES = json.loads((Path(__file__).with_name("data") / "polymer_solves.json").read_text())
+
+
+@pytest.mark.parametrize("solve", PINNED_SOLVES,
+                         ids=[f"b{s['b']}-W{s['W']}-{s['nu_min']}..{s['nu_max']}" for s in PINNED_SOLVES])
+def test_pinned_solves_keep_their_scan_and_eigenvalues(solve):
+    p = PolymerParams(b=F(solve["b"]), W=F(solve["W"]))
+    res = solve_spectrum(p, F(solve["nu_min"]), F(solve["nu_max"]), solve["count"],
+                         **solve["options"])
+    assert res.evaluations <= solve["evaluations"]
+    assert res.wronskian_samples == tuple(map(tuple, solve["wronskian_samples"]))
+    assert res.eigenvalues == pytest.approx(solve["eigenvalues"], rel=1e-12, abs=0)
+
+
+def _refined(f, lo, hi, most):
+    """polymer._refine on f from the bracket [lo, hi], in at most `most`
+    evaluations.  Every point it evaluates must lie strictly inside the
+    bracket the evaluations before it left.  Returns the root and the
+    final bracket as (x, f(x)) pairs."""
+    bracket = [(lo, f(lo)), (hi, f(hi))]
+    points = []
+
+    def evaluate(x):
+        (a, fa), (b, _) = bracket
+        assert a < x < b
+        points.append(x)
+        assert len(points) <= most
+        fx = f(x)
+        bracket[0 if (fx < 0) == (fa < 0) else 1] = (x, fx)
+        return fx
+
+    return polymer._refine(evaluate, *bracket[0], *bracket[1]), bracket
+
+
+def _linear(r):
+    return lambda x: r.denominator * x - r.numerator
+
+
+def _convex(r):
+    return lambda x: (r.denominator * x - r.numerator) * (x * x + 1)
+
+
+def _flat_left(r, width):
+    # e^(k (x - r)) - 1 with k = 300 / width: about -1 and flat left of
+    # the root, up to e^300 right of it
+    k = Decimal(300) / (r.denominator * width)
+    return lambda x: (k * (r.denominator * x - r.numerator)).exp() - 1
+
+
+@pytest.mark.parametrize("r", [F(273, 10), F(-1425, 8), F(3, 10**7), F(1, 3), F(-200, 7)])
+@pytest.mark.parametrize("kind", ["linear", "convex", "flat"])
+@pytest.mark.parametrize("widths, left", [(10, F(3, 10)), (1000, F(9, 10)), (10**6, F(1, 100)),
+                                          (10**6, 1 - F(1, 10**7)), (10**6, F(1, 10**7))])
+def test_refinement_closes_a_bracket_around_the_root(r, kind, widths, left):
+    # a bracket `widths` tolerances wide with the root `left` of the way
+    # across it; tol is the refinement's own, 1e-10 relative above
+    # |nu| = 1e-6 and 1e-16 absolute below.  On a smooth f the refinement
+    # takes no more evaluations than bisection; on the flat one its
+    # bracket still halves at least once in every four
+    halvings = math.ceil(math.log2(widths))
+    most = 4 * (halvings + 1) if kind == "flat" else halvings
+    with localcontext() as ctx:
+        # the solver's 20 digits, for f as well
+        ctx.prec = polymer._TAIL_DIGITS
+        exact = Decimal(r.numerator) / r.denominator
+        tol = polymer._RTOL * max(abs(exact), polymer._NU_FLOOR)
+        lo = exact - Decimal(left.numerator) / left.denominator * widths * tol
+        hi = lo + widths * tol
+        f = {"linear": _linear(r), "convex": _convex(r), "flat": _flat_left(r, hi - lo)}[kind]
+        root, ((a, fa), (b, fb)) = _refined(f, lo, hi, most)
+        if f(root) != 0:
+            # a sign change no wider than tol brackets the result
+            assert (fa < 0) != (fb < 0)
+            assert a <= root <= b and b - a <= tol
+    assert abs(F(root) - r) <= tol
+    if kind == "linear" and F(exact) == r:
+        assert F(root) == r
 
 
 def test_numbers_of_every_kind_are_accepted():
