@@ -8,8 +8,10 @@ trial nu places one movable apparent-looking point q(nu); at an actual
 eigenvalue the two recessive local branches glue smoothly and the
 Wronskian mismatch at the matching point vanishes.
 
-Sweeping the stretching strength W toward the transition value 1/2
-makes T_rel grow: the chain takes longer and longer to relax.
+Sweeping the stretching strength W from 1/4 to 9/20, toward the
+transition value 1/2, makes T_rel grow: the chain takes longer and
+longer to relax.  Closer to 1/2 the smallest positive eigenvalue rises
+again (see the apparent.polymer docstring), so the sweep stops there.
 """
 
 from fractions import Fraction as F

@@ -2,9 +2,8 @@
 bases.  Matrices are lists of equal-length rows of ints or Fractions.
 Each row is cleared to integers by the lcm of its denominators and
 eliminated fraction-free (Gauss-Jordan, each updated row divided by its
-content), so Fractions are built only for the results: undeform's 65
-systems up to slack 64 (66 columns) take about 0.6 s together.  Pivots
-are the first nonzero entry in column order: results are deterministic."""
+content), so Fractions are built only for the results.  Pivots are the
+first nonzero entry in column order: results are deterministic."""
 
 from __future__ import annotations
 

@@ -11,9 +11,8 @@ from . import UsageError, ode_json, poly_json
 # The apparency verdict at a point sums its Frobenius series up to the
 # largest exponent E there when every exponent is a nonnegative integer,
 # and that cost grows with E, not with the length of the input: about as
-# E^2, with E = 4,000 about 0.35 s and E = 10,000 about 2.4 s on the
-# third-order family.  The command line refuses a larger integer exponent
-# before any verdict runs; the library takes any.
+# E^2 (README times it).  The command line refuses a larger integer
+# exponent before any verdict runs; the library takes any.
 _MAX_INTEGER_EXPONENT = 4000
 
 

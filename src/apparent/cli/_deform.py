@@ -6,9 +6,8 @@ from .. import transform
 from . import ode_json, parse_int, parse_ode, poly_json, read_json_input, report
 
 # The command line caps the stages, whose cost input length does not
-# bound; the library takes any count.  The coefficients keep growing: on
-# 2 cores, 32 stages take about 0.2 s, 40 about 0.3 s, 64 about 1.6 s and
-# 80 about 4.4 s.
+# bound; the library takes any count.  The coefficients keep growing,
+# and the cost of a stage with them (README times it).
 _MAX_ITERATIONS = 32
 
 

@@ -10,7 +10,7 @@ from . import UsageError, parse_frac, parse_int, report
 
 # The command line caps the grid, whose cost input length does not
 # bound; the library takes any.  A window with no eigenvalue scans every
-# grid point: 4096 take 0.5-1 s on 2 cores.
+# grid point (README times it).
 _MAX_GRID_POINTS = 4096
 
 

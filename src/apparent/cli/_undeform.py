@@ -8,8 +8,7 @@ from ._analysis import check_exponents, finite_candidates
 
 # The command line caps the slack, whose cost input length does not
 # bound; the library takes any.  The slack loop grows a little faster
-# than slack^3, mostly in the elimination: on 2 cores, 16 take about
-# 0.007 s, 32 0.03-0.06 s, 48 0.13-0.25 s and 64 0.4-0.7 s.
+# than slack^3, nearly all of it in the elimination (README times it).
 _MAX_SLACK = 32
 
 

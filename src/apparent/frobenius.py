@@ -30,8 +30,8 @@ deform creates; the table, n + 1 Taylor shifts, only for a series or at
 a multiple root; the series on integers, with Fractions built only for
 frobenius_series.  The verdict at a point whose exponents are distinct
 nonnegative integers sums the recurrence up to the largest, E, on
-integers of about E log E bits, so its cost grows about as E^2
-(third_order_example at theta2 = 799: 0.02 s; at 9999: about 2.4 s).
+integers of about E log E bits, so its cost grows about as E^2 (README
+times it under the command line's caps).
 """
 
 from __future__ import annotations

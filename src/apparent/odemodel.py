@@ -34,11 +34,11 @@ from .errors import (
 )
 from .polyrat import (
     RatPoly,
+    _common_ints,
     _from_ints,
     _int_divexact,
     _int_gcd,
     _list_addmul,
-    _over_common_unit,
     _rational_roots,
     _scaled,
     as_fraction,
@@ -328,11 +328,11 @@ def _inverted(polys) -> list[RatPoly]:
     """
     n = len(polys) - 1
     big_d = max(p.degree for p in polys)
-    unit, mults = _over_common_unit([p._form[1] for p in polys])
+    unit, lists = _common_ints(polys)
     out = [[0] * (big_d + n + j + 1) for j in range(n, -1, -1)]  # out[n - j]: d^j/dzeta^j
-    for k, (p, mult) in enumerate(zip(polys, mults)):
+    for k, (p, ints) in enumerate(zip(polys, lists)):
         m = n - k
-        rev = [x * mult for x in reversed(p._form[0])]
+        rev = ints[::-1]
         for j in range(min(m, 1), m + 1):
             lah = (-1) ** m * math.comb(m - 1, j - 1) * math.perm(m, m - j) if m else 1
             acc = out[n - j]
@@ -368,8 +368,7 @@ def _recurrence(coeffs: tuple[RatPoly, ...], point: Fraction):
     spans = [(t.valuation() + k, t.degree + k) for k, t in enumerate(shifted) if not t.is_zero]
     j0, jmax = min(lo for lo, _hi in spans), max(hi for _lo, hi in spans)
     stirling = _stirling_rows(n)
-    unit, mults = _over_common_unit([t._form[1] for t in shifted])
-    tables = [[v * mult for v in t._form[0]] for t, mult in zip(shifted, mults)]
+    unit, tables = _common_ints(shifted)
     rows = []
     for j in range(j0, jmax + 1):
         acc = [0] * (n + 1)

@@ -6,12 +6,12 @@ trailing zeros trimmed and the sign in the last entry (the layout of
 the classical integer algorithms, Gauss's lemma: von zur Gathen &
 Gerhard, *Modern Computer Algebra*, 3rd ed., ch. 6).  The zero
 polynomial is the empty list with content 0.  The ``Fraction``
-coefficients are a view, built on first read and cached.  Degrees in
-this package stay small (typically below ten), so products are
-schoolbook.  Coefficient sizes do not stay small: each ``deform`` stage
-adds about ten bits, and every operation runs on the integer form: a
-product multiplies the primitive parts and the contents and needs no
-gcd; a sum, derivative, evaluation, Taylor shift or division takes one.
+coefficients are a view, built on each read.  Products are schoolbook,
+although degrees grow: after k ``deform`` stages P_0 of a general Heun
+equation has degree k + 3.  Coefficient sizes grow too, by tens of bits
+a stage, and every operation runs on the integer form: a product
+multiplies the primitive parts and the contents and needs no gcd; a
+sum, derivative, evaluation, Taylor shift or division takes one.
 The Taylor shift is the integer shift by 1 of von zur Gathen & Gerhard
 (ISSAC 1997), division is pseudo-division over Z (Knuth, TAOCP vol. 2,
 4.6.1, Algorithm R), the gcd is the heuristic GCDHEU of Char, Geddes &
@@ -54,22 +54,18 @@ class RatPoly:
     The one state is ``_form`` = (ints, content), self = content *
     RatPoly(ints): ints primitive with the sign in its nonzero last
     entry, content > 0, and ([], 0) for zero.  It is canonical, so
-    equality compares forms; ``coeffs`` is a view of it.
+    equality compares forms; ``coeffs`` builds a view of it on each read.
     """
 
-    __slots__ = ("_form", "_coeffs")
+    __slots__ = ("_form",)
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (str, bytes)):
             raise TypeError("RatPoly takes a coefficient sequence, not a string")
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         den = math.lcm(*[c.denominator for c in cs])
-        ints = [c.numerator * (den // c.denominator) for c in cs]
-        g = math.gcd(*ints)
-        object.__setattr__(self, "_form", ([v // g for v in ints], Fraction(g, den)))
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        ints, g = _primitive([c.numerator * (den // c.denominator) for c in cs])
+        object.__setattr__(self, "_form", (ints, Fraction(g, den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -80,15 +76,10 @@ class RatPoly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients, ascending, trailing zeros trimmed; built from
-        the integer form on first read."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            ints, content = self._form
-            num, den = content.numerator, content.denominator
-            cs = tuple([Fraction(v * num, den) for v in ints])
-            object.__setattr__(self, "_coeffs", cs)
-            return cs
+        the integer form on each read."""
+        ints, content = self._form
+        num, den = content.numerator, content.denominator
+        return tuple([Fraction(v * num, den) for v in ints])
 
     # -- constructors ------------------------------------------------
 
@@ -131,7 +122,8 @@ class RatPoly:
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of z^i (zero outside the stored range)."""
-        return self.coeffs[i] if 0 <= i <= self.degree else Fraction(0)
+        ints, content = self._form
+        return ints[i] * content if 0 <= i < len(ints) else Fraction(0)
 
     def valuation(self) -> int:
         """Order of vanishing at z = 0; raises on the zero polynomial."""
@@ -167,26 +159,23 @@ class RatPoly:
             return RatPoly.constant(other)
         return None
 
-    def _add(self, q: "RatPoly", sign: int) -> "RatPoly":
-        """self + sign * q: both contents over their common unit, one
+    def _add(self, q: "RatPoly") -> "RatPoly":
+        """self + q: both integer lists over their common unit, one
         integer sum, one gcd."""
-        (a, ca), (b, cb) = self._form, q._form
-        if not b:  # 0 + 0 has no common unit
+        if not q._form[0]:  # 0 + 0 has no common unit
             return self
-        unit, (ma, mb) = _over_common_unit((ca, cb))
-        mb *= sign
+        unit, (a, b) = _common_ints((self, q))
         if len(a) < len(b):
-            a, ma, b, mb = b, mb, a, ma
-        s = [x * ma for x in a]
+            a, b = b, a
         for i, y in enumerate(b):
-            s[i] += y * mb
-        return _from_ints(s, unit)
+            a[i] += y
+        return _from_ints(a, unit)
 
     def __add__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self._add(q, 1)
+        return self._add(q)
 
     __radd__ = __add__
 
@@ -198,13 +187,13 @@ class RatPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self._add(q, -1)
+        return self._add(-q)
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return q._add(self, -1)
+        return q._add(-self)
 
     def __mul__(self, other):
         """Product of the primitive parts, which is primitive (Gauss's
@@ -302,8 +291,9 @@ class RatPoly:
         if self.is_zero:
             return "0"
         parts = []
+        cs = self.coeffs
         for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
+            c = cs[i]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -322,9 +312,6 @@ class RatPoly:
 
     def __repr__(self):
         return f"RatPoly({self.pretty()})"
-
-
-ONE = RatPoly([1])
 
 
 def _taylor_shift(f: list[int], content: Fraction, a: Fraction) -> RatPoly:
@@ -391,13 +378,19 @@ def _scaled(ints: list[int], scale: Fraction) -> RatPoly:
     return p
 
 
-def _from_ints(ints: list[int], scale: Fraction) -> RatPoly:
-    """scale * RatPoly(ints) for any integer list and a nonzero scale:
-    trims ints in place and divides out its gcd."""
+def _primitive(ints: list[int]) -> tuple[list[int], int]:
+    """ints, trimmed in place, over its gcd g, and g: the primitive part
+    with the sign of the last entry, and the content (([], 0) for zero)."""
     while ints and not ints[-1]:
         ints.pop()
     g = math.gcd(*ints)
-    return _scaled([v // g for v in ints], scale * g)
+    return [v // g for v in ints], g
+
+
+def _from_ints(ints: list[int], scale: Fraction) -> RatPoly:
+    """scale * RatPoly(ints) for any integer list and a nonzero scale."""
+    ints, g = _primitive(ints)
+    return _scaled(ints, scale * g)
 
 
 def _monic(ints: list[int]) -> RatPoly:
@@ -405,12 +398,21 @@ def _monic(ints: list[int]) -> RatPoly:
     return _scaled(ints, Fraction(1, ints[-1]))
 
 
-def _over_common_unit(contents) -> tuple[Fraction, list[int]]:
-    """The unit u = gcd(numerators) / lcm(denominators) of contents >= 0,
-    not all zero, and the integers c / u; u is in lowest terms."""
-    g = math.gcd(*[c.numerator for c in contents])
-    den = math.lcm(*[c.denominator for c in contents])
-    return Fraction(g, den), [c.numerator // g * (den // c.denominator) for c in contents]
+ONE = RatPoly([1])
+
+
+def _common_ints(polys) -> tuple[Fraction, list[list[int]]]:
+    """u, lists with polys[i] = u * RatPoly(lists[i]), for polys not all
+    zero: u = gcd(numerators) / lcm(denominators) of their contents, in
+    lowest terms, so the lists are integral."""
+    forms = [p._form for p in polys]
+    g = math.gcd(*[c.numerator for _ints, c in forms])
+    den = math.lcm(*[c.denominator for _ints, c in forms])
+    lists = []
+    for ints, c in forms:
+        m = c.numerator // g * (den // c.denominator)
+        lists.append([v * m for v in ints])
+    return Fraction(g, den), lists
 
 
 def _int_divexact(a: list[int], b: list[int]) -> list[int] | None:

@@ -92,11 +92,11 @@ from .odemodel import (
 )
 from .polyrat import (
     RatPoly,
+    _common_ints,
     _from_ints,
     _int_divexact,
     _list_addmul,
     _list_mul,
-    _over_common_unit,
     _pseudo_divmod,
     _scaled,
     as_fraction,
@@ -166,11 +166,8 @@ def _cleared(coeffs: tuple[RatPoly, ...]) -> tuple[list[RatPoly], RatPoly]:
     trailing = coeffs[-1]
     clearing = radical(trailing)
     s_poly = exact_div(trailing.derivative() * clearing, trailing)
-    _, mults = _over_common_unit([p._form[1] for p in coeffs])
-    p_ints = [[v * m for v in p._form[0]] for p, m in zip(coeffs, mults)]
-    _, (mr, ms) = _over_common_unit([clearing._form[1], s_poly._form[1]])
-    r_ints = [v * mr for v in clearing._form[0]]
-    s_ints = [v * ms for v in s_poly._form[0]]
+    _, p_ints = _common_ints(coeffs)
+    _, (r_ints, s_ints) = _common_ints((clearing, s_poly))
     lists = [_list_mul(r_ints, p_ints[0])]
     for prev, cur in zip(p_ints, p_ints[1:]):
         acc = list(cur)
@@ -321,8 +318,7 @@ def undeform(
         for _ in range(m):
             m_ints = _list_mul(m_ints, lin)
     s_ints = _int_divexact(_list_mul([i * v for i, v in enumerate(m_ints)][1:], r_ints), m_ints)
-    _, units = _over_common_unit([c._form[1] for c in ode.coeffs])
-    d_ints = [[v * u for v in c._form[0]] for c, u in zip(ode.coeffs, units)]
+    _, d_ints = _common_ints(ode.coeffs)
     from . import _linalg
 
     # chains[i][j] is P_j for c = z^i, over the scale of the last

@@ -247,6 +247,18 @@ def test_criterion_09_spectrum_matches_discretization_oracle():
     assert time.monotonic() - start <= 60.0
 
 
+def test_relaxation_time_falls_again_close_to_the_transition():
+    # nu_1 at W = 49/100 is pinned to the oracle like criterion 9, and
+    # T_rel there is below its value at 9/20: it does not grow all the
+    # way to W = 1/2
+    b = F(100)
+    near, before = (solve_spectrum(PolymerParams(b=b, W=W), F(1), F(60), count=1)
+                    for W in (F(49, 100), F(9, 20)))
+    reference = oracle_nu1(float(b), 0.49)
+    assert abs(near.eigenvalues[0] - reference) / reference <= 1e-6
+    assert near.t_rel < before.t_rel
+
+
 def test_criterion_10_degenerate_trailing_creates_nothing():
     rng = random.Random(110)
     # constant trailing coefficient: differentiation adds no singularity

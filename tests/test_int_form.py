@@ -1,12 +1,13 @@
 """``RatPoly``'s integer form against the ``Fraction`` oracle of ``_fraction_poly``.
 
 The integer form (content x primitive integer list) is a ``RatPoly``'s
-only state and ``coeffs`` a view of it.  Every operation must give the
-coefficients the ``Fraction`` arithmetic gives, and every polynomial it
-returns must carry a valid form: content > 0, gcd of the integer list 1,
-a nonzero last entry, and content times the list equal to ``coeffs``.
-Its equality and hash must not depend on whether the view has been
-read, and must agree with those of the polynomial rebuilt from the view.
+only state; ``coeffs`` builds a view of it on each read, and ``coeff``
+reads one entry.  Every operation must give the coefficients the
+``Fraction`` arithmetic gives, and every polynomial it returns must
+carry a valid form: content > 0, gcd of the integer list 1, a nonzero
+last entry, and content times the list equal to ``coeffs``.  Its
+equality and hash must agree with those of the polynomial rebuilt from
+the view.
 The strategies mix small fractions with 200-bit numerators and
 denominators, and the draws are derandomized.
 """
@@ -31,14 +32,15 @@ points = st.one_of(st.integers(-7, 7), small, big)
 
 
 def checked(p: RatPoly) -> tuple:
-    """p.coeffs, after asserting that p's integer form is valid and that
-    p equals and hashes like RatPoly(p.coeffs), before the view is
-    built and after."""
+    """p.coeffs, after asserting that p's integer form is valid, that
+    p equals and hashes like RatPoly(p.coeffs) on two reads of the view,
+    and that p.coeff(i) reads the same coefficients, zero outside."""
     ints, content = p._form
     h = hash(p)
-    for _ in range(2):  # the first pass may build the view, the second reads it back
+    for _ in range(2):
         twin = RatPoly(p.coeffs)
         assert twin == p and p == twin and hash(twin) == hash(p) == h
+    assert tuple(p.coeff(i) for i in range(-1, p.degree + 2)) == (0, *p.coeffs, 0)
     if not ints:
         assert p.coeffs == () and content == 0
     else:
