@@ -30,7 +30,7 @@ def main():
         q = float(apparent_location(float(b), float(p.kappa), nu1))
         print(f"{str(W):>6} {nu1:>14.8f} {res.t_rel:>12.6f} {q:>12.6f}")
     print()
-    print("T_rel grows toward the coil-stretch transition at W = 1/2")
+    print("T_rel grows from W = 1/4 to 9/20; the sweep stops short of W = 1/2")
 
 
 if __name__ == "__main__":

@@ -157,8 +157,7 @@ class _LocalData:
             for back, (a, hm) in enumerate(reversed(window), 1):
                 value = hm[back] * between
                 if value:
-                    for i, ai in enumerate(a):
-                        acc[i] -= ai * value
+                    _list_addmul(acc, -value, a)
                 between *= hm[0] or 1
             if h[0]:
                 d *= h[0]

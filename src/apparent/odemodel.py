@@ -39,6 +39,7 @@ from .polyrat import (
     _int_divexact,
     _int_gcd,
     _list_addmul,
+    _list_mul,
     _rational_roots,
     _scaled,
     as_fraction,
@@ -343,14 +344,11 @@ def _inverted(polys) -> list[RatPoly]:
 
 def _stirling_rows(n: int) -> list[list[int]]:
     """Rows m = 0..n of the signed Stirling numbers of the first kind: row
-    m lists the coefficients, ascending in s, of s(s-1)...(s-m+1)."""
+    m lists the coefficients, ascending in s, of s(s-1)...(s-m+1), the
+    product of row m - 1 and s - (m - 1)."""
     rows = [[1]]
     for m in range(n):
-        row = [0] * (m + 2)
-        for i, c in enumerate(rows[-1]):
-            row[i + 1] += c
-            row[i] -= m * c
-        rows.append(row)
+        rows.append(_list_mul(rows[-1], [-m, 1]))
     return rows
 
 

@@ -165,10 +165,7 @@ class RatPoly:
         if not q._form[0]:  # 0 + 0 has no common unit
             return self
         unit, (a, b) = _common_ints((self, q))
-        if len(a) < len(b):
-            a, b = b, a
-        for i, y in enumerate(b):
-            a[i] += y
+        _list_addmul(a, 1, b)
         return _from_ints(a, unit)
 
     def __add__(self, other):
@@ -527,9 +524,8 @@ def _int_squarefree(a: list[int]) -> list[int]:
 
     The quotient has the distinct roots of a, all simple, and content 1.
     """
-    da = [i * c for i, c in enumerate(a)][1:]
-    c = math.gcd(*da)
-    return _int_divexact(a, _int_gcd(a, [v // c for v in da]))
+    da, _content = _primitive([i * c for i, c in enumerate(a)][1:])
+    return _int_divexact(a, _int_gcd(a, da))
 
 
 def radical(p: RatPoly) -> RatPoly:

@@ -57,8 +57,11 @@ and each division is a pseudo-division, so each chain (one column) is
 off by a constant, which the nullspace basis scales back.  A level
 appends one column and rows zero in every earlier column; the reduced
 form of a column prefix is the prefix of the full one, so a level adds
-at most one basis vector (a's column is never free: M is nonzero), and
-only that one combines the chains into a candidate.
+at most one basis vector, the last (a's column is never free: M is
+nonzero).  Every vector of an earlier level comes back with a = 0, or
+the search would have stopped at that level, so the last vector having
+a != 0 is the whole test, and that vector combines the chains into a
+candidate.
 
 No candidate has to be deformed to be checked.  deform's output is the
 canonical form of the raw coefficients Q(P), and Q(g P) = g Q(P) for
@@ -98,7 +101,6 @@ from .polyrat import (
     _list_addmul,
     _list_mul,
     _pseudo_divmod,
-    _scaled,
     as_fraction,
     exact_div,
     radical,
@@ -145,18 +147,18 @@ def deform(ode: LinearODE) -> DeformResult:
             "coefficient of the undifferentiated unknown is zero; "
             "the equation is already a derivative"
         )
-    polys, clearing = _cleared(ode.coeffs)
-    quotients = _quotients(polys, ode._memo.get(_CLEARING))
-    out = make_ode(polys if quotients is None else quotients)
+    lists, clearing = _cleared(ode.coeffs)
+    quotients = _quotients(lists, ode._memo.get(_CLEARING))
+    out = make_ode([_from_ints(o, _ONE) for o in (lists if quotients is None else quotients)])
     out._memo[_CLEARING] = clearing
     n = ode.order
     created = tuple((q, n - 1 + m) for q, m in _accessory_roots(ode, clearing))
     return DeformResult(ode=out, new_apparent=created, clearing_factor=clearing)
 
 
-def _cleared(coeffs: tuple[RatPoly, ...]) -> tuple[list[RatPoly], RatPoly]:
-    """O_0, ..., O_n of the coefficients P_0, ..., P_n up to one nonzero
-    constant, and R = radical(P_n).
+def _cleared(coeffs: tuple[RatPoly, ...]) -> tuple[list[list[int]], RatPoly]:
+    """O_0, ..., O_n of the coefficients P_0, ..., P_n as integer lists,
+    up to one nonzero constant, and R = radical(P_n).
 
     The P_j are put over the common unit of their contents and R, S
     over theirs, so O_0 = R P_0 and O_j = R (P_j + P_{j-1}') - S P_{j-1}
@@ -175,21 +177,21 @@ def _cleared(coeffs: tuple[RatPoly, ...]) -> tuple[list[RatPoly], RatPoly]:
         out = _list_mul(r_ints, acc)
         _list_addmul(out, -1, _list_mul(s_ints, prev))
         lists.append(out)
-    return [_from_ints(o, _ONE) for o in lists], clearing
+    return lists, clearing
 
 
-def _quotients(polys: list[RatPoly], factor: RatPoly | None) -> list[RatPoly] | None:
-    """Each polynomial divided by factor, None when factor is None or
-    constant or fails to divide one of them exactly."""
+def _quotients(lists: list[list[int]], factor: RatPoly | None) -> list[list[int]] | None:
+    """Each integer list divided over Z by factor's primitive part, None
+    when factor is None or constant or fails to divide one of them
+    exactly (over Z exactly when over Q, by Gauss's lemma)."""
     if factor is None or factor.degree < 1:
         return None
     quotients = []
-    for p in polys:
-        ints, content = p._form
+    for ints in lists:
         q = _int_divexact(ints, factor._form[0])
         if q is None:
             return None
-        quotients.append(_scaled(q, content))
+        quotients.append(q)
     return quotients
 
 
@@ -224,13 +226,12 @@ def _targets(ode: LinearODE, targets, multiplicities) -> list[tuple[Fraction, in
 
     n = ode.order
     if targets is None:
-        ladder = [Fraction(i) for i in range(n - 1)]
+        ladder = tuple(range(n - 1))
         locs = []
         for root, _m in _leading_roots(ode)[0]:
-            sp = frobenius.classify_point(ode, root)
+            sp = frobenius.classify_point(ode, root)  # exponents ascending
             if sp.kind is PointKind.APPARENT:
-                exps = sorted(sp.exponents)
-                if exps[:-1] == ladder and exps[-1] >= n:
+                if sp.exponents[:-1] == ladder and sp.exponents[-1] >= n:
                     locs.append(root)
         if not locs:
             raise NothingToRemoveError("no apparent singular points found")
@@ -325,7 +326,7 @@ def undeform(
     # pseudo-division; column 1 + i lists the conditions on it (P_n, then
     # every remainder), column 0 is a on M; rows[k][r] is coefficient r of
     # condition k, and each slack level appends one entry to every row
-    chains, tried, lead = [], 0, r_ints[-1]
+    chains, lead = [], r_ints[-1]
     rows = [[[-v] for v in m_ints]] + [[] for _ in range(n + 1)]
     for slack in range(max_slack + 1):
         steps, p, scale = [], [], 1
@@ -345,10 +346,11 @@ def undeform(
                 row.append(entries[r] if r < len(entries) else 0)
             group.extend([0] * (slack + 1) + [v] for v in entries[len(group):])
 
-        # earlier levels' vectors come back zero-padded, and a level adds at
-        # most one; a = 0 zeroes the trailing coefficient: no antecedent
+        # a vector of an earlier level has a = 0, else the search had
+        # stopped there; a level's new vector comes last, and a = 0
+        # zeroes the trailing coefficient: no antecedent
         basis = _linalg.nullspace_basis([row for group in rows for row in group], slack + 2)
-        if len(basis) > tried and basis[-1][0] != 0:
+        if basis and basis[-1][0]:
             vec = basis[-1]
             den = math.lcm(*[v.denominator for v in vec])
             w = [v.numerator * (den // v.denominator) for v in vec]
@@ -360,7 +362,6 @@ def undeform(
                 ode=make_ode([_from_ints(acc, _ONE) for acc in accs]),
                 removed_points=tuple(sorted(q for q, _m in resolved)),
             )
-        tried = len(basis)
     raise NotRemovableError(
         "no antecedent within the degree bounds; removal may require "
         "specifying some parameters of the equation, and that search is "
