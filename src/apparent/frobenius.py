@@ -20,14 +20,16 @@ The point at infinity is always handled by the pullback z = 1/zeta and
 analysis at zeta = 0; an exponent rho there describes w ~ z^(-rho).
 
 The local data of a point (indicial roots, recurrence table, apparency
-verdict) is memoized on the LinearODE instance, built on first use and
-kept as long as that equation lives; the public functions below run on
-every call and share it, so infinity is pulled back once per equation.
+verdict) is memoized on the LinearODE instance, keyed by the point's
+(numerator, denominator), built on first use and kept as long as that
+equation lives; the public functions below run on every call and share
+it, so infinity is pulled back once per equation.
 
 Each point pays only for what is read of it (_LocalData): exponents in
 closed form at an ordinary point or a simple root of P_0, the kind
-deform creates; the table, n + 1 Taylor shifts, only for a series or at
-a multiple root; the series on integers, with Fractions built only for
+deform creates, with P_0(q) and P_0'(q) from one integer Horner pass
+over P_0; the table, n + 1 Taylor shifts, only for a series or at a
+multiple root; the series on integers, with Fractions built only for
 frobenius_series.  The verdict at a point whose exponents are distinct
 nonnegative integers sums the recurrence up to the largest, E, on
 integers of about E log E bits, so its cost grows about as E^2 (README
@@ -69,12 +71,22 @@ class _LocalData:
     def __init__(self, ode: LinearODE, point: Fraction):
         self.n = ode.order
         self.coeffs, self.point = ode.coeffs, point
-        # head: the first Taylor coefficient of P_0 at the point while v0 <= 1
-        p0 = ode.leading
-        self.head, self.v0 = p0(point), 0
-        if not self.head:
-            self.head = p0.derivative()(point)
-            self.v0 = 1 if self.head else self._table[0]
+        # head: the first Taylor coefficient of P_0 at the point while v0 <= 1.
+        # At q = u/v one integer Horner pass over P_0 = c * sum a_i z^i gives
+        # H = sum a_i u^i v^(d-i) and dH/du, so P_0(q) = c H / v^d and
+        # P_0'(q) = c (dH/du) / v^(d-1)
+        ints, c = ode.leading._form
+        u, v = point.numerator, point.denominator
+        value, slope, vpow = ints[-1], 0, 1
+        for a in reversed(ints[:-1]):
+            vpow *= v
+            slope = slope * u + value
+            value = value * u + a * vpow
+        if value:
+            self.head, self.v0 = Fraction(c.numerator * value, c.denominator * vpow), 0
+        else:
+            self.head = Fraction(c.numerator * slope, c.denominator * vpow // v)
+            self.v0 = 1 if slope else self._table[0]
         self.tail = ode.coeffs[1](point) if self.v0 == 1 else Fraction(0)  # P_1(q)
 
     @cached_property
@@ -152,7 +164,7 @@ class _LocalData:
         for m_idx in range(top + 1):
             x = u + m_idx * v
             xpow = [vp * x**i for i, vp in enumerate(vpow)]
-            h = [sum(c * p for c, p in zip(row, xpow) if c) for row in rows]
+            h = [sum([c * p for c, p in zip(row, xpow) if c]) for row in rows]
             acc, between = [0] * opened, 1
             for back, (a, hm) in enumerate(reversed(window), 1):
                 value = hm[back] * between
@@ -205,16 +217,21 @@ def _local(ode: LinearODE, point) -> tuple[_LocalData, object]:
     """Local data at a finite point or, via pullback, at infinity.
 
     Returns (data, reported_location).  The data is memoized on the
-    equation, keyed by the location.
+    equation, keyed by INFINITY or by (numerator, denominator) of the
+    location, a tuple of ints that hashes faster than the Fraction.
     """
-    loc = INFINITY if isinstance(point, _InfinityType) else as_fraction(point)
-    data = ode._memo.get(loc)
+    if isinstance(point, _InfinityType):
+        loc = key = INFINITY
+    else:
+        loc = as_fraction(point)
+        key = loc.numerator, loc.denominator
+    data = ode._memo.get(key)
     if data is None:
         if loc is INFINITY:
             data = _LocalData(odemodel.moebius_transform(ode, (0, 1, 1, 0)), Fraction(0))
         else:
             data = _LocalData(ode, loc)
-        ode._memo[loc] = data
+        ode._memo[key] = data
     return data, loc
 
 

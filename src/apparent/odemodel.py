@@ -5,15 +5,21 @@ canonical by construction: its constructor divides out the common
 polynomial factor of the coefficients and scales the leading coefficient
 polynomial P_0 monic, so no equation out of canonical form exists and
 "equal up to a nonzero constant or polynomial factor" is plain equality.
+When z divides every coefficient, as after the pullback to infinity, the
+common factor is z^low times the gcd (GCDHEU, polyrat._int_gcd) of the
+coefficients with their own powers of z divided out, low the least of
+those powers: z is prime, so the factor is the same, and the gcd meets
+a constant after fewer coefficients.
 
 The point at infinity is always analyzed through the pullback z = 1/zeta
 rather than by separate degree-counting rules: one code path, one set of
 conventions.  An exponent rho at infinity describes behavior w ~ z^(-rho).
 
 Local analysis is memoized per equation instance: the local data of
-each point (INFINITY included) and the rational roots of P_0 are
-computed on first use and kept on the LinearODE for its lifetime, never
-shared between instances and ignored by equality, hashing and repr.
+each point (keyed by INFINITY or by the point's (numerator,
+denominator)) and the rational roots of P_0 are computed on first use
+and kept on the LinearODE for its lifetime, never shared between
+instances and ignored by equality, hashing and repr.
 An equation made by transform.deform also keeps that stage's clearing
 factor there (_CLEARING), which the next deform of it divides out
 first.
@@ -21,6 +27,7 @@ first.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -97,19 +104,31 @@ class LinearODE:
         # I_k is the common factor, and P_k / G over the leading coefficient
         # of P_0 / G is s_k (I_k / G) / (s_0 lead(I_0 / G))
         prims = [p._form for p in polys]
-        g = prims[0][0]
-        for ints, _scale in prims[1:]:
+        lists, low = [ints for ints, _scale in prims], 0
+        for ints in lists:
+            if ints and ints[0]:
+                break
+        else:
+            # z divides every coefficient: G is z^low times the gcd of the
+            # coefficients over their own powers of z (module docstring)
+            vals = [p.valuation() if p else 0 for p in polys]
+            lists = [ints[k:] for ints, k in zip(lists, vals)]
+            low = min(k for p, k in zip(polys, vals) if p)
+        g = lists[0]
+        for ints in lists[1:]:
             if len(g) == 1:
                 break
             if ints:
                 g = _int_gcd(g, ints)
-        if len(g) > 1:
+        if low or len(g) > 1:
+            g = [0] * low + g
             prims = [(_int_divexact(ints, g), scale) for ints, scale in prims]
         lead = prims[0][1] * prims[0][0][-1]
         coeffs = tuple(_scaled(ints, scale / lead) for ints, scale in prims)
         object.__setattr__(self, "coeffs", coeffs)
-        # point (Fraction or INFINITY) -> frobenius._LocalData; _LEADING_ROOTS -> roots of P_0;
-        # _CLEARING -> the clearing factor of the deform that made this equation
+        # (numerator, denominator) of a point, or INFINITY -> frobenius._LocalData;
+        # _LEADING_ROOTS -> roots of P_0; _CLEARING -> the clearing factor of the
+        # deform that made this equation
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -342,14 +361,16 @@ def _inverted(polys) -> list[RatPoly]:
     return [_from_ints(acc, unit) for acc in out]
 
 
-def _stirling_rows(n: int) -> list[list[int]]:
+@functools.cache
+def _stirling_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows m = 0..n of the signed Stirling numbers of the first kind: row
     m lists the coefficients, ascending in s, of s(s-1)...(s-m+1), the
-    product of row m - 1 and s - (m - 1)."""
-    rows = [[1]]
+    product of row m - 1 and s - (m - 1).  Built once per order and
+    shared, so rows and table are tuples."""
+    rows = [(1,)]
     for m in range(n):
-        rows.append(_list_mul(rows[-1], [-m, 1]))
-    return rows
+        rows.append(tuple(_list_mul(rows[-1], [-m, 1])))
+    return tuple(rows)
 
 
 def _recurrence(coeffs: tuple[RatPoly, ...], point: Fraction):

@@ -387,7 +387,7 @@ def _primitive(ints: list[int]) -> tuple[list[int], int]:
 def _from_ints(ints: list[int], scale: Fraction) -> RatPoly:
     """scale * RatPoly(ints) for any integer list and a nonzero scale."""
     ints, g = _primitive(ints)
-    return _scaled(ints, scale * g)
+    return _scaled(ints, scale if g == 1 else scale * g)
 
 
 def _monic(ints: list[int]) -> RatPoly:

@@ -2,12 +2,14 @@
 
 RatPoly.shifted and the Stirling table behind the indicial tables work
 on integer coefficient lists; these properties pin them to plain RatPoly
-references.  The Moebius pullback is composed from Taylor shifts, a
+references, and _LocalData's one integer Horner pass for P_0(q) and
+P_0'(q) is pinned to RatPoly evaluation.  The Moebius pullback is composed from Taylor shifts, a
 scaling and the Lah-number inversion; it is pinned to the group law of
 Moebius maps and to the former power-basis expansion kept in
 ``_moebius_reference.py``, on matrices with each entry zero in turn.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,12 +20,17 @@ from apparent import (
     RatPoly,
     confluent_heun,
     deform,
+    deform_iter,
     general_heun,
+    make_ode,
     moebius_transform,
     multi_heun,
+    rational_roots,
     third_order_example,
 )
+from apparent.frobenius import _LocalData
 from apparent.odemodel import _stirling_rows
+from apparent.polyrat import root_multiplicity
 
 from _gen import confluent_params, heun_params, multi_params, third_params
 from _moebius_reference import reference_moebius
@@ -74,6 +81,60 @@ FAMILIES = (
     lambda rng: third_order_example(third_params(rng)),
     lambda rng: confluent_heun(confluent_params(rng)),
 )
+
+
+def test_stirling_rows_are_built_once_per_order():
+    for n in range(9):
+        rows = _stirling_rows(n)
+        assert type(rows) is tuple and len(rows) == n + 1
+        for m, row in enumerate(rows):
+            assert type(row) is tuple
+            # s(s-1)...(s-m+1) at s = 0..11 is perm(s, m), zero for s < m
+            assert [sum(c * s**i for i, c in enumerate(row)) for s in range(12)] == [
+                math.perm(s, m) for s in range(12)]
+        # one shared table per order, which no caller can edit
+        assert _stirling_rows(n) is rows
+
+
+def check_head(ode, q):
+    """_LocalData's v0, head and tail at q against RatPoly arithmetic:
+    (0, P_0(q), 0) at an ordinary point, (1, P_0'(q), P_1(q)) at a simple
+    root of P_0, and at a multiple root v0 = ord_q P_0 from the table."""
+    data = _LocalData(ode, q)
+    p0 = ode.leading
+    value, slope = p0(q), p0.derivative()(q)
+    if value:
+        want = 0, value, 0
+    elif slope:
+        want = 1, slope, ode.coeffs[1](q)
+    else:
+        want = root_multiplicity(p0, q), 0, 0
+        assert want[0] >= 2
+    assert (data.v0, data.head, data.tail) == want, (ode, q)
+    return data.v0
+
+
+def test_one_horner_pass_reads_p0_and_its_derivative():
+    z = RatPoly([0, 1])
+    double = RatPoly.from_roots([F(-7, 3), F(-7, 3), 0, 4])
+    ladder = [make_ode([double, z * 3 - 1, RatPoly([F(5, 2)])]),
+              make_ode([RatPoly.from_roots([F(1, 2)] * 3 + [-2]), z + 1, z * z, RatPoly([1])])]
+    rng = random.Random("one Horner pass")
+    for family in FAMILIES:
+        for _draw in range(3):
+            base = family(rng)
+            ladder += [base] + [stage.ode for stage in deform_iter(base, 2)]
+    seen = set()
+    for ode in ladder:
+        # every root of P_0, the origin, an ordinary point, a negative
+        # non-integer point, and the origin of the pullback to infinity
+        roots = [q for q, _m in rational_roots(ode.leading)[0]]
+        for q in roots + [F(0), F(13, 5), F(-7, 3)]:
+            seen.add(check_head(ode, q))
+        seen.add(check_head(moebius_transform(ode, (0, 1, 1, 0)), F(0)))
+    assert {0, 1, 2, 3} <= seen
+
+
 small = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
 matrices = st.tuples(small, small, small, small).filter(lambda m: m[0] * m[3] != m[1] * m[2])
 

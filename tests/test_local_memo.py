@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 from apparent import (
+    classify_point,
     deform,
     frobenius_series,
     fuchs_check,
@@ -75,7 +76,16 @@ def test_each_point_is_analysed_once(work):
     assert set(builds.values()) == {1}
     assert pullbacks == [(0, 1, 1, 0)]
     assert certify(ode, res.new_apparent) == first
+    # the same point spelled as a string or an int finds the same entry
+    planted = [q for q, _gap in res.new_apparent]
+    for q in planted + finite:
+        for alias in [str(q)] + ([int(q)] if q.denominator == 1 else []):
+            assert classify_point(ode, alias) == classify_point(ode, q)
+            if q in planted:
+                assert is_apparent(ode, alias) == is_apparent(ode, q)
+    assert any(q.denominator == 1 for q in finite)
     assert sum(builds.values()) == len(finite) + 1
+    assert set(builds.values()) == {1}
     assert len(pullbacks) == 1
 
 

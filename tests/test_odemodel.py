@@ -57,6 +57,20 @@ def test_canonical_form_strips_common_factor():
     c = RatPoly([7])
     ode = make_ode([shared * a * 3, shared * b * 3, shared * c * 3])
     assert ode.coeffs == (a, b, c)
+    # powers of z as the common factor, or in it: the gcd is taken with
+    # each coefficient's own power of z divided out, the least one put back
+    z, zero = RatPoly([0, 1]), RatPoly()
+    for coeffs in ((a, b, c), (a, zero, c), (c, b, zero), (shared * a, b * a, c * a)):
+        for k in (1, 2, 3):
+            assert make_ode([z**k * p * 3 for p in coeffs]) == make_ode(coeffs)
+    # all vanish at 0 to different powers of z, as after a pullback to infinity
+    assert make_ode([z**2 * a, z**2 * b, z * c]) == make_ode([z * a, z * b, c])
+    assert make_ode([z * a, z**2 * b, z**3 * c]) == make_ode([a, z * b, z**2 * c])
+    assert make_ode([z**3 * shared, z**2 * shared * b, z**4 * c * shared]) == make_ode(
+        [z, b, z**2 * c])
+    # P_0(0) = 0 with no common factor
+    assert make_ode([a, b, c]).coeffs == (a, b, c)
+    assert make_ode([a, zero, z + 1]).coeffs == (a, zero, z + 1)
 
 
 @pytest.mark.parametrize("build", [make_ode, LinearODE], ids=["make_ode", "LinearODE"])
