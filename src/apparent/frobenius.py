@@ -118,7 +118,9 @@ class _LocalData:
     @cached_property
     def indicial(self) -> RatPoly:
         if self.v0 > 1:
-            return self.cpolys[0]
+            # C_{j0}, the first table row, without converting the others
+            _v0, _j0, _jmax, unit, rows = self._table
+            return _from_ints(list(rows[0]), unit)
         # head S_n + tail S_{n-1}, on the integer Stirling rows of S_m
         a, b, falling = self.head, self.tail, odemodel._stirling_rows(self.n)
         ints = [a.numerator * b.denominator * c for c in falling[self.n]]

@@ -6,10 +6,17 @@ constraints are enforced at construction: for an order-2 Fuchsian
 equation with s singular points the exponents must add up to s - 2,
 which pins sum(theta_k) + theta_inf + alpha to 2 for the four-point
 family and to m - 1 for the m-point family.
+
+Each P_k is built as one integer coefficient list over one denominator
+and handed to make_ode as one RatPoly: a scalar times a product of
+linear factors by RatPoly.from_roots, a sum of such products by
+_sum_of_products.  Both multiply the integer factors (v z - u) of the
+roots u/v (polyrat._root_ints), so no RatPoly arithmetic runs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,7 +26,7 @@ from .errors import (
     NotConfluentClassError,
 )
 from .odemodel import LinearODE, make_ode
-from .polyrat import RatPoly, as_fraction, exact_div
+from .polyrat import RatPoly, _from_ints, _list_addmul, _root_ints, as_fraction
 
 
 # NamedTuple forbids __new__ in its own body, so each record's fields sit
@@ -140,6 +147,21 @@ def _sum_check(observed: Fraction, expected: Fraction):
         )
 
 
+def _sum_of_products(terms) -> RatPoly:
+    """sum c prod (z - r) over the (c, roots) pairs, as one integer
+    list over one denominator (each product by _root_ints): one gcd and
+    no RatPoly arithmetic.  Zero scalars give the zero polynomial."""
+    scaled = []
+    for c, roots in terms:
+        ints, den = _root_ints(roots)
+        scaled.append((c.numerator, c.denominator * den, ints))
+    unit = math.lcm(*[den for _num, den, _ints in scaled])
+    acc = []
+    for num, den, ints in scaled:
+        _list_addmul(acc, num * (unit // den), ints)
+    return _from_ints(acc, Fraction(1, unit))
+
+
 def general_heun(p: HeunParams) -> LinearODE:
     """Order-2 equation with regular points 0, 1, t and infinity.
 
@@ -173,12 +195,10 @@ def multi_heun(p: MultiHeunParams) -> LinearODE:
         raise DegenerateGeometryError("finite singular locations must be distinct")
     total = sum(p.thetas, Fraction(0)) + p.theta_inf + p.alpha
     _sum_check(total, Fraction(m - 1))
-    p0 = RatPoly.from_roots(p.zs)
-    p1 = RatPoly()
-    for z_k, th in zip(p.zs, p.thetas):
-        p1 = p1 + (1 - th) * exact_div(p0, RatPoly([-z_k, 1]))
-    p2 = p.alpha * p.theta_inf * RatPoly.from_roots(p.qs)
-    return make_ode([p0, p1, p2])
+    p1 = _sum_of_products(
+        [(1 - th, p.zs[:k] + p.zs[k + 1:]) for k, th in enumerate(p.thetas)])
+    p2 = RatPoly.from_roots(p.qs, p.alpha * p.theta_inf)
+    return make_ode([RatPoly.from_roots(p.zs), p1, p2])
 
 
 def third_order_example(p: ThirdOrderParams) -> LinearODE:
@@ -191,14 +211,11 @@ def third_order_example(p: ThirdOrderParams) -> LinearODE:
     """
     if p.t == 0 or p.t == 1:
         raise DegenerateGeometryError("t must differ from 0 and 1", t=str(p.t))
-    z = RatPoly([0, 1])
-    z1 = RatPoly([-1, 1])
-    zt = RatPoly([-p.t, 1])
-    p0 = z * z * z1 * zt
-    p1 = (3 - p.alpha - p.beta) * z * z1 * zt - p.theta2 * z * z * zt - p.theta3 * z * z * z1
-    p2 = (p.alpha - 1) * (p.beta - 1) * z1 * zt
-    p3 = p.kappa * RatPoly([-p.q, 1])
-    return make_ode([p0, p1, p2, p3])
+    p0 = RatPoly.from_roots((0, 0, 1, p.t))
+    p1 = _sum_of_products([
+        (3 - p.alpha - p.beta, (0, 1, p.t)), (-p.theta2, (0, 0, p.t)), (-p.theta3, (0, 0, 1))])
+    p2 = RatPoly.from_roots((1, p.t), (p.alpha - 1) * (p.beta - 1))
+    return make_ode([p0, p1, p2, RatPoly.from_roots((p.q,), p.kappa)])
 
 
 def confluent_heun(p: ConfluentHeunParams) -> LinearODE:
@@ -218,5 +235,4 @@ def confluent_heun(p: ConfluentHeunParams) -> LinearODE:
         raise NotConfluentClassError("P_1 degree must be exactly 2", degree=p.p1.degree)
     if p.alpha == 0:
         raise NotConfluentClassError("alpha must be nonzero")
-    p2 = p.alpha * RatPoly([-p.q, 1])
-    return make_ode([p.p0, p.p1, p2])
+    return make_ode([p.p0, p.p1, RatPoly.from_roots((p.q,), p.alpha)])

@@ -96,11 +96,14 @@ class RatPoly:
 
     @classmethod
     def from_roots(cls, roots, leading=1) -> "RatPoly":
-        """leading * prod (z - r) over the given roots."""
-        p = cls.constant(leading)
-        for r in roots:
-            p = p * cls([-as_fraction(r), 1])
-        return p
+        """leading * prod (z - r) over the given roots: the integer list
+        prod (v z - u) over the roots r = u/v, scaled once by
+        leading / prod v (see _root_ints); zero when leading is."""
+        leading = as_fraction(leading)
+        if not leading:
+            return _scaled([], leading)
+        ints, den = _root_ints(roots)
+        return _scaled(ints, leading / den)
 
     # -- basic queries -----------------------------------------------
 
@@ -388,6 +391,20 @@ def _from_ints(ints: list[int], scale: Fraction) -> RatPoly:
     """scale * RatPoly(ints) for any integer list and a nonzero scale."""
     ints, g = _primitive(ints)
     return _scaled(ints, scale if g == 1 else scale * g)
+
+
+def _root_ints(roots) -> tuple[list[int], int]:
+    """ints, den with prod (z - r) = RatPoly(ints) / den over the roots
+    r = u/v in lowest terms: ints = prod (v z - u), primitive with a
+    positive last entry since each factor is (Gauss's lemma), and
+    den = prod v."""
+    ints, den = [1], 1
+    for r in roots:
+        r = as_fraction(r)
+        u, v = r.numerator, r.denominator
+        ints = [v * a - u * b for a, b in zip([0, *ints], [*ints, 0])]
+        den *= v
+    return ints, den
 
 
 def _monic(ints: list[int]) -> RatPoly:

@@ -101,6 +101,7 @@ from .polyrat import (
     _list_addmul,
     _list_mul,
     _pseudo_divmod,
+    _root_ints,
     as_fraction,
     exact_div,
     radical,
@@ -312,12 +313,8 @@ def undeform(
 
     # integer lists (see the module docstring): with q = u/v, R = prod
     # (v z - u), M = prod (v z - u)^m and S = M' R / M
-    r_ints, m_ints = [1], [1]
-    for q, m in resolved:
-        lin = [-q.numerator, q.denominator]
-        r_ints = _list_mul(r_ints, lin)
-        for _ in range(m):
-            m_ints = _list_mul(m_ints, lin)
+    r_ints = _root_ints([q for q, _m in resolved])[0]
+    m_ints = _root_ints([q for q, m in resolved for _ in range(m)])[0]
     s_ints = _int_divexact(_list_mul([i * v for i, v in enumerate(m_ints)][1:], r_ints), m_ints)
     _, d_ints = _common_ints(ode.coeffs)
     from . import _linalg

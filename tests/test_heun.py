@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from apparent import (
     classify_point,
     confluent_heun,
     deform,
+    exact_div,
     fuchs_check,
     general_heun,
     indicial_exponents,
@@ -25,24 +28,94 @@ from apparent import (
     third_order_example,
 )
 
-from _gen import confluent_params, heun_params, multi_params, rand_frac
+from _gen import confluent_params, heun_params, multi_params, rand_frac, third_params
+from test_int_form import checked
 
 F = Fraction
 
 
+# Each builder is checked against its P_k written out in RatPoly arithmetic,
+# on seeded draws and on the inputs that trip an integer-list construction:
+# zero scalars (the coefficient must come out as the true zero polynomial),
+# a repeated q, a q on a root of P_0, and locations with large denominators
+BIG_T = F(2**89 - 1, 3**61)
+
+
+def _lin(r):
+    return RatPoly([-r, 1])
+
+
+def _prod(roots):
+    out = RatPoly([1])
+    for r in roots:
+        out = out * _lin(r)
+    return out
+
+
+def _assert_written(ode, written):
+    """ode == make_ode(written), with every coefficient's integer form valid."""
+    for c in ode.coeffs:
+        checked(c)
+    assert ode == make_ode(written)
+
+
+def _heun_on_identity(p, **changes):
+    """p with the given fields changed and alpha put back on the Fuchs sum."""
+    fields = {**p._asdict(), **changes}
+    fields["alpha"] = 2 - fields["theta1"] - fields["theta2"] - fields["theta3"] - fields["theta_inf"]
+    return HeunParams(**fields)
+
+
+def _general_cases():
+    rng = random.Random("general_heun written formula")
+    cases = [heun_params(rng) for _ in range(14)]
+    cases += [heun_params(rng, q=F(0)), heun_params(rng, q=F(1))]
+    p = heun_params(rng)
+    cases += [
+        p._replace(q=p.t),
+        _heun_on_identity(p, theta1=F(1)),
+        _heun_on_identity(p, theta_inf=F(0)),
+        _heun_on_identity(p, t=BIG_T, q=F(-5, 2**70 + 1)),
+        _heun_on_identity(p, theta1=F(1), theta2=F(1), theta3=F(1), theta_inf=F(0)),
+    ]
+    return cases
+
+
 def test_general_heun_coefficients():
-    p = HeunParams(
-        t=F(3), theta1=F(1, 2), theta2=F(1, 3), theta3=F(1, 5),
-        theta_inf=F(1, 7), alpha=2 - F(1, 2) - F(1, 3) - F(1, 5) - F(1, 7), q=F(5),
-    )
-    ode = general_heun(p)
-    z = RatPoly([0, 1])
-    z1 = RatPoly([-1, 1])
-    zt = RatPoly([-3, 1])
-    p0 = z * z1 * zt
-    p1 = (1 - p.theta1) * z1 * zt + (1 - p.theta2) * z * zt + (1 - p.theta3) * z * z1
-    p2 = p.alpha * p.theta_inf * RatPoly([-5, 1])
-    assert ode.coeffs == (p0, p1, p2)
+    for p in _general_cases():
+        z, z1, zt = _lin(0), _lin(1), _lin(p.t)
+        p1 = (1 - p.theta1) * z1 * zt + (1 - p.theta2) * z * zt + (1 - p.theta3) * z * z1
+        _assert_written(general_heun(p), [z * z1 * zt, p1, p.alpha * p.theta_inf * _lin(p.q)])
+
+
+def _multi_on_identity(p, **changes):
+    fields = {**p._asdict(), **changes}
+    fields["alpha"] = len(fields["zs"]) - 1 - sum(fields["thetas"]) - fields["theta_inf"]
+    return MultiHeunParams(**fields)
+
+
+def _multi_cases():
+    rng = random.Random("multi_heun written formula")
+    cases = [multi_params(rng, rng.randint(3, 6)) for _ in range(12)]
+    cases += [multi_params(rng, 5, repeated=3), multi_params(rng, 6, repeated=2)]
+    p = multi_params(rng, 5)
+    cases += [
+        p._replace(qs=(p.zs[0], p.zs[2], p.zs[2])),
+        _multi_on_identity(p, thetas=(F(1),) + p.thetas[1:]),
+        _multi_on_identity(p, thetas=(F(1),) * 5),
+        _multi_on_identity(p, theta_inf=F(0)),
+        _multi_on_identity(p, zs=(BIG_T, F(1, 2**75), F(-(3**50), 7), F(0), F(2**64 + 13, 5**30))),
+        p._replace(qs=(BIG_T, BIG_T, F(2**80 + 1, 2**80 - 1))),
+    ]
+    return cases
+
+
+def test_multi_heun_matches_written_polynomials():
+    for p in _multi_cases():
+        p1 = RatPoly()
+        for k, th in enumerate(p.thetas):
+            p1 = p1 + (1 - th) * _prod(p.zs[:k] + p.zs[k + 1:])
+        _assert_written(multi_heun(p), [_prod(p.zs), p1, p.alpha * p.theta_inf * _prod(p.qs)])
 
 
 def test_general_heun_exponents():
@@ -112,22 +185,85 @@ def test_multi_heun_fuchs_relation():
         assert report.exponent_sum == m - 1
 
 
+def _third_cases():
+    rng = random.Random("third_order_example written formula")
+    cases = [third_params(rng) for _ in range(14)]
+    p = third_params(rng)
+    cases += [
+        p._replace(q=F(0)),
+        p._replace(q=p.t),
+        p._replace(alpha=F(1)),
+        p._replace(kappa=F(0)),
+        p._replace(alpha=3 - p.beta),
+        p._replace(t=BIG_T, q=F(2**66 + 3, 11**19)),
+        p._replace(alpha=F(1), beta=F(2), theta2=F(0), theta3=F(0), kappa=F(0)),
+    ]
+    return cases
+
+
 def test_third_order_matches_written_polynomials():
-    p = ThirdOrderParams(
-        t=F(7, 2), alpha=F(1, 3), beta=F(2, 5), theta2=F(1, 2),
-        theta3=F(3, 7), kappa=F(11, 4), q=F(9, 4),
-    )
-    ode = third_order_example(p)
-    z = RatPoly([0, 1])
-    z1 = RatPoly([-1, 1])
-    zt = RatPoly([-F(7, 2), 1])
-    expect = (
-        z * z * z1 * zt,
-        (3 - p.alpha - p.beta) * z * z1 * zt - p.theta2 * z * z * zt - p.theta3 * z * z * z1,
-        (p.alpha - 1) * (p.beta - 1) * z1 * zt,
-        p.kappa * RatPoly([-F(9, 4), 1]),
-    )
-    assert ode.coeffs == expect
+    for p in _third_cases():
+        z, z1, zt = _lin(0), _lin(1), _lin(p.t)
+        written = [
+            z * z * z1 * zt,
+            (3 - p.alpha - p.beta) * z * z1 * zt - p.theta2 * z * z * zt - p.theta3 * z * z * z1,
+            (p.alpha - 1) * (p.beta - 1) * z1 * zt,
+            p.kappa * _lin(p.q),
+        ]
+        _assert_written(third_order_example(p), written)
+
+
+def _confluent_cases():
+    rng = random.Random("confluent_heun written formula")
+    cases = [confluent_params(rng) for _ in range(16)]
+    p = confluent_params(rng)
+    cases += [
+        p._replace(p0=RatPoly([-3, 1]), q=F(3)),
+        p._replace(p0=RatPoly([F(1, 4), 0, -1]), q=F(-1, 2)),
+        p._replace(q=BIG_T),
+        p._replace(alpha=F(2**90 + 1, 3**57), q=F(-(7**40), 2**61 - 1)),
+    ]
+    return cases
+
+
+def test_confluent_heun_matches_written_polynomials():
+    for p in _confluent_cases():
+        _assert_written(confluent_heun(p), [p.p0, p.p1, p.alpha * _lin(p.q)])
+
+
+def _calls(build, p) -> Counter:
+    """build(p)'s calls to make_ode, RatPoly.__init__ and exact_div, by
+    code object, so that every binding of each name is counted."""
+    watched = {
+        make_ode.__code__: "make_ode",
+        RatPoly.__init__.__code__: "RatPoly.__init__",
+        exact_div.__code__: "exact_div",
+    }
+    seen = Counter()
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code in watched:
+            seen[watched[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        build(p)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@pytest.mark.parametrize("build, cases", [
+    (general_heun, _general_cases),
+    (multi_heun, _multi_cases),
+    (third_order_example, _third_cases),
+    (confluent_heun, _confluent_cases),
+])
+def test_builders_make_one_ode_without_ratpoly_arithmetic(build, cases):
+    # each P_k is built as one integer list, so no coefficient goes through
+    # the RatPoly constructor or an exact division on its way to make_ode
+    for p in cases():
+        assert _calls(build, p) == {"make_ode": 1}, p
 
 
 def test_third_order_local_exponents():

@@ -22,6 +22,7 @@ from apparent.polyrat import poly_gcd, root_multiplicity
 
 from _closed_form_roots import closed_form_rational_roots
 from _gen import planted_roots_poly
+from test_int_form import checked
 
 F = Fraction
 
@@ -76,6 +77,20 @@ def test_rational_roots_leaves_irrational_residual():
     roots, residual = rational_roots(p)
     assert roots == [(F(1), 1)]
     assert residual == RatPoly([-2, 0, 1])
+
+
+def test_from_roots_is_the_product_of_its_linear_factors():
+    rng = random.Random("from_roots")
+    for k in range(12):
+        roots = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k % 5)]
+        roots.append(F(rng.getrandbits(80) - 2**79, rng.getrandbits(70) | 1))
+        leading = (0, 1, F(-7, 3), F(2**65 + 1, 3**41))[k % 4]
+        expect = RatPoly([leading])
+        for r in roots:
+            expect = expect * RatPoly([-r, 1])
+        assert checked(RatPoly.from_roots(roots, leading)) == checked(expect)
+    assert RatPoly.from_roots([], F(-2, 3)) == RatPoly([F(-2, 3)])
+    assert RatPoly.from_roots(["1/2", 3], 0) == RatPoly() and checked(RatPoly.from_roots([5], 0)) == ()
 
 
 def test_rational_roots_rejects_zero():
