@@ -61,8 +61,10 @@ class _LocalData:
     (s - n + 1 + P_1(q)/P_0'(q)), S_m the falling factorial
     s(s-1)...(s-m+1), so the exponents are 0..n-2 and
     n-1 - P_1(q)/P_0'(q) (Ince, *Ordinary Differential Equations*, 1926);
-    at an ordinary point it is P_0(q) S_n.  Both are read off P_0 and P_1
-    at q.  The recurrence table (cpolys[j - j0] = C_j,
+    at an ordinary point it is P_0(q) S_n, exponents 0..n-1.  The
+    exponents are read off P_0 and P_1 at q, and the indicial polynomial
+    is their root product times P_0'(q) or P_0(q) (RatPoly.from_roots).
+    The recurrence table (cpolys[j - j0] = C_j,
     odemodel._recurrence) is built on first use: by a series, or by the
     regularity test at a multiple root.  It holds the coefficient tuple,
     not the equation, whose memo holds this record.
@@ -121,11 +123,8 @@ class _LocalData:
             # C_{j0}, the first table row, without converting the others
             _v0, _j0, _jmax, unit, rows = self._table
             return _from_ints(list(rows[0]), unit)
-        # head S_n + tail S_{n-1}, on the integer Stirling rows of S_m
-        a, b, falling = self.head, self.tail, odemodel._stirling_rows(self.n)
-        ints = [a.numerator * b.denominator * c for c in falling[self.n]]
-        _list_addmul(ints, b.numerator * a.denominator, falling[self.n - 1])
-        return _from_ints(ints, Fraction(1, a.denominator * b.denominator))
+        # head S_n + tail S_{n-1} = head prod (s - e) over the exponents
+        return RatPoly.from_roots(self.exponents[0], self.head)
 
     @cached_property
     def exponents(self) -> tuple[tuple[Fraction, ...], RatPoly | None]:

@@ -7,16 +7,15 @@ equation with s singular points the exponents must add up to s - 2,
 which pins sum(theta_k) + theta_inf + alpha to 2 for the four-point
 family and to m - 1 for the m-point family.
 
-Each P_k is built as one integer coefficient list over one denominator
-and handed to make_ode as one RatPoly: a scalar times a product of
-linear factors by RatPoly.from_roots, a sum of such products by
-_sum_of_products.  Both multiply the integer factors (v z - u) of the
-roots u/v (polyrat._root_ints), so no RatPoly arithmetic runs.
+Each P_k is a sum of scalars times products of linear factors, built by
+polyrat._sum_of_products (RatPoly.from_roots for one term) as one
+integer coefficient list over one denominator from the integer factors
+(v z - u) of the roots u/v, and handed to make_ode as one RatPoly; no
+RatPoly arithmetic runs.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,7 +25,7 @@ from .errors import (
     NotConfluentClassError,
 )
 from .odemodel import LinearODE, make_ode
-from .polyrat import RatPoly, _from_ints, _list_addmul, _root_ints, as_fraction
+from .polyrat import RatPoly, _sum_of_products, as_fraction
 
 
 # NamedTuple forbids __new__ in its own body, so each record's fields sit
@@ -145,21 +144,6 @@ def _sum_check(observed: Fraction, expected: Fraction):
             observed=str(observed),
             expected=str(expected),
         )
-
-
-def _sum_of_products(terms) -> RatPoly:
-    """sum c prod (z - r) over the (c, roots) pairs, as one integer
-    list over one denominator (each product by _root_ints): one gcd and
-    no RatPoly arithmetic.  Zero scalars give the zero polynomial."""
-    scaled = []
-    for c, roots in terms:
-        ints, den = _root_ints(roots)
-        scaled.append((c.numerator, c.denominator * den, ints))
-    unit = math.lcm(*[den for _num, den, _ints in scaled])
-    acc = []
-    for num, den, ints in scaled:
-        _list_addmul(acc, num * (unit // den), ints)
-    return _from_ints(acc, Fraction(1, unit))
 
 
 def general_heun(p: HeunParams) -> LinearODE:

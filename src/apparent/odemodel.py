@@ -46,8 +46,8 @@ from .polyrat import (
     _int_divexact,
     _int_gcd,
     _list_addmul,
-    _list_mul,
     _rational_roots,
+    _root_ints,
     _scaled,
     as_fraction,
     rational_roots,
@@ -365,12 +365,9 @@ def _inverted(polys) -> list[RatPoly]:
 def _stirling_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows m = 0..n of the signed Stirling numbers of the first kind: row
     m lists the coefficients, ascending in s, of s(s-1)...(s-m+1), the
-    product of row m - 1 and s - (m - 1).  Built once per order and
-    shared, so rows and table are tuples."""
-    rows = [(1,)]
-    for m in range(n):
-        rows.append(tuple(_list_mul(rows[-1], [-m, 1])))
-    return tuple(rows)
+    root product over 0..m-1 (polyrat._root_ints).  Built once per order
+    and shared, so rows and table are tuples."""
+    return tuple(tuple(_root_ints(range(m))[0]) for m in range(n + 1))
 
 
 def _recurrence(coeffs: tuple[RatPoly, ...], point: Fraction):

@@ -96,14 +96,9 @@ class RatPoly:
 
     @classmethod
     def from_roots(cls, roots, leading=1) -> "RatPoly":
-        """leading * prod (z - r) over the given roots: the integer list
-        prod (v z - u) over the roots r = u/v, scaled once by
-        leading / prod v (see _root_ints); zero when leading is."""
-        leading = as_fraction(leading)
-        if not leading:
-            return _scaled([], leading)
-        ints, den = _root_ints(roots)
-        return _scaled(ints, leading / den)
+        """leading * prod (z - r) over the given roots: _sum_of_products
+        with one term, so zero when leading is."""
+        return _sum_of_products([(as_fraction(leading), roots)])
 
     # -- basic queries -----------------------------------------------
 
@@ -402,9 +397,27 @@ def _root_ints(roots) -> tuple[list[int], int]:
     for r in roots:
         r = as_fraction(r)
         u, v = r.numerator, r.denominator
-        ints = [v * a - u * b for a, b in zip([0, *ints], [*ints, 0])]
-        den *= v
+        # times (v z - u): coefficient i is v a_{i-1} - u a_i
+        out, prev = [], 0
+        for a in ints:
+            out.append(v * prev - u * a)
+            prev = a
+        out.append(v * prev)
+        ints, den = out, den * v
     return ints, den
+
+
+def _sum_of_products(terms) -> RatPoly:
+    """sum c prod (z - r) over the (c, roots) pairs, c a Fraction, as one
+    integer list over one denominator (each product by _root_ints): one
+    gcd and no RatPoly arithmetic.  Zero scalars give the zero
+    polynomial."""
+    products = [(c, *_root_ints(roots)) for c, roots in terms]
+    unit = math.lcm(*[c.denominator * den for c, _ints, den in products])
+    acc = []
+    for c, ints, den in products:
+        _list_addmul(acc, c.numerator * (unit // (c.denominator * den)), ints)
+    return _from_ints(acc, Fraction(1, unit))
 
 
 def _monic(ints: list[int]) -> RatPoly:
@@ -482,9 +495,9 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     gcd and read a candidate off its symmetric xi-adic digits.  A
     primitive candidate that divides both inputs over Z is their gcd;
     that exact check makes the answer correct, and a failed one only
-    grows xi.  After _HEU_TRIES points the Euclidean algorithm over Q
-    decides (Brown's dense modular gcd, J. ACM 1971, is the other sure
-    method).
+    grows xi.  After _HEU_TRIES points the primitive remainder sequence
+    decides (von zur Gathen & Gerhard, ch. 6; Brown's dense modular gcd,
+    J. ACM 1971, is the other sure method).
     """
     if len(a) == 1 or len(b) == 1:
         return [1]
@@ -504,10 +517,9 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
         if _int_divexact(a, g) is not None and _int_divexact(b, g) is not None:
             return g
         xi = xi * 73794 // 27011
-    x, y = RatPoly(a), RatPoly(b)
-    while not y.is_zero:
-        x, y = y, x % y
-    return x.monic()._form[0]
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[2])[0]
+    return a if a[-1] > 0 else [-v for v in a]
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:

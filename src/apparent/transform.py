@@ -320,11 +320,10 @@ def undeform(
     from . import _linalg
 
     # chains[i][j] is P_j for c = z^i, over the scale of the last
-    # pseudo-division; column 1 + i lists the conditions on it (P_n, then
-    # every remainder), column 0 is a on M; rows[k][r] is coefficient r of
-    # condition k, and each slack level appends one entry to every row
+    # pseudo-division; columns[1 + i] lists the conditions on it (P_n,
+    # then every remainder), columns[0] those on a (-M, on P_n)
     chains, lead = [], r_ints[-1]
-    rows = [[[-v] for v in m_ints]] + [[] for _ in range(n + 1)]
+    columns = [[[-v for v in m_ints]] + [[] for _ in range(n + 1)]]
     for slack in range(max_slack + 1):
         steps, p, scale = [], [], 1
         for d in d_ints:
@@ -335,18 +334,16 @@ def undeform(
             p, scale = quot, scale * lead**k
             steps.append((p, rem, scale))
         chains.append([[v * (scale // s) for v in ints] for ints, _rem, s in steps])
-        column = [chains[-1][-1]] + [[v * (scale // s) for v in rem] for _p, rem, s in steps]
-        for group, entries in zip(rows, column):
-            while entries and not entries[-1]:
-                entries.pop()
-            for r, row in enumerate(group):
-                row.append(entries[r] if r < len(entries) else 0)
-            group.extend([0] * (slack + 1) + [v] for v in entries[len(group):])
+        columns.append([chains[-1][-1]] + [[v * (scale // s) for v in rem] for _p, rem, s in steps])
+        # one row per coefficient r of each condition, zero in a column
+        # whose list is shorter; rows zero in every column say nothing
+        rows = ([c[r] if r < len(c) else 0 for c in conditions]
+                for conditions in zip(*columns) for r in range(max(map(len, conditions))))
 
         # a vector of an earlier level has a = 0, else the search had
         # stopped there; a level's new vector comes last, and a = 0
         # zeroes the trailing coefficient: no antecedent
-        basis = _linalg.nullspace_basis([row for group in rows for row in group], slack + 2)
+        basis = _linalg.nullspace_basis([row for row in rows if any(row)], slack + 2)
         if basis and basis[-1][0]:
             vec = basis[-1]
             den = math.lcm(*[v.denominator for v in vec])

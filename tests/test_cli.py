@@ -666,6 +666,47 @@ def test_undeform_slack_past_the_cap_is_usage_error(deformed_heun_file, capsys):
     assert "--max-slack" in rep["error"]["message"] and "32" in rep["error"]["message"]
 
 
+def test_undeform_multiplicity_past_the_cap_is_usage_error(tmp_path, monkeypatch, capsys):
+    # 65, given or read off the exponent gap, is refused before undeform
+    # starts, and given before the input is read; 64 is accepted
+    from apparent import transform
+
+    def no_undeform(*args, **kwargs):
+        raise AssertionError("an undeform started")
+
+    monkeypatch.setattr(transform, "undeform", no_undeform)
+    argv = ["undeform", str(tmp_path / "missing.json"), "--multiplicities", "65",
+            "--format", "json"]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert rep["error"] == {"code": "Usage", "details": {},
+                            "message": "--multiplicities must be at most 64, got 65"}
+    # z(z - 1) w'' - k w' + w = 0 has exponents {0, k + 1} at 1: gap k + 1,
+    # so multiplicity k; k = 3999 is the largest gap the exponent cap lets through
+    path = tmp_path / "gap.json"
+    for k in (65, 3999):
+        path.write_text(json.dumps({"coeffs": [["0", "-1", "1"], [str(-k)], ["1"]]}))
+        start = time.perf_counter()
+        code, rep = run_json(capsys, ["undeform", str(path), "--targets", "1", "--format", "json"])
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert rep["error"] == {"code": "Usage", "details": {}, "message": (
+            f"the exponent gap at 1 asks for multiplicity {k}; "
+            "the command line removes multiplicities up to 64")}
+    path.write_text(json.dumps({"coeffs": [["0", "-1", "1"], ["-64"], ["1"]]}))
+    for extra in ([], ["--multiplicities", "64"]):
+        with pytest.raises(AssertionError, match="an undeform started"):
+            run(["undeform", str(path), "--targets", "1", *extra])
+
+
+def test_format_without_a_value_is_usage_error_without_a_json_body(heun_file, capsys):
+    # argparse refuses it, and no --format json was read, so no body follows
+    assert run(["analyze", str(heun_file), "--format"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --format: expected one argument\n")
+
+
 def test_undeform_first_order_is_usage_error(tmp_path, capsys):
     path = tmp_path / "first.json"
     path.write_text(json.dumps({"coeffs": [["1", "1"], ["2"]]}))

@@ -114,6 +114,34 @@ def test_euclid_fallback_gives_the_same_answers(monkeypatch):
     assert after[0] == [euclid_gcd(a, b) for a, b in cases]
 
 
+def test_primitive_remainder_sequence_matches_euclid_on_integer_lists(monkeypatch):
+    # with no GCDHEU point tried, _int_gcd is the primitive remainder
+    # sequence alone; its inputs are primitive lists of either leading sign
+    rng = random.Random("primitive remainder sequence")
+
+    def draw(degree):
+        return [rng.randint(-20, 20) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+
+    def primitive(ints):
+        return polyrat._primitive(list(ints))[0]
+
+    pairs = [([1, 1], [2, 1]), ([-2, 9, 1], [-1, -4, 1]), ([3, 0, -1], [1, 0, 0, -7])]  # coprime
+    for _ in range(40):
+        f, g, h = draw(rng.randint(1, 3)), draw(rng.randint(0, 3)), draw(rng.randint(0, 3))
+        a, b = polyrat._list_mul(f, g), polyrat._list_mul(f, h)
+        pairs += [(a, b), (a, f), (f, a), (a, a), ([-v for v in a], b)]
+    monkeypatch.setattr(polyrat, "_HEU_TRIES", 0)
+    seen = set()
+    for a, b in pairs:
+        a, b = primitive(a), primitive(b)
+        if len(a) == 1 or len(b) == 1:
+            continue
+        g = polyrat._int_gcd(a, b)
+        assert g == euclid_int_gcd(a, b), (a, b)
+        seen.add((a[-1] < 0 or b[-1] < 0, len(g) > 1, g == a or g == b))
+    assert len(seen) == 6, seen
+
+
 def test_exact_div_with_different_contents():
     b = F(11, 4) * RatPoly([F(-1, 2), 1])
     a = b * F(-3, 7) * RatPoly([F(5, 3), 1, F(2, 9)])

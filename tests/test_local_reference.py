@@ -10,9 +10,11 @@ at finite points, the series from every rational exponent with its
 obstruction values.
 
 At a simple root of P_0 and at an ordinary point the package reads the
-indicial polynomial and the exponents off P_0 and P_1 at the point; the
-references read them off the recurrence table's C_{j0} and its
-rational roots, and the closed form must agree with the table there.
+exponents off P_0 and P_1 at the point and builds the indicial
+polynomial as their root product; the references read them off the
+recurrence table's C_{j0} and its rational roots, and the closed form
+must agree with the table there and with the falling-factorial formula
+P_0'(q) S_n + P_1(q) S_{n-1} (P_0(q) S_n at an ordinary point).
 The series at an ordinary point must agree with the scalar loop too.
 """
 
@@ -39,9 +41,10 @@ from apparent import (
     third_order_example,
 )
 
-from apparent.frobenius import _local
+from apparent.frobenius import _local, indicial_polynomial
 
 from _dense_local import dense_verdict, scalar_series, table_exponents
+from test_int_form import checked
 from _gen import (
     LOG_GAP_PARAMS,
     confluent_params,
@@ -205,3 +208,44 @@ def test_closed_form_read_off_matches_the_table():
     assert seen[2, "repeated exponents"] >= 1 and seen[3, "repeated exponents"] >= 1, seen
     assert seen["irregular"] >= 1 and seen["table"] >= 10 and seen["closed"] >= 80, seen
     assert seen["ordinary"] == 36, seen
+
+
+def falling_factorial_indicial(ode, q):
+    """P_0(q) S_n, or P_0'(q) S_n + P_1(q) S_{n-1} at a root q of P_0,
+    S_m = s(s-1)...(s-m+1), in RatPoly arithmetic: the closed form that
+    the root product over the exponents replaced."""
+    n, p0 = ode.order, ode.leading
+    falling = [RatPoly([1])]
+    for m in range(n):
+        falling.append(falling[-1] * RatPoly([-m, 1]))
+    if p0(q):
+        return p0(q) * falling[n]
+    return p0.derivative()(q) * falling[n] + ode.coeffs[1](q) * falling[n - 1]
+
+
+def test_root_product_indicial_matches_the_falling_factorial_formula():
+    seen = Counter()
+    equations = []
+    for family in sorted(FAMILIES):
+        for draw in range(2):
+            base = FAMILIES[family](random.Random(f"root product {family} {draw}"))
+            equations += [base, *(stage.ode for stage in deform_iter(base, 2))]
+    # exponent n - 1 - P_1(0)/P_0'(0) repeats one of 0..n-2 at z = 0
+    z2 = [["0", "-1", "1"]]
+    equations += [make_ode([[0, 1], [1], [1]]),                     # order 2: {0, 0}
+                  make_ode([*z2, [-1], [1, 2], [3]]),               # order 3: {0, 1, 1}
+                  make_ode([*z2, [-2], [1, 2], [3]])]               # order 3: {0, 0, 1}
+    rng = random.Random("root product ordinary points")
+    for ode in equations:
+        roots = [q for q, m in rational_roots(ode.leading)[0] if m == 1]
+        points = roots + [rand_frac(rng, span=50, dmax=40, exclude=roots) for _ in range(2)]
+        for q in points:
+            data, _loc = _local(ode, q)
+            if data.v0 > 1:
+                continue
+            got = checked(indicial_polynomial(ode, q))
+            assert got == checked(falling_factorial_indicial(ode, q)), (ode, q)
+            exponents = data.exponents[0]
+            seen["simple root" if data.v0 else "ordinary"] += 1
+            seen["repeated"] += len(set(exponents)) < len(exponents)
+    assert seen["simple root"] >= 70 and seen["ordinary"] >= 50 and seen["repeated"] >= 3, seen

@@ -98,6 +98,13 @@ def test_constructor_canonicalizes_like_make_ode():
     assert not LinearODE([[1], [0], [1]]).degree_convention
 
 
+def test_an_equation_equals_no_other_kind_of_object():
+    ode = make_ode([[1], [0], [1]])
+    assert ode.__eq__(ode.coeffs) is NotImplemented
+    assert ode != ode.coeffs and ode != 1 and ode != "ode"
+    assert ode == LinearODE(ode.coeffs)
+
+
 def test_degree_convention_flag():
     # Heun: deg P_0 = 3 exceeds the order and dominates the rest
     assert sample_heun().degree_convention

@@ -3,6 +3,7 @@ import math
 import operator
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,12 @@ def test_construction_and_basic_ops():
     assert (p - p).is_zero
     assert RatPoly([0, 0, 3, 1]).valuation() == 2
     assert RatPoly([2, 4]).monic() == RatPoly([F(1, 2), 1])
+
+
+@pytest.mark.parametrize("value", [None, [1], 1j])
+def test_as_fraction_names_what_it_cannot_read(value):
+    with pytest.raises(TypeError, match=f"cannot interpret {re.escape(repr(value))} as an exact rational"):
+        polyrat.as_fraction(value)
 
 
 def test_shift_evaluates_at_offset():
