@@ -13,10 +13,12 @@ a stage, and every operation runs on the integer form: a product
 multiplies the primitive parts and the contents and needs no gcd; a
 sum, derivative, evaluation, Taylor shift or division takes one.
 The Taylor shift is the integer shift by 1 of von zur Gathen & Gerhard
-(ISSAC 1997), division is pseudo-division over Z (Knuth, TAOCP vol. 2,
-4.6.1, Algorithm R), the gcd is the heuristic GCDHEU of Char, Geddes &
-Gonnet (J. Symb. Comp. 1989), exact division divides primitive parts,
-and the rational root search lifts the polynomial itself p-adically
+(ISSAC 1997).  One division loop over Z (_int_divmod) serves exact
+division, which gives up at the first leading quotient that is not an
+integer, and pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R);
+one Horner loop (_int_eval) serves every evaluation.  The gcd is the
+heuristic GCDHEU of Char, Geddes & Gonnet (J. Symb. Comp. 1989), and
+the rational root search lifts the polynomial itself p-adically
 (Hensel) past twice |lead| + max|other coefficient|, which bounds lead
 times any rational root, so its cost is polynomial in the input's bits
 (an enumeration of divisors is exponential); each root is confirmed
@@ -88,13 +90,6 @@ class RatPoly:
         return cls([as_fraction(c)])
 
     @classmethod
-    def monomial(cls, k: int, c=1) -> "RatPoly":
-        """c * z^k."""
-        if k < 0:
-            raise ValueError("negative power in a monomial")
-        return cls([0] * k + [c])
-
-    @classmethod
     def from_roots(cls, roots, leading=1) -> "RatPoly":
         """leading * prod (z - r) over the given roots: _sum_of_products
         with one term, so zero when leading is."""
@@ -117,11 +112,6 @@ class RatPoly:
         if not ints:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
         return ints[-1] * content
-
-    def coeff(self, i: int) -> Fraction:
-        """Coefficient of z^i (zero outside the stored range)."""
-        ints, content = self._form
-        return ints[i] * content if 0 <= i < len(ints) else Fraction(0)
 
     def valuation(self) -> int:
         """Order of vanishing at z = 0; raises on the zero polynomial."""
@@ -246,17 +236,14 @@ class RatPoly:
     def __call__(self, x):
         """Exact value at x, read with as_fraction.  At x = u/v the integer
         form gives content * sum a_i u^i v^(d-i) / v^d: one integer Horner
-        pass and one Fraction."""
+        pass (_int_eval) and one Fraction."""
         ints, content = self._form
         if not ints:
             return Fraction(0)
         x = as_fraction(x)
         u, v = x.numerator, x.denominator
-        acc, vpow = ints[-1], 1
-        for i in range(len(ints) - 2, -1, -1):
-            vpow *= v
-            acc = acc * u + ints[i] * vpow
-        return Fraction(content.numerator * acc, content.denominator * vpow)
+        return Fraction(content.numerator * _int_eval(ints, u, 0, v),
+                        content.denominator * v ** (len(ints) - 1))
 
     def shifted(self, a) -> "RatPoly":
         """Taylor shift: returns p(z + a).
@@ -442,15 +429,12 @@ def _common_ints(polys) -> tuple[Fraction, list[list[int]]]:
     return Fraction(g, den), lists
 
 
-def _int_divexact(a: list[int], b: list[int]) -> list[int] | None:
-    """Quotient a / b over Z when b divides a exactly there, else None.
-
-    Schoolbook division that gives up at the first leading quotient
-    that is not an integer.
-    """
-    db = len(b) - 1
+def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]] | None:
+    """q, r with a = q b + r over Z and deg r < deg b (r untrimmed), or
+    None at the first leading quotient that is not an integer: schoolbook
+    division (Knuth, TAOCP vol. 2, 4.6.1)."""
+    db, lead = len(b) - 1, b[-1]
     rem = list(a)
-    lead = b[-1]
     quot = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c, r = divmod(rem[i], lead)
@@ -460,26 +444,24 @@ def _int_divexact(a: list[int], b: list[int]) -> list[int] | None:
             quot[i - db] = c
             for j in range(db):
                 rem[i - db + j] -= c * b[j]
-    return None if any(rem[:db]) else quot
+    return quot, rem[:db]
+
+
+def _int_divexact(a: list[int], b: list[int]) -> list[int] | None:
+    """Quotient a / b over Z when b divides a exactly there, else None."""
+    qr = _int_divmod(a, b)
+    return None if qr is None or any(qr[1]) else qr[0]
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
     """k, q, r with lead(b)^k a = q b + r over Z, deg r < deg b and
     k = max(len(a) - deg b, 0), which is deg a - deg b + 1 for a trimmed
-    a: pseudo-division (Knuth, TAOCP vol. 2, 4.6.1).  q is integral, so
-    after scaling a by lead(b)^k each leading quotient divides exactly."""
-    db, lead = len(b) - 1, b[-1]
-    k = max(len(a) - db, 0)
-    scale = lead**k
-    rem = [v * scale for v in a]
-    quot = [0] * k
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i] // lead
-        if c:
-            quot[i - db] = c
-            for j in range(db):
-                rem[i - db + j] -= c * b[j]
-    return k, quot, rem[:db]
+    a: pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  After
+    scaling a by lead(b)^k each leading quotient divides exactly, so
+    _int_divmod never gives up."""
+    k = max(len(a) - len(b) + 1, 0)
+    scale = b[-1] ** k
+    return (k, *_int_divmod([v * scale for v in a], b))
 
 
 # GCDHEU evaluation points tried before the Euclidean fallback
@@ -587,11 +569,13 @@ def root_multiplicity(p: RatPoly, r) -> int:
     return _deflate(p._form[0], as_fraction(r))[1]
 
 
-def _int_eval(coeffs: list[int], y: int, modulus: int = 0) -> int:
-    """Horner evaluation of an integer polynomial, reduced mod modulus if nonzero."""
-    acc = 0
+def _int_eval(coeffs: list[int], y: int, modulus: int = 0, v: int = 1) -> int:
+    """sum c_i y^i v^(d-i) over the d + 1 coefficients, v^d times the
+    value at y/v, by Horner's rule; reduced mod modulus if nonzero."""
+    acc, vpow = 0, 1
     for c in reversed(coeffs):
-        acc = acc * y + c
+        acc = acc * y + c * vpow
+        vpow *= v
         if modulus:
             acc %= modulus
     return acc

@@ -63,14 +63,14 @@ def dense_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
         for j in range(n):
             for i in range(max(bounds[j] + 1, 0)):
                 v = offsets[j] + i
-                zi = RatPoly.monomial(i)
+                zi = RatPoly([0] * i + [1])
                 contributions[j][v] = contributions[j].get(v, RatPoly()) + clearing * zi
                 nxt = clearing * zi.derivative() - s_poly * zi
                 contributions[j + 1][v] = contributions[j + 1].get(v, RatPoly()) + nxt
         contributions[n][a_idx] = clearing * m_star
         for t in range(n + 1):
             for i in range(slack + 1):
-                contributions[t][c_idx + i] = -d_in[t] * RatPoly.monomial(i)
+                contributions[t][c_idx + i] = -d_in[t] * RatPoly([0] * i + [1])
 
         rows = []
         for t in range(n + 1):
@@ -78,7 +78,7 @@ def dense_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
             for r in range(deg_t + 1):
                 row = [Fraction(0)] * nvars
                 for v, p in contributions[t].items():
-                    row[v] = p.coeff(r)
+                    row[v] = p.coeffs[r] if r <= p.degree else Fraction(0)
                 rows.append(row)
 
         basis = nullspace_basis(rows, nvars)

@@ -13,6 +13,7 @@ from apparent import (
     MultiHeunParams,
     RatPoly,
     ThirdOrderParams,
+    make_ode,
 )
 
 
@@ -89,6 +90,35 @@ def confluent_params(rng):
     while p0(q) == 0:
         q = rand_frac(rng)
     return ConfluentHeunParams(p0=p0, p1=p1, alpha=alpha, q=q)
+
+
+def fuchsian_ode(rng):
+    """A random Fuchsian equation of order n = 2..5, and the roots of its
+    P_n as {root: multiplicity}.
+
+    With s = 2..4 rational points a_i and A = prod (z - a_i), P_0 = A^n
+    and P_k = R_k A^(n-k) with deg R_k <= k(s - 1), so each P_k / P_0 =
+    R_k / A^k has a pole of order at most k at every a_i and vanishes
+    to order k at infinity: all of them are regular singular points
+    (Ince, *Ordinary Differential Equations*, 1926, 15.3).  P_n has
+    rational roots off the a_i, some repeated, of total multiplicity at
+    most n(s - 1); each becomes an apparent point under deform.
+    """
+    n, s = rng.randint(2, 5), rng.randint(2, 4)
+    points = []
+    while len(points) < s:
+        points.append(rand_frac(rng, exclude=points))
+    a = RatPoly.from_roots(points)
+    roots, room = {}, n * (s - 1)
+    while not roots or (room and rng.random() < 0.5):
+        r = rand_frac(rng, exclude=points + list(roots))
+        roots[r] = rng.randint(1, min(room, 3))
+        room -= roots[r]
+    trailing = RatPoly.from_roots([r for r, m in roots.items() for _ in range(m)],
+                                  rand_frac(rng, exclude=(0,)))
+    middle = [RatPoly([rand_frac(rng) for _ in range(k * (s - 1) + 1)]) * a ** (n - k)
+              for k in range(1, n)]
+    return make_ode([a**n, *middle, trailing]), roots
 
 
 def planted_roots_poly(rng, degree, lead_bits):

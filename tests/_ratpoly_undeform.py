@@ -43,7 +43,7 @@ def ratpoly_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
     for slack in range(max_slack + 1):
         chain, rems, prev = [], [], RatPoly()
         for j in range(n + 1):
-            num = RatPoly.monomial(slack) * d_in[j] + s_poly * prev
+            num = RatPoly([0] * slack + [1]) * d_in[j] + s_poly * prev
             quot, rem = (RatPoly(p) for p in divmod_(num.coeffs, clearing.coeffs))
             prev = quot - prev.derivative()
             chain.append(prev)
@@ -51,7 +51,7 @@ def ratpoly_undeform(ode, targets=None, *, multiplicities=None, max_slack=1):
         chains.append(chain)
         columns.append([prev] + rems)
         rows = [
-            [col[k].coeff(r) for col in columns]
+            [col[k].coeffs[r] if r <= col[k].degree else 0 for col in columns]
             for k in range(n + 2)
             for r in range(max(col[k].degree for col in columns) + 1)
         ]

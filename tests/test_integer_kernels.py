@@ -3,10 +3,14 @@
 RatPoly.shifted and the Stirling table behind the indicial tables work
 on integer coefficient lists; these properties pin them to plain RatPoly
 references, and _LocalData's one integer Horner pass for P_0(q) and
-P_0'(q) is pinned to RatPoly evaluation.  The Moebius pullback is composed from Taylor shifts, a
-scaling and the Lah-number inversion; it is pinned to the group law of
-Moebius maps and to the former power-basis expansion kept in
-``_moebius_reference.py``, on matrices with each entry zero in turn.
+P_0'(q) is pinned to RatPoly evaluation.  polyrat's one division loop
+(_int_divmod, under _int_divexact and _pseudo_divmod) is pinned to
+division over Q in ``_fraction_poly.py``, and its one Horner loop
+(_int_eval) to Fraction evaluation.  The Moebius pullback is composed
+from Taylor shifts, a scaling and the Lah-number inversion; it is pinned
+to the group law of Moebius maps and to the former power-basis expansion
+kept in ``_moebius_reference.py``, on matrices with each entry zero in
+turn.
 """
 
 import math
@@ -30,8 +34,9 @@ from apparent import (
 )
 from apparent.frobenius import _LocalData
 from apparent.odemodel import _stirling_rows
-from apparent.polyrat import root_multiplicity
+from apparent.polyrat import _int_divexact, _int_divmod, _int_eval, _pseudo_divmod, root_multiplicity
 
+import _fraction_poly as fp
 from _gen import confluent_params, heun_params, multi_params, third_params
 from _moebius_reference import reference_moebius
 
@@ -192,3 +197,81 @@ def test_moebius_matches_power_basis_reference(ode, m):
     assert got.coeffs == want.coeffs
     assert got.degree_convention == want.degree_convention
     assert all(type(c) is F for p in got.coeffs for c in p.coeffs)
+
+
+coefficients = st.integers(-60, 60)
+divisors = st.builds(lambda low, lead: low + [lead], st.lists(coefficients, max_size=3),
+                     coefficients.filter(bool))
+
+
+def as_ints(cs) -> list[int]:
+    """A trimmed Fraction tuple of integral values as an int list."""
+    assert all(c.denominator == 1 for c in cs)
+    return [int(c) for c in cs]
+
+
+@st.composite
+def division_pairs(draw):
+    """(a, b), a trimmed: drawn freely (mostly a quotient that is not
+    integral), as q b (exact), or as q b + r with deg r < deg b (an
+    integral quotient and, mostly, a nonzero remainder)."""
+    b = draw(divisors)
+    kind = draw(st.sampled_from(("free", "exact", "remainder")))
+    if kind == "free":
+        a = fp.trim(draw(st.lists(coefficients, max_size=8)))
+    else:
+        a = fp.mul(fp.trim(draw(st.lists(coefficients, max_size=5))), fp.trim(b))
+        if kind == "remainder":
+            a = fp.add(a, fp.trim(draw(st.lists(coefficients, max_size=len(b) - 1))))
+    return as_ints(a), b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(division_pairs())
+@example(([1, 0, 1], [1, 2]))  # non-monic b: the quotient 1/2 z - 1/4 is not integral
+@example(([6, 3, 2], [1, 2]))  # non-monic b, quotient z + 1, remainder 5
+@example(([-1, 1, 2], [-1, 2]))  # non-monic b dividing exactly
+@example(([3], [1, 0, 2]))  # len(a) < len(b)
+@example(([7, 1], [2, 0, 0, 5]))  # len(a) < len(b)
+@example(([3, 6, -9], [3]))  # constant b dividing exactly
+@example(([1, 6], [-3]))  # constant b, quotient not integral
+@example(([], [1, 2]))  # zero a
+@example(([], [4]))  # zero a, constant b
+def test_division_kernels_match_division_over_q(pair):
+    a, b = pair
+    quot, rem = fp.divmod_(fp.trim(a), fp.trim(b))
+    integral = all(c.denominator == 1 for c in quot)
+    qr = _int_divmod(a, b)
+    if integral:
+        q, r = qr
+        assert q == as_ints(quot) and fp.trim(r) == rem and len(r) < len(b)
+    else:
+        assert qr is None
+    # None exactly when the quotient over Q is not integral or the
+    # remainder is nonzero
+    exact = _int_divexact(a, b)
+    assert exact == (as_ints(quot) if integral and not rem else None)
+    k, q, r = _pseudo_divmod(a, b)
+    assert k == max(len(a) - len(b) + 1, 0)
+    quot, rem = fp.divmod_(fp.trim([b[-1] ** k * v for v in a]), fp.trim(b))
+    assert q == as_ints(quot) and fp.trim(r) == rem and len(r) < len(b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-(2**70), 2**70), max_size=7), st.integers(-(10**6), 10**6),
+       st.one_of(st.just(0), st.integers(1, 10**9), st.just(2**61 - 1)), st.integers(1, 10**4))
+@example([], 3, 0, 1)  # empty list
+@example([], -3, 11, 7)
+@example([9], -4, 0, 5)  # constants: v^0 = 1
+@example([-9], 2, 7, 3)
+@example([1, -2, 3], -5, 0, 4)  # negative y, v > 1
+@example([1, -2, 3], -5, 11, 4)  # and a modulus
+@example([5, 0, 0, -1], 3, 0, 1)
+def test_horner_matches_fraction_evaluation(coeffs, y, modulus, v):
+    # v^d times the value at y/v, d = len(coeffs) - 1, reduced mod modulus
+    want = fp.evaluate(coeffs, F(y, v)) * F(v) ** max(len(coeffs) - 1, 0)
+    assert want.denominator == 1
+    want = int(want) % modulus if modulus else int(want)
+    assert _int_eval(coeffs, y, modulus, v) == want
+    if v == 1:
+        assert _int_eval(coeffs, y, modulus) == want

@@ -38,7 +38,6 @@ def test_construction_and_basic_ops():
     p = RatPoly([F(1, 2), 0, 1])  # z^2 + 1/2
     assert p.degree == 2
     assert p(F(2)) == F(9, 2)
-    assert p.coeff(0) == F(1, 2) and p.coeff(5) == 0
     assert (p - p).is_zero
     assert RatPoly([0, 0, 3, 1]).valuation() == 2
     assert RatPoly([2, 4]).monic() == RatPoly([F(1, 2), 1])
@@ -371,7 +370,6 @@ ZERO, LINEAR = RatPoly(), RatPoly([1, 1])
         (lambda: poly_gcd(ZERO, ZERO), BothZeroError, "undefined"),
         (lambda: LINEAR ** -1, ValueError, "negative power"),
         (lambda: setattr(LINEAR, "coeffs", ()), AttributeError, "immutable"),
-        (lambda: RatPoly.monomial(-1, 5), ValueError, "monomial"),
         (lambda: RatPoly("12"), TypeError, "not a string"),
     ],
 )

@@ -22,6 +22,7 @@ from apparent import (
     confluent_heun,
     deform,
     deform_iter,
+    fuchs_check,
     general_heun,
     make_ode,
     multi_heun,
@@ -33,6 +34,7 @@ from apparent.transform import _cleared
 from _gen import (
     TWO_STAGE_PARAMS,
     confluent_params,
+    fuchsian_ode,
     heun_params,
     multi_params,
     rand_frac,
@@ -88,7 +90,7 @@ def test_canonical_form_ignores_scale_and_common_factor(family, seed, deformed, 
     ode = FAMILIES[family](random.Random(seed))
     if deformed:
         ode = deform(ode).ode
-    factor = low + RatPoly.monomial(max(low.degree, 0) + 1, top)  # degree >= 1
+    factor = low + RatPoly([0] * (max(low.degree, 0) + 1) + [top])  # degree >= 1
     assert make_ode([scale * p for p in ode.coeffs]) == ode
     assert make_ode([factor * p for p in ode.coeffs]) == ode
     assert make_ode([scale * factor * p for p in ode.coeffs]) == ode
@@ -125,3 +127,23 @@ def test_second_stage_points_sit_on_the_derivative_ladder():
     # the random draws create points at stage 1 only; this one creates
     # one at stage 1 and two more at stage 2
     assert assert_created_points_on_ladder(general_heun(TWO_STAGE_PARAMS)) == 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=seeds)
+def test_stage_one_claims_hold_on_arbitrary_fuchsian_equations(seed):
+    # beyond the four families: each root r of P_n, of multiplicity m,
+    # becomes an apparent point with exponents {0..n-2, n-1+m}, undeform
+    # gives the input back, and both equations satisfy the Fuchs identity
+    ode, roots = fuchsian_ode(random.Random(seed))
+    n = ode.order
+    res = deform(ode)
+    assert dict(res.new_apparent) == {r: n - 1 + m for r, m in roots.items()}
+    for q, gap in res.new_apparent:
+        sp = classify_point(res.ode, q)
+        assert sp.kind is PointKind.APPARENT
+        assert sorted(sp.exponents) == [*range(n - 1), gap]
+    assert undeform(res.ode).ode == ode
+    for eq in (ode, res.ode):
+        report = fuchs_check(eq)
+        assert report.is_fuchsian and report.identity_holds

@@ -49,7 +49,7 @@ def test_deform_marks_simple_root_with_gap_two():
     rng = random.Random(5)
     ode = general_heun(heun_params(rng))
     trail = ode.coeffs[-1]
-    q = -trail.coeff(0) / trail.leading
+    q = -trail.coeffs[0] / trail.leading
     res = deform(ode)
     assert len(res.new_apparent) == 1
     loc, gap = res.new_apparent[0]
